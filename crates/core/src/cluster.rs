@@ -15,10 +15,11 @@
 //! [`benchmark_classes_from_features`] clusters benchmarks into classes
 //! usable with [`crate::BenchmarkStratification`].
 
-use crate::allocation::{allocate, Allocation};
-use crate::sampler::{DrawnSample, Sampler};
+use crate::allocation::Allocation;
+use crate::sampler::{DrawPlan, Sampler};
 use crate::space::Population;
 use mps_stats::rng::Rng;
+use std::borrow::Cow;
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,33 +188,14 @@ impl Sampler for ClusterSampling {
         "cluster"
     }
 
-    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample {
-        assert!(w > 0, "sample size must be positive");
+    fn plan<'a>(&'a self, pop: &'a Population, w: usize) -> DrawPlan<'a> {
         assert_eq!(
             pop.len(),
             self.population,
             "clustering was built for a different population"
         );
-        let sizes = self.sizes();
-        let alloc = allocate(Allocation::Proportional, &sizes, None, w);
-        let sample = self
-            .clusters
-            .iter()
-            .zip(&alloc)
-            .filter(|(_, &n)| n > 0)
-            .map(|(members, &n)| {
-                let picked = if n <= members.len() {
-                    rng.sample_indices(members.len(), n)
-                        .into_iter()
-                        .map(|i| members[i])
-                        .collect()
-                } else {
-                    (0..n).map(|_| members[rng.index(members.len())]).collect()
-                };
-                (members.len() as f64 / self.population as f64, picked)
-            })
-            .collect();
-        DrawnSample::Stratified(sample)
+        let clusters = self.clusters.iter().map(|c| Cow::Borrowed(c.as_slice()));
+        DrawPlan::stratified(clusters, Allocation::Proportional, None, w)
     }
 }
 
@@ -246,6 +228,7 @@ pub fn benchmark_classes_from_features(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::DrawnSample;
 
     fn three_blobs() -> Vec<Vec<f64>> {
         let mut rng = Rng::new(5);

@@ -13,7 +13,7 @@
 //! * the **analytical** degree of confidence for random sampling
 //!   (equation (5)) from the `cv` of `d(w)`.
 
-use crate::sampler::{DrawnSample, Sampler};
+use crate::sampler::{DrawBuf, DrawnSample, Sampler};
 use crate::space::Population;
 use mps_metrics::{pair_comparison, PairComparison, ThroughputMetric};
 use mps_stats::rng::Rng;
@@ -198,15 +198,18 @@ pub fn empirical_confidence_seeded(
     let _span = mps_obs::span("estimate.empirical_confidence");
     let draws = mps_obs::counter("sampling.draws");
     let evaluated = mps_obs::counter("estimate.workloads_evaluated");
-    let verdicts = mps_par::par_map_range(jobs, samples, |i| {
+    // The plan is fixed for the whole cell; each worker draws into its own
+    // reused buffer, so the steady-state loop does not allocate.
+    let plan = sampler.plan(pop, w);
+    let verdicts = mps_par::par_map_range_with(jobs, samples, DrawBuf::default, |buf, i| {
         // Weyl-sequence offset per sample index: decorrelated seeds whose
         // derivation is independent of which worker runs the sample.
         let mut sample_rng =
             Rng::new(base.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-        let s = sampler.draw(pop, w, &mut sample_rng);
+        let s = plan.draw_into(&mut sample_rng, buf);
         draws.incr();
         evaluated.add(s.len() as u64);
-        sample_decides_y_wins(data, &s)
+        sample_decides_y_wins(data, s)
     });
     let wins = verdicts.iter().filter(|&&v| v).count();
     wins as f64 / samples as f64

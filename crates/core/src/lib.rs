@@ -58,8 +58,8 @@ pub use estimate::{
 };
 pub use guideline::{recommend, OverheadModel, Recommendation};
 pub use sampler::{
-    BalancedRandomSampling, BenchmarkStratification, DrawnSample, RandomSampling, Sampler,
-    WorkloadStratification,
+    BalancedRandomSampling, BenchmarkStratification, DrawBuf, DrawPlan, DrawnSample,
+    RandomSampling, Sampler, WorkloadStratification,
 };
 pub use space::{Population, Workload, WorkloadSpace};
 pub use speedup::{

@@ -9,6 +9,7 @@ use crate::allocation::{allocate, strata_sigmas, Allocation};
 use crate::space::{Population, Workload};
 use mps_stats::moments::Moments;
 use mps_stats::rng::Rng;
+use std::borrow::Cow;
 
 /// A drawn sample: either a flat list of population indices or a
 /// stratified sample with per-stratum weights.
@@ -43,17 +44,226 @@ impl DrawnSample {
     }
 }
 
+impl Default for DrawnSample {
+    fn default() -> Self {
+        DrawnSample::Plain(Vec::new())
+    }
+}
+
 /// A workload sampling method.
 ///
-/// `Sync` is a supertrait so samplers can be shared by the parallel
-/// resample loop ([`crate::empirical_confidence_jobs`]); every method is
-/// plain immutable data, all draw state lives in the caller's [`Rng`].
+/// A method only describes *what* to draw: [`Sampler::plan`] turns it
+/// into a [`DrawPlan`] for one population and sample size, and the plan
+/// performs every draw. `Sync` is a supertrait so samplers can be shared
+/// by the parallel resample loop ([`crate::empirical_confidence_jobs`]);
+/// every method is plain immutable data, all draw state lives in the
+/// caller's [`Rng`].
 pub trait Sampler: std::fmt::Debug + Sync {
     /// Method name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
+    /// Computes everything about a `w`-workload draw from `pop` that does
+    /// not depend on the RNG: stratum members, weights and allocation.
+    fn plan<'a>(&'a self, pop: &'a Population, w: usize) -> DrawPlan<'a>;
+
     /// Draws a sample of `w` workloads from the population.
-    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample;
+    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample {
+        self.plan(pop, w).draw(rng)
+    }
+}
+
+/// A sampler's draw, prepared for one population and sample size.
+///
+/// Resample loops build the plan once and call [`DrawPlan::draw_into`]
+/// per resample; the plan is the only draw implementation, so a plan's
+/// draws are exactly the [`Sampler::draw`] results for the same RNG.
+#[derive(Debug)]
+pub struct DrawPlan<'a>(PlanKind<'a>);
+
+#[derive(Debug)]
+enum PlanKind<'a> {
+    /// `w` i.i.d. uniform indices into `0..len`.
+    Uniform { len: usize, w: usize },
+    /// A pool holding every benchmark `base` times plus a random
+    /// remainder, shuffled and cut into `cores`-sized workloads.
+    Balanced {
+        pop: &'a Population,
+        base_pool: Vec<u16>,
+        benchmarks: usize,
+        remainder: usize,
+        cores: usize,
+    },
+    /// The strata that receive draws, in stratum order.
+    Stratified(Vec<PlannedStratum<'a>>),
+}
+
+#[derive(Debug)]
+struct PlannedStratum<'a> {
+    /// `Nh/N`.
+    weight: f64,
+    members: Cow<'a, [usize]>,
+    /// Draws allocated to this stratum (always positive).
+    n: usize,
+}
+
+/// Reusable buffers for [`DrawPlan::draw_into`]: once they have grown to
+/// a plan's sizes, further draws allocate nothing.
+#[derive(Debug, Default)]
+pub struct DrawBuf {
+    sample: DrawnSample,
+    pool: Vec<u16>,
+    picks: Vec<usize>,
+}
+
+impl<'a> DrawPlan<'a> {
+    fn new(w: usize, kind: PlanKind<'a>) -> Self {
+        assert!(w > 0, "sample size must be positive");
+        DrawPlan(kind)
+    }
+
+    /// `w` independent uniform draws from a population of `len`
+    /// workloads (with replacement).
+    pub fn uniform(len: usize, w: usize) -> Self {
+        Self::new(w, PlanKind::Uniform { len, w })
+    }
+
+    /// Balanced random draws (see [`BalancedRandomSampling`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pop` is not the full population.
+    pub fn balanced(pop: &'a Population, w: usize) -> Self {
+        assert!(
+            pop.is_full(),
+            "balanced random sampling needs the full population table"
+        );
+        let benchmarks = pop.space().benchmarks();
+        let cores = pop.space().cores();
+        let slots = w * cores;
+        let base = slots / benchmarks;
+        let base_pool = (0..benchmarks as u16)
+            .flat_map(|bench| std::iter::repeat_n(bench, base))
+            .collect();
+        let kind = PlanKind::Balanced {
+            pop,
+            base_pool,
+            benchmarks,
+            remainder: slots % benchmarks,
+            cores,
+        };
+        Self::new(w, kind)
+    }
+
+    /// Stratified draws: `w` draws split over `strata` by `allocation`
+    /// (`sigmas` as for [`allocate`]), each stratum weighted `Nh/N`.
+    /// Strata allocated no draws are left out of every sample.
+    pub fn stratified(
+        strata: impl IntoIterator<Item = Cow<'a, [usize]>>,
+        allocation: Allocation,
+        sigmas: Option<&[f64]>,
+        w: usize,
+    ) -> Self {
+        let strata: Vec<Cow<'a, [usize]>> = strata.into_iter().collect();
+        let sizes: Vec<usize> = strata.iter().map(|m| m.len()).collect();
+        let total: usize = sizes.iter().sum();
+        let alloc = allocate(allocation, &sizes, sigmas, w);
+        let planned = strata
+            .into_iter()
+            .zip(alloc)
+            .filter(|&(_, n)| n > 0)
+            .map(|(members, n)| PlannedStratum {
+                weight: members.len() as f64 / total as f64,
+                members,
+                n,
+            })
+            .collect();
+        Self::new(w, PlanKind::Stratified(planned))
+    }
+
+    /// Draws one sample into a fresh buffer.
+    pub fn draw(&self, rng: &mut Rng) -> DrawnSample {
+        let mut buf = DrawBuf::default();
+        self.draw_into(rng, &mut buf);
+        buf.sample
+    }
+
+    /// Draws one sample into `buf`, reusing its allocations, and returns
+    /// it. Without replacement, the picks within a stratum are in the
+    /// stratum's member order.
+    pub fn draw_into<'b>(&self, rng: &mut Rng, buf: &'b mut DrawBuf) -> &'b DrawnSample {
+        let DrawBuf {
+            sample,
+            pool,
+            picks,
+        } = buf;
+        match &self.0 {
+            PlanKind::Uniform { len, w } => {
+                let out = plain(sample);
+                out.extend((0..*w).map(|_| rng.index(*len)));
+            }
+            PlanKind::Balanced {
+                pop,
+                base_pool,
+                benchmarks,
+                remainder,
+                cores,
+            } => {
+                pool.clear();
+                pool.extend_from_slice(base_pool);
+                rng.sample_indices_into(*benchmarks, *remainder, picks);
+                pool.extend(picks.iter().map(|&bench| bench as u16));
+                rng.shuffle(pool);
+                let out = plain(sample);
+                out.extend(pool.chunks_mut(*cores).map(|workload| {
+                    workload.sort_unstable();
+                    pop.workloads()
+                        .binary_search_by(|w| w.benchmarks().cmp(workload))
+                        .expect("full population contains all workloads")
+                }));
+            }
+            PlanKind::Stratified(strata) => {
+                let out = stratified(sample, strata.len());
+                for (s, (weight, picked)) in strata.iter().zip(out) {
+                    *weight = s.weight;
+                    let members = &s.members;
+                    if s.n <= members.len() {
+                        rng.sample_indices_into(members.len(), s.n, picked);
+                        for i in picked.iter_mut() {
+                            *i = members[*i];
+                        }
+                    } else {
+                        picked.clear();
+                        picked.extend((0..s.n).map(|_| members[rng.index(members.len())]));
+                    }
+                }
+            }
+        }
+        sample
+    }
+}
+
+/// `sample` as an empty plain list, keeping its allocation.
+fn plain(sample: &mut DrawnSample) -> &mut Vec<usize> {
+    if !matches!(sample, DrawnSample::Plain(_)) {
+        *sample = DrawnSample::Plain(Vec::new());
+    }
+    let DrawnSample::Plain(out) = sample else {
+        unreachable!("just made plain")
+    };
+    out.clear();
+    out
+}
+
+/// `sample` as exactly `strata` stratum slots, keeping their allocations.
+fn stratified(sample: &mut DrawnSample, strata: usize) -> &mut [(f64, Vec<usize>)] {
+    if !matches!(sample, DrawnSample::Stratified(_)) {
+        *sample = DrawnSample::Stratified(Vec::new());
+    }
+    let DrawnSample::Stratified(out) = sample else {
+        unreachable!("just made stratified")
+    };
+    out.resize_with(strata, Default::default);
+    out
 }
 
 /// Simple random sampling: `w` i.i.d. uniform draws (with replacement —
@@ -67,9 +277,8 @@ impl Sampler for RandomSampling {
         "random"
     }
 
-    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample {
-        assert!(w > 0, "sample size must be positive");
-        DrawnSample::Plain((0..w).map(|_| rng.index(pop.len())).collect())
+    fn plan<'a>(&'a self, pop: &'a Population, w: usize) -> DrawPlan<'a> {
+        DrawPlan::uniform(pop.len(), w)
     }
 }
 
@@ -91,50 +300,8 @@ impl Sampler for BalancedRandomSampling {
         "bal-random"
     }
 
-    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample {
-        assert!(w > 0, "sample size must be positive");
-        assert!(
-            pop.is_full(),
-            "balanced random sampling needs the full population table"
-        );
-        let b = pop.space().benchmarks();
-        let k = pop.space().cores();
-        let slots = w * k;
-        // Base occurrences plus randomly assigned remainder.
-        let base = slots / b;
-        let remainder = slots % b;
-        let mut pool: Vec<u16> = Vec::with_capacity(slots);
-        for bench in 0..b {
-            for _ in 0..base {
-                pool.push(bench as u16);
-            }
-        }
-        let extra = rng.sample_indices(b, remainder);
-        for bench in extra {
-            pool.push(bench as u16);
-        }
-        rng.shuffle(&mut pool);
-        let indices = pool
-            .chunks(k)
-            .map(|chunk| {
-                let wl = Workload::new(chunk.to_vec());
-                pop.index_of(&wl)
-                    .expect("full population contains all workloads")
-            })
-            .collect();
-        DrawnSample::Plain(indices)
-    }
-}
-
-/// Draws `n` indices from `members` (without replacement when possible).
-fn draw_within(members: &[usize], n: usize, rng: &mut Rng) -> Vec<usize> {
-    if n <= members.len() {
-        rng.sample_indices(members.len(), n)
-            .into_iter()
-            .map(|i| members[i])
-            .collect()
-    } else {
-        (0..n).map(|_| members[rng.index(members.len())]).collect()
+    fn plan<'a>(&'a self, pop: &'a Population, w: usize) -> DrawPlan<'a> {
+        DrawPlan::balanced(pop, w)
     }
 }
 
@@ -188,24 +355,9 @@ impl Sampler for BenchmarkStratification {
         "bench-strata"
     }
 
-    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample {
-        assert!(w > 0, "sample size must be positive");
-        let strata = self.strata_of(pop);
-        let sizes: Vec<usize> = strata.iter().map(|(_, m)| m.len()).collect();
-        let total: usize = sizes.iter().sum();
-        let alloc = allocate(Allocation::Proportional, &sizes, None, w);
-        let sample = strata
-            .iter()
-            .zip(&alloc)
-            .filter(|(_, &n)| n > 0)
-            .map(|((_, members), &n)| {
-                (
-                    members.len() as f64 / total as f64,
-                    draw_within(members, n, rng),
-                )
-            })
-            .collect();
-        DrawnSample::Stratified(sample)
+    fn plan<'a>(&'a self, pop: &'a Population, w: usize) -> DrawPlan<'a> {
+        let strata = self.strata_of(pop).into_iter().map(|(_, m)| Cow::Owned(m));
+        DrawPlan::stratified(strata, Allocation::Proportional, None, w)
     }
 }
 
@@ -313,28 +465,14 @@ impl Sampler for WorkloadStratification {
         "workload-strata"
     }
 
-    fn draw(&self, pop: &Population, w: usize, rng: &mut Rng) -> DrawnSample {
-        assert!(w > 0, "sample size must be positive");
+    fn plan<'a>(&'a self, pop: &'a Population, w: usize) -> DrawPlan<'a> {
         assert_eq!(
             pop.len(),
             self.population,
             "stratification was built for a different population"
         );
-        let sizes = self.sizes();
-        let alloc = allocate(self.allocation, &sizes, Some(&self.sigmas), w);
-        let sample = self
-            .strata
-            .iter()
-            .zip(&alloc)
-            .filter(|(_, &n)| n > 0)
-            .map(|(members, &n)| {
-                (
-                    members.len() as f64 / self.population as f64,
-                    draw_within(members, n, rng),
-                )
-            })
-            .collect();
-        DrawnSample::Stratified(sample)
+        let strata = self.strata.iter().map(|m| Cow::Borrowed(m.as_slice()));
+        DrawPlan::stratified(strata, self.allocation, Some(&self.sigmas), w)
     }
 }
 

@@ -18,7 +18,7 @@
 //!   requested probability.
 
 use crate::estimate::{sample_throughput_pair, PairData};
-use crate::sampler::Sampler;
+use crate::sampler::{DrawBuf, Sampler};
 use crate::space::Population;
 use mps_stats::rng::Rng;
 
@@ -82,10 +82,11 @@ pub fn speedup_interval(
         "coverage must be in (0,1), got {coverage}"
     );
     assert_eq!(pop.len(), data.len(), "population and data must be aligned");
+    let plan = sampler.plan(pop, w);
+    let mut buf = DrawBuf::default();
     let mut estimates: Vec<f64> = (0..resamples)
         .map(|_| {
-            let s = sampler.draw(pop, w, rng);
-            let (tx, ty) = sample_throughput_pair(data, &s);
+            let (tx, ty) = sample_throughput_pair(data, plan.draw_into(rng, &mut buf));
             ty / tx
         })
         .collect();

@@ -204,6 +204,19 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    map_with_stats(jobs, items, || (), |(), i, t| f(i, t))
+}
+
+/// The scheduler behind every map in this crate: each worker builds its
+/// scratch state once with `init` and threads it through every `f` call
+/// it runs.
+fn map_with_stats<T, S, R, I, F>(jobs: usize, items: &[T], init: I, f: F) -> (Vec<R>, ParStats)
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let n = items.len();
     assert!(
         u32::try_from(n).is_ok(),
@@ -213,7 +226,12 @@ where
     mps_obs::counter("par.items").add(n as u64);
     let workers = jobs.min(n).max(1);
     if workers == 1 {
-        let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        let mut state = init();
+        let out = items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(&mut state, i, t))
+            .collect();
         return (
             out,
             ParStats {
@@ -261,11 +279,13 @@ where
             steals: 0,
             stolen_items: 0,
         };
+        let mut state = init();
         loop {
             // Drain the own deque front-to-back.
             while let Some(range) = deques[me].pop_front(chunk) {
                 for i in range {
-                    out.results.push((i, f(i as usize, &items[i as usize])));
+                    out.results
+                        .push((i, f(&mut state, i as usize, &items[i as usize])));
                 }
             }
             // Steal from the victim with the most remaining work.
@@ -359,9 +379,26 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    par_map_range_with(jobs, n, || (), |(), i| f(i))
+}
+
+/// [`par_map_range`] with per-worker scratch: every worker calls `init`
+/// once and passes the state to each `f` it runs, so a hot loop can reuse
+/// buffers instead of allocating per item.
+///
+/// Which indices share a state depends on scheduling, so the determinism
+/// contract holds only if `f`'s result never depends on what an earlier
+/// call left in the state (buffers that are overwritten before they are
+/// read, for example).
+pub fn par_map_range_with<S, R, I, F>(jobs: usize, n: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     // A unit slice keeps the whole scheduler in one code path.
     let units = vec![(); n];
-    par_map_indexed(jobs, &units, |i, ()| f(i))
+    map_with_stats(jobs, &units, init, |state, i, ()| f(state, i)).0
 }
 
 /// Applies `f` to consecutive `batch`-sized chunks of `items` (the last
@@ -541,6 +578,30 @@ mod tests {
         let got = par_map_range(5, 100, |i| i * i);
         let expect: Vec<usize> = (0..100).map(|i| i * i).collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn range_with_scratch_matches_sequential_and_builds_one_state_per_worker() {
+        let inits = AtomicU64::new(0);
+        for jobs in [1, 3] {
+            inits.store(0, Ordering::Relaxed);
+            let got = par_map_range_with(
+                jobs,
+                100,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |buf: &mut Vec<usize>, i| {
+                    buf.clear();
+                    buf.extend(0..=i);
+                    buf.iter().sum::<usize>()
+                },
+            );
+            let expect: Vec<usize> = (0..100).map(|i| i * (i + 1) / 2).collect();
+            assert_eq!(got, expect, "jobs={jobs}");
+            assert_eq!(inits.load(Ordering::Relaxed), jobs as u64, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -143,22 +143,37 @@ impl Rng {
         }
     }
 
-    /// Samples `n` distinct indices from `0..len` (reservoir when n < len).
+    /// Samples `n` distinct indices from `0..len`, in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `n > len`.
     pub fn sample_indices(&mut self, len: usize, n: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(n);
+        self.sample_indices_into(len, n, &mut out);
+        out
+    }
+
+    /// [`Rng::sample_indices`] into a caller-owned buffer, which is cleared
+    /// first: a resample loop reuses one allocation for every draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len`.
+    pub fn sample_indices_into(&mut self, len: usize, n: usize, out: &mut Vec<usize>) {
         assert!(n <= len, "cannot sample {n} distinct from {len}");
-        // Floyd's algorithm: O(n) expected, unbiased.
-        let mut chosen = std::collections::BTreeSet::new();
+        out.clear();
+        // Floyd's algorithm: n draws, unbiased. `out` stays sorted: `j`
+        // exceeds every earlier pick, so a collision appends it at the end.
+        // Inserting `t` shifts the tail, O(n²) moves at worst — a few
+        // microseconds at the hundreds of workloads a sample holds.
         for j in (len - n)..len {
             let t = self.index(j + 1);
-            if !chosen.insert(t) {
-                chosen.insert(j);
+            match out.binary_search(&t) {
+                Ok(_) => out.push(j),
+                Err(pos) => out.insert(pos, t),
             }
         }
-        chosen.into_iter().collect()
     }
 }
 

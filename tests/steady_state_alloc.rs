@@ -1,15 +1,23 @@
-//! Allocation-free steady-state checks for the simulation hot kernels.
+//! Allocation-free steady-state checks for the hot kernels.
 //!
-//! The hot loops — synthetic µop generation, SoA cursor replay and the
-//! cache kernel — preallocate everything at construction; any per-µop or
-//! per-access heap allocation is a performance regression that no
-//! correctness test would catch. This binary installs the counting
-//! allocator from `mps_obs::alloc` and pins the property. The checks are
+//! The hot loops — synthetic µop generation, SoA cursor replay, the
+//! cache kernel and the resample loop behind every confidence figure —
+//! preallocate everything up front; any per-µop, per-access or per-draw
+//! heap allocation is a performance regression that no correctness test
+//! would catch. This binary installs the counting allocator from
+//! `mps_obs::alloc` and pins the property. The kernel checks are
 //! `debug_assert`-based and require the `obs` feature; in release or
 //! `--no-default-features` runs they execute the kernels but assert
-//! nothing.
+//! nothing. The resample check compares two counts, so it also holds in
+//! release builds; without `obs` both counts are zero.
 
+use mps_metrics::ThroughputMetric;
 use mps_obs::alloc::{assert_alloc_free, count_allocations, CountingAllocator};
+use mps_sampling::{
+    empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, ClusterSampling,
+    PairData, Population, RandomSampling, Sampler, WorkloadStratification,
+};
+use mps_stats::rng::Rng;
 use mps_uncore::{AccessType, Cache, PolicyKind};
 use mps_workloads::{benchmark_by_name, TraceBuffer, TraceSource};
 use std::sync::{Arc, Mutex};
@@ -95,5 +103,63 @@ fn cache_kernel_is_alloc_free() {
             }
             hits
         });
+    }
+}
+
+#[test]
+fn resampling_does_not_allocate_per_draw() {
+    let _guard = SERIAL.lock().unwrap();
+    let pop = Population::full(10, 3); // 220 workloads
+    let n = pop.len();
+    let d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 0.05).collect();
+    let t_x: Vec<f64> = (0..n)
+        .map(|i| 1.0 + 0.1 * (i as f64 * 0.91).cos())
+        .collect();
+    let t_y: Vec<f64> = t_x.iter().zip(&d).map(|(x, d)| x + d).collect();
+    let data = PairData::new(ThroughputMetric::IpcThroughput, t_x, t_y);
+    let samplers: Vec<(&str, Box<dyn Sampler>)> = vec![
+        ("random", Box::new(RandomSampling)),
+        ("bal-random", Box::new(BalancedRandomSampling)),
+        (
+            "bench-strata",
+            Box::new(BenchmarkStratification::new(vec![
+                0, 0, 0, 1, 1, 1, 1, 2, 2, 2,
+            ])),
+        ),
+        (
+            "workload-strata",
+            Box::new(WorkloadStratification::build(&d, 0.004, 10)),
+        ),
+        (
+            "cluster",
+            Box::new(ClusterSampling::from_scalar(&d, 6, &mut Rng::new(1))),
+        ),
+    ];
+    // The second size draws with replacement inside every stratum.
+    for (name, sampler) in &samplers {
+        for w in [20, n + 10] {
+            let run = |samples: usize| {
+                count_allocations(|| {
+                    empirical_confidence_seeded(sampler.as_ref(), &pop, &data, w, samples, 7, 1)
+                })
+                .1
+            };
+            // Registers the obs counters and span names once.
+            run(10);
+            // Per-call set-up (the plan, the verdict vector, the first
+            // draw's buffers) is allowed; anything per draw is not. As
+            // in `assert_alloc_free_settled`, a noisy window is retried.
+            let (mut few, mut many) = (run(100), run(1_000));
+            for _ in 0..3 {
+                if few == many {
+                    break;
+                }
+                (few, many) = (run(100), run(1_000));
+            }
+            assert_eq!(
+                few, many,
+                "{name} w={w}: 100 resamples made {few} allocations, 1000 made {many}"
+            );
+        }
     }
 }

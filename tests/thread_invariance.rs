@@ -7,7 +7,8 @@
 //! accounting — must not depend on the worker count or on how the steals
 //! interleaved. A single run at `jobs = 1` is the reference; runs at 2 and
 //! 8 workers (more workers than some grids have items) must reproduce it
-//! byte for byte.
+//! byte for byte. The worker-process leg, which spawns `mps-harness`
+//! binaries, is `crates/harness/tests/dist_invariance.rs`.
 
 use mps::harness::experiments as exp;
 use mps::harness::export::CsvExport;
@@ -163,89 +164,6 @@ fn batched_kernel_artifacts_are_batch_and_jobs_invariant() {
             }
         }
     }
-}
-
-#[test]
-fn artifacts_are_worker_process_invariant() {
-    // The distributed coordinator (PR 9) shards the same grids across
-    // worker *processes*, claiming cells through store leases and merging
-    // results in index order. The contract is the same as for threads:
-    // any worker count × any jobs split must reproduce the
-    // single-process rendering byte for byte. The reference deliberately
-    // runs without a store so the comparison also re-proves that a
-    // store-backed distributed run equals a storeless in-memory one.
-    let opts = mps::harness::ValidateOptions {
-        core_counts: vec![2],
-        policies: vec![mps::uncore::PolicyKind::Lru],
-        workloads_per_group: 3,
-        perturb: 1.0,
-        scalar: false,
-    };
-    let artifacts = |ctx: &StudyContext| -> Vec<(&'static str, String)> {
-        let validate = mps::harness::validate::run(ctx, &opts).unwrap();
-        vec![
-            ("fig3.csv", exp::fig3(ctx).unwrap().csv()),
-            ("fig6.csv", exp::fig6(ctx).unwrap().csv()),
-            ("fig7.csv", exp::fig7(ctx).unwrap().csv()),
-            ("validate.jsonl", validate.to_jsonl()),
-            ("validate.csv", validate.csv()),
-        ]
-    };
-    let reference = {
-        let ctx = StudyContext::builder()
-            .scale(mini())
-            .jobs(1)
-            .build()
-            .unwrap();
-        artifacts(&ctx)
-    };
-    let base = std::env::temp_dir().join(format!("mps-dist-invariance-{}", std::process::id()));
-    for workers in [1usize, 2, 4] {
-        for jobs in [1usize, 4] {
-            // Telemetry federation (PR 10) is fire-and-forget: whether it
-            // is disabled outright or severed mid-flight must not change
-            // a single artifact byte, so two combos run degraded. Safe to
-            // toggle here: this is the only worker-spawning test in this
-            // binary, and the vars only affect distributed runs.
-            match (workers, jobs) {
-                (2, 4) => std::env::set_var("MPS_DIST_TELEMETRY", "0"),
-                (4, 1) => std::env::set_var("MPS_DIST_DROP_TELEMETRY", "1"),
-                _ => {}
-            }
-            let dir = base.join(format!("w{workers}j{jobs}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let ctx = StudyContext::builder()
-                .scale(mini())
-                .jobs(jobs)
-                .workers(workers)
-                .store(&dir)
-                .build()
-                .unwrap();
-            assert!(
-                ctx.coordinator().is_some(),
-                "workers={workers} should start a coordinator"
-            );
-            let run = artifacts(&ctx);
-            for ((name, want), (_, got)) in reference.iter().zip(&run) {
-                assert_eq!(
-                    got, want,
-                    "{name} differs between single-process and workers={workers}/jobs={jobs}"
-                );
-            }
-            // Distributed runs must actually distribute: at least one cell
-            // computed by a worker process, none re-issued in a clean run.
-            let prov = ctx.coordinator().unwrap().provenance();
-            assert!(
-                prov.cells_remote > 0,
-                "workers={workers}/jobs={jobs}: no cell was computed remotely"
-            );
-            drop(ctx); // shuts the coordinator and its workers down
-            std::env::remove_var("MPS_DIST_TELEMETRY");
-            std::env::remove_var("MPS_DIST_DROP_TELEMETRY");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
