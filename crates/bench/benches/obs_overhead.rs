@@ -11,9 +11,10 @@
 //! * `histogram`        — the loop plus one `Histogram::record` per
 //!   iteration (bucket math + one relaxed atomic add);
 //! * `gauge`            — the loop plus one `Gauge::set` per iteration;
-//! * `batch-flush`      — the batch kernel's pattern: plain-local
-//!   accumulation in the loop, one counter flush + gauge set + fill
-//!   histogram record per batch (must track `baseline`);
+//! * `batch-flush`      — the detailed driver's pattern: plain-local
+//!   accumulation in the loop, one counter flush per run, plus the
+//!   gauge set and histogram record of the retired batch driver (must
+//!   track `baseline`);
 //! * `estimator`        — the loop plus one `Estimator::record` per
 //!   iteration (a Welford moments update under a short mutex hold — the
 //!   priciest primitive, priced here so convergence probes stay honest).
@@ -104,11 +105,12 @@ fn bench_overhead(c: &mut Criterion) {
         })
     });
 
-    // The batch kernel's instrumentation pattern (PR 8): counters are
-    // accumulated in plain locals inside the lockstep loop and flushed in
-    // one `add` per `run_batch` call, alongside one gauge set and one
-    // fill-ratio histogram record. The per-iteration cost must therefore
-    // track `baseline`, not `counters` — this leg prices that promise.
+    // The detailed driver's instrumentation pattern: counters are
+    // accumulated in plain locals inside the cycle loop and flushed in one
+    // `add` per `MulticoreSim::run` call. The per-iteration cost must
+    // therefore track `baseline`, not `counters` — this leg prices that
+    // promise. (Its gauge set and histogram record are those of the
+    // retired batch driver, kept so the leg matches its committed record.)
     let executed = mps_obs::counter("bench.overhead.batch.executed");
     let skipped = mps_obs::counter("bench.overhead.batch.skipped");
     let lanes = mps_obs::gauge("bench.overhead.batch.lanes");

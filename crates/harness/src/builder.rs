@@ -1,7 +1,7 @@
 //! [`StudyBuilder`]: the single documented entry point for configuring a
 //! [`StudyContext`] (API v1).
 //!
-//! Every run knob lives here — scale, jobs, batch, store, resume,
+//! Every run knob lives here — scale, jobs, store, resume,
 //! isolation budget (timeout/retries) and distribution (workers,
 //! listen address, lease TTL):
 //!
@@ -40,7 +40,6 @@ use std::time::Duration;
 pub struct StudyBuilder {
     scale: Option<Scale>,
     jobs: Option<usize>,
-    batch: Option<usize>,
     store: Option<PathBuf>,
     resume: bool,
     timeout: Option<Duration>,
@@ -68,16 +67,6 @@ impl StudyBuilder {
     /// clamped to at least 1.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Lanes per batched detailed-kernel call, which is also the chunk
-    /// size the worker pool schedules (default: `MPS_BATCH`, else 8;
-    /// `0` means auto). `1` disables batching — the scalar path. Any
-    /// width produces bit-identical artifacts; the knob only trades
-    /// scheduling granularity against per-call batching wins.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = Some(batch);
         self
     }
 
@@ -170,7 +159,6 @@ impl StudyBuilder {
         let mut ctx = StudyContext::assemble(
             self.scale.unwrap_or_default(),
             self.jobs.unwrap_or_else(mps_par::default_jobs),
-            crate::runner::resolve_batch(self.batch),
             store,
             self.resume,
         );

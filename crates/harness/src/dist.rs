@@ -24,7 +24,7 @@
 //!
 //! The coordinator alone writes checkpoints and performs the same
 //! index-ordered merge as the local path, so artifacts are byte-identical
-//! for any worker count, any `--jobs` and any `--batch`. The
+//! for any worker count and any `--jobs`. The
 //! content-addressed store is the shared result exchange: workers warm it
 //! with the expensive artifacts (BADCO tables, detailed tables,
 //! references) via [`prefetch`] tasks, and both sides load the same
@@ -38,7 +38,7 @@
 //!
 //! ```text
 //! worker → coordinator   dist.hello    {id, pid}
-//! coordinator → worker   dist.config   {tl,…,seed, store, spec, jobs, batch, ttl_ms}
+//! coordinator → worker   dist.config   {tl,…,seed, store, spec, jobs, ttl_ms}
 //! coordinator → worker   dist.task     {id, grid, kind, …descriptor fields}
 //! worker → coordinator   dist.renew    {id}              (liveness heartbeat)
 //! worker → coordinator   dist.telemetry {worker, seq, c.*, g.*, h.*, e.*}
@@ -718,7 +718,6 @@ impl Coordinator {
         config.push(("store", store.root().display().to_string()));
         config.push(("spec", spec.clone()));
         config.push(("jobs", worker_jobs.to_string()));
-        config.push(("batch", ctx.batch().to_string()));
         config.push(("ttl_ms", opts.lease_ttl.as_millis().to_string()));
         let mut config_line = encode_event("dist.config", &config);
         config_line.push('\n');
@@ -1371,10 +1370,6 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
         .ok_or_else(|| Error::InvalidInput("dist.config has no store path".to_owned()))?;
     let spec = fields.get("spec").cloned().unwrap_or_default();
     let jobs: usize = fields.get("jobs").and_then(|j| j.parse().ok()).unwrap_or(1);
-    let batch: usize = fields
-        .get("batch")
-        .and_then(|b| b.parse().ok())
-        .unwrap_or(1);
     let ttl = Duration::from_millis(
         fields
             .get("ttl_ms")
@@ -1382,7 +1377,7 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
             .unwrap_or(DEFAULT_LEASE_TTL.as_millis() as u64),
     );
     let store = Arc::new(Store::open(store_path)?);
-    let ctx = StudyContext::assemble(scale, jobs, batch, Some(store.clone()), false);
+    let ctx = StudyContext::assemble(scale, jobs, Some(store.clone()), false);
 
     // Heartbeat: renew the held lease and ping the coordinator every
     // quarter-TTL while a task is in flight (including the claim wait),
@@ -1729,13 +1724,7 @@ fn eval_cell(
             let mut workload_at = validate_workload(ctx, *cores, *p_idx);
             let workload = workload_at(*widx);
             match side {
-                ValSide::Detailed => Ok(ctx
-                    .validation_detailed_ipcs_batch(
-                        *cores,
-                        *policy,
-                        std::slice::from_ref(&workload),
-                    )?
-                    .remove(0)),
+                ValSide::Detailed => ctx.validation_detailed_ipcs(*cores, *policy, &workload),
                 ValSide::Badco => {
                     let key = (*cores, perturb.to_bits());
                     let models = match memo.models.entry(key) {

@@ -48,6 +48,6 @@ pub use builder::StudyBuilder;
 pub use dist::{Coordinator, DistOptions, Provenance, DEFAULT_LEASE_TTL};
 pub use isolate::{run_isolated, IsolateOptions};
 pub use mps_store::Error;
-pub use runner::{default_batch, resolve_batch, StudyCacheStats, StudyContext, AUTO_BATCH};
+pub use runner::{StudyCacheStats, StudyContext};
 pub use scale::Scale;
 pub use validate::{Baseline, FailOn, ValidateOptions, ValidationReport};

@@ -402,7 +402,7 @@ fn report_cli(args: &[String]) -> i32 {
 /// (0 ok, 1 error, 2 usage, 4 when `--fail-on` thresholds are breached).
 fn validate_cli(args: &[String]) -> i32 {
     const USAGE: &str = "usage: mps-harness validate [--scale test|small|full] [--jobs N] \
-                         [--batch N] [--scalar] [--store DIR] [--resume] [--no-store] [--out DIR] \
+                         [--store DIR] [--resume] [--no-store] [--out DIR] \
                          [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
                          [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
                          [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] \
@@ -411,8 +411,6 @@ fn validate_cli(args: &[String]) -> i32 {
     // model-consistency gate, not a paper-scale experiment.
     let mut scale = Scale::test();
     let mut jobs: Option<usize> = None;
-    let mut batch: Option<usize> = None;
-    let mut scalar = false;
     let mut store: Option<PathBuf> = std::env::var_os("MPS_STORE").map(PathBuf::from);
     let mut resume = false;
     let mut out: Option<PathBuf> = None;
@@ -456,17 +454,6 @@ fn validate_cli(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--batch" => {
-                i += 1;
-                match need(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) => batch = Some(n),
-                    None => {
-                        eprintln!("--batch needs a non-negative integer (0 = auto)\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--scalar" => scalar = true,
             "--store" => {
                 i += 1;
                 match need(i) {
@@ -584,11 +571,9 @@ fn validate_cli(args: &[String]) -> i32 {
     }
 
     let jobs = mps_par::resolve_jobs(jobs);
-    let batch = mps_harness::resolve_batch(batch);
     let mut builder = StudyContext::builder()
         .scale(scale.clone())
         .jobs(jobs)
-        .batch(batch)
         .workers(workers);
     if let Some(dir) = &store {
         builder = builder.store(dir);
@@ -609,7 +594,6 @@ fn validate_cli(args: &[String]) -> i32 {
     mps_obs::set_meta("schema", mps_store::SCHEMA.to_string());
     mps_obs::set_meta("kernel_rev", mps_store::KERNEL_REV.to_string());
     mps_obs::set_meta("jobs", jobs.to_string());
-    mps_obs::set_meta("batch", batch.to_string());
     mps_obs::set_meta("scale", scale.spec_string());
     if let Some(addr) = &metrics_addr {
         match mps_obs::serve_metrics(addr) {
@@ -620,7 +604,6 @@ fn validate_cli(args: &[String]) -> i32 {
 
     let opts = mps_harness::ValidateOptions {
         perturb: perturb.unwrap_or(1.0),
-        scalar,
         ..mps_harness::ValidateOptions::default()
     };
     let t0 = Instant::now();
@@ -664,7 +647,6 @@ fn validate_cli(args: &[String]) -> i32 {
         rec.set("schema", mps_store::SCHEMA.to_string());
         rec.set("kernel_rev", mps_store::KERNEL_REV.to_string());
         rec.set("jobs", jobs.to_string());
-        rec.set("batch", batch.to_string());
         rec.set("scale", scale.spec_string());
         rec.set("experiments", "validate".to_owned());
         rec.set(
@@ -864,7 +846,6 @@ fn main() {
     let mut out: Option<PathBuf> = None;
     let mut profile = false;
     let mut jobs: Option<usize> = None;
-    let mut batch: Option<usize> = None;
     let mut store: Option<PathBuf> = std::env::var_os("MPS_STORE").map(PathBuf::from);
     let mut resume = false;
     let mut timeout: Option<Duration> = None;
@@ -891,17 +872,6 @@ fn main() {
                     Ok(n) => jobs = Some(n),
                     Err(_) => {
                         eprintln!("--jobs needs a non-negative integer (got '{n}'; 0 = auto)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--batch" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<usize>() {
-                    Ok(n) => batch = Some(n),
-                    Err(_) => {
-                        eprintln!("--batch needs a non-negative integer (got '{n}'; 0 = auto)");
                         std::process::exit(2);
                     }
                 }
@@ -1012,7 +982,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|profile|all> \
-                     [--scale test|small|full] [--out DIR] [--jobs N] [--batch N] [--store DIR] [--resume] \
+                     [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] [--resume] \
                      [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
                      [--lease-ttl SECS] [--profile] [--trace FILE] [--metrics-addr HOST:PORT]\n\
                      \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
@@ -1025,8 +995,6 @@ fn main() {
                      --metrics-addr (or MPS_METRICS_ADDR) serves live /metrics; \
                      MPS_HEARTBEAT_SECS tunes progress heartbeats (0 = off)\n\
                      --jobs 0 (or omitting the flag) means auto: MPS_JOBS, else all available cores\n\
-                     --batch N runs N detailed-sim combinations in lockstep per worker \
-                     (0 or omitted = auto: MPS_BATCH, else 8; 1 = scalar; any N is bit-identical)\n\
                      --store DIR (or MPS_STORE=DIR) persists artifacts and checkpoints; --resume \
                      continues a killed run; --no-store overrides MPS_STORE\n\
                      --workers N shards grids across N local worker processes (requires --store); \
@@ -1093,11 +1061,9 @@ fn main() {
     }
 
     let jobs = mps_par::resolve_jobs(jobs);
-    let batch = mps_harness::resolve_batch(batch);
     let mut builder = StudyContext::builder()
         .scale(scale.clone())
         .jobs(jobs)
-        .batch(batch)
         .timeout(timeout)
         .retries(retries)
         .workers(workers);
@@ -1121,7 +1087,6 @@ fn main() {
     mps_obs::set_meta("schema", mps_store::SCHEMA.to_string());
     mps_obs::set_meta("kernel_rev", mps_store::KERNEL_REV.to_string());
     mps_obs::set_meta("jobs", jobs.to_string());
-    mps_obs::set_meta("batch", batch.to_string());
     mps_obs::set_meta("scale", scale.spec_string());
     mps_obs::set_meta("store", store.is_some().to_string());
     mps_obs::set_meta("resume", resume.to_string());
@@ -1146,7 +1111,6 @@ fn main() {
             ("pop_4core", scale.pop_4core.to_string()),
             ("confidence_samples", scale.confidence_samples.to_string()),
             ("jobs", jobs.to_string()),
-            ("batch", batch.to_string()),
             ("store", store.is_some().to_string()),
             ("resume", resume.to_string()),
         ],
@@ -1359,7 +1323,6 @@ fn main() {
         rec.set("schema", mps_store::SCHEMA.to_string());
         rec.set("kernel_rev", mps_store::KERNEL_REV.to_string());
         rec.set("jobs", jobs.to_string());
-        rec.set("batch", batch.to_string());
         rec.set("scale", scale.spec_string());
         rec.set(
             "config_hash",

@@ -53,40 +53,6 @@ pub fn experiment_uncore(cores: usize, policy: PolicyKind) -> UncoreConfig {
     UncoreConfig::ispass2013_scaled(cores, policy, CAPACITY_SCALE)
 }
 
-/// Batch width used when none is requested: wide enough that the batched
-/// kernel's event-horizon skipping and SoA uncore layout pay off, small
-/// enough that `jobs` workers still see plenty of independent chunks on
-/// the smaller grids.
-pub const AUTO_BATCH: usize = 8;
-
-/// Resolves a batch width the way [`mps_par::default_jobs`] resolves a
-/// worker count: the `MPS_BATCH` environment variable if set to a
-/// positive integer, `0` (or unset) meaning auto ([`AUTO_BATCH`]).
-pub fn default_batch() -> usize {
-    if let Ok(v) = std::env::var("MPS_BATCH") {
-        match v.trim().parse::<usize>() {
-            Ok(0) => return AUTO_BATCH,
-            Ok(n) => return n,
-            Err(_) => {
-                eprintln!(
-                    "mps-harness: ignoring invalid MPS_BATCH={v:?} (want an integer; 0 = auto)"
-                );
-            }
-        }
-    }
-    AUTO_BATCH
-}
-
-/// Resolves a batch width: an explicit request (e.g. a `--batch` flag)
-/// wins, with `0` meaning auto; otherwise [`default_batch`].
-pub fn resolve_batch(explicit: Option<usize>) -> usize {
-    match explicit {
-        Some(0) => AUTO_BATCH,
-        Some(n) => n,
-        None => default_batch(),
-    }
-}
-
 /// Hit/rebuild statistics for the [`StudyContext`] memoized artifacts.
 ///
 /// A *hit* returns a cached artifact; a *miss* triggers the (expensive)
@@ -239,9 +205,6 @@ pub struct StudyContext {
     /// The scaling preset in effect.
     pub scale: Scale,
     jobs: usize,
-    /// Lanes per batched detailed-kernel call (and the chunk size
-    /// `mps-par` schedules); resolved, always ≥ 1.
-    batch: usize,
     store: Option<Arc<Store>>,
     resume: bool,
     /// Wall-clock budget and retry count for isolated experiment runs
@@ -270,7 +233,6 @@ impl std::fmt::Debug for StudyContext {
         f.debug_struct("StudyContext")
             .field("scale", &self.scale)
             .field("jobs", &self.jobs)
-            .field("batch", &self.batch)
             .field("store", &self.store.as_ref().map(|s| s.root().to_owned()))
             .field("resume", &self.resume)
             .finish_non_exhaustive()
@@ -287,23 +249,21 @@ impl StudyContext {
     /// Creates a fresh in-memory-only context at the given scale, with
     /// the worker count resolved from the environment (`MPS_JOBS`, else
     /// the machine's available parallelism). Anything beyond that —
-    /// explicit jobs, batch width, a store, distribution — goes through
+    /// explicit jobs, a store, distribution — goes through
     /// [`StudyContext::builder`].
     pub fn new(scale: Scale) -> Self {
-        Self::assemble(scale, mps_par::default_jobs(), default_batch(), None, false)
+        Self::assemble(scale, mps_par::default_jobs(), None, false)
     }
 
     pub(crate) fn assemble(
         scale: Scale,
         jobs: usize,
-        batch: usize,
         store: Option<Arc<Store>>,
         resume: bool,
     ) -> Self {
         StudyContext {
             scale,
             jobs: jobs.max(1),
-            batch: batch.max(1),
             store,
             resume,
             timeout: None,
@@ -340,11 +300,10 @@ impl StudyContext {
         self.jobs
     }
 
-    /// Lanes per batched detailed-kernel call — also the chunk size the
-    /// worker pool schedules, so `mps-par` hands out *batches* of grid
-    /// cells instead of single cells. Always ≥ 1; `1` is the scalar path.
+    /// Always `1`: every detailed simulation runs one workload. Kept
+    /// because the study bench prints it on its report line.
     pub fn batch(&self) -> usize {
-        self.batch
+        1
     }
 
     /// The artifact store backing this context, if one was configured.
@@ -595,23 +554,14 @@ impl StudyContext {
                     let timing =
                         BadcoTiming::from_uncore(&experiment_uncore(cores, PolicyKind::Lru));
                     let trace_len = self.scale.trace_len;
-                    // Batched scheduling: the pool hands each worker a
-                    // chunk of benchmarks; the per-model build itself is
-                    // unchanged, so results stay bit-identical.
-                    mps_par::par_map_batched(self.jobs, &self.suite, self.batch, |start, chunk| {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(k, b)| {
-                                Arc::new(BadcoModel::build(
-                                    b.name(),
-                                    &CoreConfig::ispass2013(),
-                                    &self.trace_cursor_cached(start + k),
-                                    trace_len,
-                                    timing,
-                                ))
-                            })
-                            .collect()
+                    mps_par::par_map_indexed(self.jobs, &self.suite, |i, b| {
+                        Arc::new(BadcoModel::build(
+                            b.name(),
+                            &CoreConfig::ispass2013(),
+                            &self.trace_cursor_cached(i),
+                            trace_len,
+                            timing,
+                        ))
                     })
                 },
             )
@@ -656,19 +606,13 @@ impl StudyContext {
                 || {
                     let trace_len = self.scale.trace_len;
                     let ucfg = experiment_uncore(cores, PolicyKind::Lru);
-                    // Batched kernel over chunks of solo lanes; `run_batch`
-                    // is bit-identical to the per-benchmark scalar runs.
-                    mps_par::par_map_batched(self.jobs, &self.suite, self.batch, |start, chunk| {
-                        let lanes: Vec<Vec<Box<dyn TraceSource>>> = (0..chunk.len())
-                            .map(|k| {
-                                vec![Box::new(self.trace_cursor_cached(start + k))
-                                    as Box<dyn TraceSource>]
-                            })
-                            .collect();
-                        mps_sim_cpu::run_batch(&CoreConfig::ispass2013(), &ucfg, lanes, trace_len)
-                            .into_iter()
-                            .map(|r| r.ipc[0])
-                            .collect()
+                    mps_par::par_map_indexed(self.jobs, &self.suite, |i, _| {
+                        let traces: Vec<Box<dyn TraceSource>> =
+                            vec![Box::new(self.trace_cursor_cached(i))];
+                        let uncore = Uncore::new(ucfg.clone(), 1);
+                        MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces)
+                            .run(trace_len)
+                            .ipc[0]
                     })
                 },
             )
@@ -720,54 +664,28 @@ impl StudyContext {
         w: &Workload,
     ) -> Result<Vec<f64>, Error> {
         self.check_workload(w)?;
-        let traces: Vec<Box<dyn TraceSource>> = w
-            .benchmarks()
-            .iter()
-            .map(|&b| Box::new(self.trace_cursor_cached(b as usize)) as Box<dyn TraceSource>)
-            .collect();
         let uncore = Uncore::new(experiment_uncore(cores, policy), w.cores());
         Ok(mps_sim_cpu::validation_ipcs(
             CoreConfig::ispass2013(),
             uncore,
-            traces,
+            self.detailed_traces(w),
             self.scale.trace_len,
         ))
     }
 
-    /// Batched companion of [`Self::validation_detailed_ipcs`]: one
-    /// [`mps_sim_cpu::run_batch`] call over all `workloads` (which must
-    /// share `cores`/`policy`), returning one IPC vector per workload —
-    /// each bit-identical to its scalar counterpart. An empty list
-    /// returns an empty vector.
+    /// [`Self::validation_detailed_ipcs`] over many workloads, in order.
+    /// Kept for the study bench, which replays validate's cells through
+    /// it one (cores, policy) group at a time.
     pub fn validation_detailed_ipcs_batch(
         &self,
         cores: usize,
         policy: PolicyKind,
         workloads: &[Workload],
     ) -> Result<Vec<Vec<f64>>, Error> {
-        for w in workloads {
-            self.check_workload(w)?;
-        }
-        if workloads.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lanes: Vec<Vec<Box<dyn TraceSource>>> = workloads
+        workloads
             .iter()
-            .map(|w| {
-                w.benchmarks()
-                    .iter()
-                    .map(|&b| {
-                        Box::new(self.trace_cursor_cached(b as usize)) as Box<dyn TraceSource>
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(mps_sim_cpu::validation_ipcs_batch(
-            &CoreConfig::ispass2013(),
-            &experiment_uncore(cores, policy),
-            lanes,
-            self.scale.trace_len,
-        ))
+            .map(|w| self.validation_detailed_ipcs(cores, policy, w))
+            .collect()
     }
 
     /// Runs one workload under one policy with the detailed simulator.
@@ -778,13 +696,17 @@ impl StudyContext {
         w: &Workload,
     ) -> Result<SimResult, Error> {
         self.check_workload(w)?;
-        let traces: Vec<Box<dyn TraceSource>> = w
-            .benchmarks()
+        let uncore = Uncore::new(experiment_uncore(cores, policy), w.cores());
+        let traces = self.detailed_traces(w);
+        Ok(MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces).run(self.scale.trace_len))
+    }
+
+    /// One cursor over the memoized trace buffer per benchmark of `w`.
+    fn detailed_traces(&self, w: &Workload) -> Vec<Box<dyn TraceSource>> {
+        w.benchmarks()
             .iter()
             .map(|&b| Box::new(self.trace_cursor_cached(b as usize)) as Box<dyn TraceSource>)
-            .collect();
-        let uncore = Uncore::new(experiment_uncore(cores, policy), w.cores());
-        Ok(MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces).run(self.scale.trace_len))
+            .collect()
     }
 
     /// The BADCO per-workload performance table of one policy over the
@@ -809,21 +731,12 @@ impl StudyContext {
                 || {
                     let workloads: Vec<Workload> = pop.workloads().to_vec();
                     let cell_hist = mps_obs::histogram("table.cell.latency_us");
-                    // Batched scheduling: chunks of cells per pool task
-                    // (the BADCO cell itself is already model-level, so
-                    // batching here only coarsens the scheduling unit).
-                    let rows =
-                        mps_par::par_map_batched(self.jobs, &workloads, self.batch, |_, chunk| {
-                            chunk
-                                .iter()
-                                .map(|w| {
-                                    let started = std::time::Instant::now();
-                                    let ipcs = Self::badco_run_with(&models, cores, policy, w);
-                                    cell_hist.record_duration(started.elapsed());
-                                    ipcs
-                                })
-                                .collect()
-                        });
+                    let rows = mps_par::par_map_indexed(self.jobs, &workloads, |_, w| {
+                        let started = std::time::Instant::now();
+                        let ipcs = Self::badco_run_with(&models, cores, policy, w);
+                        cell_hist.record_duration(started.elapsed());
+                        ipcs
+                    });
                     let mut table = PerfTable::new(refs.clone());
                     for (w, ipcs) in workloads.iter().zip(rows) {
                         table.push(WorkloadPerf::new(
@@ -871,41 +784,16 @@ impl StudyContext {
                 let cell_hist = mps_obs::histogram("table.cell.latency_us");
                 let trace_len = self.scale.trace_len;
                 let ucfg = experiment_uncore(cores, policy);
-                // Batched kernel over chunks of workload cells: B lanes
-                // advance in lockstep over the shared memoized traces.
-                // `run_batch` is bit-identical to per-cell scalar runs,
-                // so the table cannot tell the batch width. Cell latency
-                // is attributed evenly across the chunk's lanes.
-                let rows =
-                    mps_par::par_map_batched(self.jobs, workloads, self.batch, |_, chunk| {
-                        let started = std::time::Instant::now();
-                        let lanes: Vec<Vec<Box<dyn TraceSource>>> = chunk
-                            .iter()
-                            .map(|w| {
-                                w.benchmarks()
-                                    .iter()
-                                    .map(|&b| {
-                                        Box::new(self.trace_cursor_cached(b as usize))
-                                            as Box<dyn TraceSource>
-                                    })
-                                    .collect()
-                            })
-                            .collect();
-                        let out: Vec<Vec<f64>> = mps_sim_cpu::run_batch(
-                            &CoreConfig::ispass2013(),
-                            &ucfg,
-                            lanes,
-                            trace_len,
-                        )
-                        .into_iter()
-                        .map(|r| r.ipc)
-                        .collect();
-                        let per_cell = started.elapsed() / chunk.len().max(1) as u32;
-                        for _ in 0..chunk.len() {
-                            cell_hist.record_duration(per_cell);
-                        }
-                        out
-                    });
+                let rows = mps_par::par_map_indexed(self.jobs, workloads, |_, w| {
+                    let started = std::time::Instant::now();
+                    let uncore = Uncore::new(ucfg.clone(), w.cores());
+                    let traces = self.detailed_traces(w);
+                    let ipc = MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces)
+                        .run(trace_len)
+                        .ipc;
+                    cell_hist.record_duration(started.elapsed());
+                    ipc
+                });
                 let mut table = PerfTable::new(refs.clone());
                 for (w, ipc) in workloads.iter().zip(rows) {
                     table.push(WorkloadPerf::new(

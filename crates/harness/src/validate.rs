@@ -66,11 +66,6 @@ pub struct ValidateOptions {
     /// unmodified model. Any other value exists solely to prove the
     /// drift gate fires — see `docs/validation.md`.
     pub perturb: f64,
-    /// Run the detailed side through the scalar per-cell path instead of
-    /// the batched kernel (`--scalar`). The batched kernel is
-    /// bit-identical, so this is purely an escape hatch / differential
-    /// lever; it does not change the report.
-    pub scalar: bool,
 }
 
 impl Default for ValidateOptions {
@@ -80,7 +75,6 @@ impl Default for ValidateOptions {
             policies: vec![PolicyKind::Lru, PolicyKind::Drrip],
             workloads_per_group: 6,
             perturb: 1.0,
-            scalar: false,
         }
     }
 }
@@ -92,9 +86,7 @@ impl ValidateOptions {
     /// must masquerade as the real one so the drift gate catches it
     /// against the honest baseline (the factor is still recorded in the
     /// report header and kept out of shared checkpoint cells via the
-    /// per-cell tag). `scalar` is excluded too: the batched and scalar
-    /// kernels are bit-identical, so both paths must gate against the
-    /// same baseline (that IS the invariant).
+    /// per-cell tag).
     pub fn spec_string(&self) -> String {
         let cores: Vec<String> = self.core_counts.iter().map(|c| c.to_string()).collect();
         let pols: Vec<String> = self.policies.iter().map(|p| p.to_string()).collect();
@@ -299,91 +291,51 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
 
     let ckpt = ctx.grid_checkpoint("validate");
     let sweep_tag = format!("perturb={}", opts.perturb);
-    // The detailed side runs through the batched kernel by default:
-    // `mps-par` schedules chunks of cells, and each chunk's uncached
-    // detailed runs collapse into `run_batch` calls. `--scalar` forces
-    // width 1, where the batch entry point delegates to the scalar
-    // `MulticoreSim::run` — both paths are bit-identical by the kernel's
-    // contract (and the differential test in this module proves it).
-    let batch = if opts.scalar { 1 } else { ctx.batch() };
     let results: Vec<(Vec<f64>, Vec<f64>)> = if ctx.coordinator().is_some() {
         validate_distributed(ctx, opts, &cells, ckpt.as_ref(), &sweep_tag, &per_cores)?
     } else {
-        mps_par::par_map_batched(ctx.jobs(), &cells, batch, |_, chunk| {
+        let cell_hist = mps_obs::histogram("validate.cell.latency_us");
+        mps_par::par_map_indexed(ctx.jobs(), &cells, |_, cell| {
             let started = Instant::now();
-            let key = |cell: &Cell, model: &str, k: usize| {
+            let key = |model: &str, k: usize| {
                 format!(
                     "{sweep_tag};c={};p={};w={};m={model};k={k}",
                     cell.cores, cell.policy, cell.widx
                 )
             };
-            let cached = |cell: &Cell, model: &str| -> Option<Vec<f64>> {
-                let ck = ckpt.as_ref()?;
-                (0..cell.workload.cores())
-                    .map(|k| ck.lookup(&key(cell, model, k)))
-                    .collect()
-            };
-            let record = |cell: &Cell, model: &str, ipcs: &[f64]| {
-                if let Some(ck) = ckpt.as_ref() {
-                    for (k, &v) in ipcs.iter().enumerate() {
-                        ck.record(&key(cell, model, k), v);
+            // A cell side is computed unless the checkpoint holds all of
+            // its per-core values, and recorded once computed.
+            let side = |model: &str, run: &dyn Fn() -> Vec<f64>| -> Vec<f64> {
+                let cached = ckpt.as_ref().and_then(|ck| {
+                    (0..cell.workload.cores())
+                        .map(|k| ck.lookup(&key(model, k)))
+                        .collect()
+                });
+                cached.unwrap_or_else(|| {
+                    let ipcs = run();
+                    if let Some(ck) = ckpt.as_ref() {
+                        for (k, &v) in ipcs.iter().enumerate() {
+                            ck.record(&key(model, k), v);
+                        }
                     }
-                }
-            };
-            // Detailed side: one batched kernel call per (cores, policy)
-            // group of the chunk's uncached cells (a single `run_batch`
-            // call shares one machine configuration across its lanes).
-            let mut det: Vec<Option<Vec<f64>>> = chunk.iter().map(|c| cached(c, "det")).collect();
-            let mut g = 0;
-            while g < chunk.len() {
-                if det[g].is_some() {
-                    g += 1;
-                    continue;
-                }
-                let (cores, policy) = (chunk[g].cores, chunk[g].policy);
-                let idxs: Vec<usize> = (g..chunk.len())
-                    .filter(|&i| {
-                        det[i].is_none() && chunk[i].cores == cores && chunk[i].policy == policy
-                    })
-                    .collect();
-                let ws: Vec<_> = idxs.iter().map(|&i| chunk[i].workload.clone()).collect();
-                let ipcs = ctx
-                    .validation_detailed_ipcs_batch(cores, policy, &ws)
-                    .expect("workloads drawn from the suite's own space");
-                for (&i, ipc) in idxs.iter().zip(ipcs) {
-                    record(&chunk[i], "det", &ipc);
-                    det[i] = Some(ipc);
-                }
-            }
-            let out: Vec<(Vec<f64>, Vec<f64>)> = chunk
-                .iter()
-                .zip(det)
-                .map(|(cell, det)| {
-                    let models = &per_cores
-                        .iter()
-                        .find(|(c, _)| *c == cell.cores)
-                        .expect("prefetched above")
-                        .1
-                        .models;
-                    let bad = cached(cell, "badco").unwrap_or_else(|| {
-                        let ipcs = StudyContext::badco_run_with(
-                            models,
-                            cell.cores,
-                            cell.policy,
-                            &cell.workload,
-                        );
-                        record(cell, "badco", &ipcs);
-                        ipcs
-                    });
-                    (det.expect("filled above"), bad)
+                    ipcs
                 })
-                .collect();
-            let per_cell = started.elapsed() / chunk.len().max(1) as u32;
-            let cell_hist = mps_obs::histogram("validate.cell.latency_us");
-            for _ in 0..chunk.len() {
-                cell_hist.record_duration(per_cell);
-            }
-            out
+            };
+            let det = side("det", &|| {
+                ctx.validation_detailed_ipcs(cell.cores, cell.policy, &cell.workload)
+                    .expect("workloads drawn from the suite's own space")
+            });
+            let models = &per_cores
+                .iter()
+                .find(|(c, _)| *c == cell.cores)
+                .expect("prefetched above")
+                .1
+                .models;
+            let bad = side("badco", &|| {
+                StudyContext::badco_run_with(models, cell.cores, cell.policy, &cell.workload)
+            });
+            cell_hist.record_duration(started.elapsed());
+            (det, bad)
         })
     };
 
@@ -548,13 +500,9 @@ fn validate_distributed(
             unreachable!("validate grid contains only validate cells");
         };
         Ok(match side {
-            ValSide::Detailed => ctx
-                .validation_detailed_ipcs_batch(
-                    cell.cores,
-                    cell.policy,
-                    std::slice::from_ref(&cell.workload),
-                )?
-                .remove(0),
+            ValSide::Detailed => {
+                ctx.validation_detailed_ipcs(cell.cores, cell.policy, &cell.workload)?
+            }
             ValSide::Badco => {
                 let models = &per_cores
                     .iter()

@@ -39,7 +39,6 @@ fn artifacts_are_worker_process_invariant() {
         policies: vec![mps_uncore::PolicyKind::Lru],
         workloads_per_group: 3,
         perturb: 1.0,
-        scalar: false,
     };
     let artifacts = |ctx: &StudyContext| -> Vec<(&'static str, String)> {
         let validate = mps_harness::validate::run(ctx, &opts).unwrap();

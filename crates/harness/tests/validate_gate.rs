@@ -4,6 +4,7 @@
 //! (the simulators are deterministic) and passes.
 
 use mps_harness::{Baseline, FailOn, Scale, StudyContext, ValidateOptions};
+use mps_sampling::Workload;
 use mps_uncore::PolicyKind;
 
 /// Trimmed scale: the gate semantics do not depend on grid size, only on
@@ -27,7 +28,6 @@ fn opts(perturb: f64) -> ValidateOptions {
         policies: vec![PolicyKind::Lru, PolicyKind::Drrip],
         workloads_per_group: 4,
         perturb,
-        scalar: false,
     }
 }
 
@@ -83,44 +83,31 @@ fn perturbed_model_breaches_gate_and_honest_model_passes() {
     assert!(perturbed.to_jsonl().contains("\"perturb\":\"0.5\""));
 }
 
-/// Differential check for the batched detailed path: the same sweep run
-/// through the lockstep batch kernel (the default) and through the
-/// `--scalar` escape hatch must agree on every per-thread IPC — the
-/// whole report serializes byte-identically, so the drift gate sees the
-/// two paths as one.
+/// The study bench replays validate's cells one (cores, policy) group at
+/// a time through `validation_detailed_ipcs_batch`; it must return exactly
+/// what per-workload `validation_detailed_ipcs` calls return, in order.
 #[test]
-fn batched_and_scalar_validate_agree_exactly() {
-    let batched_ctx = StudyContext::builder()
-        .scale(mini())
-        .jobs(2)
-        .batch(4)
-        .build()
-        .unwrap();
-    let batched = mps_harness::validate::run(&batched_ctx, &opts(1.0)).unwrap();
-
-    let scalar_ctx = StudyContext::builder()
-        .scale(mini())
-        .jobs(2)
-        .batch(4)
-        .build()
-        .unwrap();
-    let scalar = mps_harness::validate::run(
-        &scalar_ctx,
-        &ValidateOptions {
-            scalar: true,
-            ..opts(1.0)
-        },
-    )
-    .unwrap();
-
-    assert_eq!(
-        batched.to_jsonl(),
-        scalar.to_jsonl(),
-        "batched and scalar validate sweeps must serialize byte-identically"
-    );
-    for (bg, sg) in batched.groups.iter().zip(&scalar.groups) {
-        for (b, s) in bg.rows.iter().zip(&sg.rows) {
-            assert_eq!(b.detailed_ipc, s.detailed_ipc, "row {}", b.name);
+fn group_entry_point_matches_per_workload_runs() {
+    let ctx = StudyContext::new(mini());
+    let report = mps_harness::validate::run(&ctx, &opts(1.0)).unwrap();
+    for g in &report.groups {
+        let workloads: Vec<Workload> = g
+            .rows
+            .iter()
+            .map(|row| Workload::new(row.benchmarks.clone()))
+            .collect();
+        let grouped = ctx
+            .validation_detailed_ipcs_batch(g.cores, g.policy, &workloads)
+            .unwrap();
+        assert_eq!(grouped.len(), workloads.len());
+        for ((w, got), row) in workloads.iter().zip(&grouped).zip(&g.rows) {
+            let want = ctx.validation_detailed_ipcs(g.cores, g.policy, w).unwrap();
+            assert_eq!(got, &want, "{} {} {}", g.cores, g.policy, row.name);
+            assert_eq!(got, &row.detailed_ipc, "report row {}", row.name);
         }
     }
+    assert!(ctx
+        .validation_detailed_ipcs_batch(2, PolicyKind::Lru, &[])
+        .unwrap()
+        .is_empty());
 }

@@ -401,48 +401,6 @@ where
     map_with_stats(jobs, &units, init, |state, i, ()| f(state, i)).0
 }
 
-/// Applies `f` to consecutive `batch`-sized chunks of `items` (the last
-/// chunk may be shorter) using up to `jobs` workers, flattening the
-/// per-chunk result vectors back into **input-index order**.
-///
-/// The scheduling unit is the whole chunk, so a batched kernel can
-/// advance all of a chunk's items in lockstep; `f(start, chunk)` gets
-/// the chunk's starting item index and must return exactly
-/// `chunk.len()` results. The determinism contract matches
-/// [`par_map_indexed`]: output is bit-identical for every `jobs` value
-/// — and for every `batch` value, provided `f` itself is
-/// batch-invariant (as `run_batch` is by construction).
-///
-/// Records each chunk's lane occupancy in the `batch.fill_permille`
-/// histogram (`1000` = full batch, less for the ragged tail chunk).
-pub fn par_map_batched<T, R, F>(jobs: usize, items: &[T], batch: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    let batch = batch.max(1);
-    let fill = mps_obs::histogram("batch.fill_permille");
-    let chunks: Vec<(usize, &[T])> = items
-        .chunks(batch)
-        .enumerate()
-        .map(|(k, c)| {
-            fill.record((c.len() * 1000 / batch) as u64);
-            (k * batch, c)
-        })
-        .collect();
-    let out = par_map_indexed(jobs, &chunks, |_, &(start, chunk)| {
-        let r = f(start, chunk);
-        assert_eq!(
-            r.len(),
-            chunk.len(),
-            "batched map must return one result per item"
-        );
-        r
-    });
-    out.into_iter().flatten().collect()
-}
-
 /// A shared queue of grid-cell indices for coordinator-style dispatch:
 /// many dispatcher threads [`pop`](CellQueue::pop) work, and a cell whose
 /// assignee died is [`requeue`](CellQueue::requeue)d at the *front* so
@@ -602,33 +560,6 @@ mod tests {
             assert_eq!(got, expect, "jobs={jobs}");
             assert_eq!(inits.load(Ordering::Relaxed), jobs as u64, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn batched_map_matches_flat_map_for_every_shape() {
-        let items: Vec<u64> = (0..53).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 7 + 2).collect();
-        for jobs in [1, 4] {
-            for batch in [1, 4, 16, 53, 100] {
-                let got = par_map_batched(jobs, &items, batch, |start, chunk| {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, x)| {
-                            assert_eq!(items[start + k], *x, "chunk start index");
-                            x * 7 + 2
-                        })
-                        .collect()
-                });
-                assert_eq!(got, expect, "jobs={jobs} batch={batch}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per item")]
-    fn batched_map_rejects_wrong_arity() {
-        par_map_batched(1, &[1, 2, 3], 2, |_, _| vec![0u8]);
     }
 
     #[test]

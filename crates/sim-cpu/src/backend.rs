@@ -43,33 +43,6 @@ impl MemoryBackend for UncoreBackend {
     }
 }
 
-/// A one-lane view of a batched [`Uncore`] (see [`Uncore::new_batch`]):
-/// the backend handed to one batch lane's cores, routing their requests
-/// to that lane's LLC contents, memory model and MSHRs.
-#[derive(Debug)]
-pub struct LaneBackend<'a> {
-    uncore: &'a mut Uncore,
-    lane: usize,
-}
-
-impl<'a> LaneBackend<'a> {
-    /// Views `lane` of the batched uncore.
-    pub fn new(uncore: &'a mut Uncore, lane: usize) -> Self {
-        debug_assert!(lane < uncore.lanes(), "lane {lane} out of range");
-        LaneBackend { uncore, lane }
-    }
-}
-
-impl MemoryBackend for LaneBackend<'_> {
-    fn demand(&mut self, core: usize, addr: u64, write: bool, now: u64) -> u64 {
-        self.uncore.access_lane(self.lane, core, addr, write, now)
-    }
-
-    fn prefetch(&mut self, core: usize, addr: u64, now: u64) -> Option<u64> {
-        self.uncore.prefetch_lane(self.lane, core, addr, now)
-    }
-}
-
 /// A backend that answers every request after a fixed latency, with no
 /// capacity, bandwidth or contention effects.
 #[derive(Debug, Clone)]

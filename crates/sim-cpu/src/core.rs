@@ -341,10 +341,11 @@ impl Core {
     /// cycle at which [`Core::tick`] could change architectural state or
     /// touch the memory backend. Called *after* the tick at `now`.
     ///
-    /// The batched driver uses this to jump a whole machine's clock over
-    /// runs of provably-no-op cycles; executing every skipped tick anyway
-    /// (as the scalar driver does) performs no state change and no
-    /// backend call, which is why the skip is bit-identical. Per stage:
+    /// [`crate::MulticoreSim::run`] uses this to jump the machine's clock
+    /// over runs of provably-no-op cycles, and to let a core sit out
+    /// executed cycles before its own bound; executing every skipped tick
+    /// anyway performs no state change and no backend call, which is why
+    /// the skip is bit-identical. Per stage:
     ///
     /// * **commit** — an issued ROB front commits at its recorded
     ///   completion time; an unissued front is the issue bound's problem.
@@ -364,7 +365,7 @@ impl Core {
     ///   otherwise it fetches again as soon as any I-side stall expires.
     ///
     /// `u64::MAX` (every stage permanently blocked) is a genuine deadlock:
-    /// the scalar driver's guard assertion would fire on it too.
+    /// the driver's deadlock guard fires on it.
     pub fn next_event_bound(&mut self, now: u64) -> u64 {
         let mut bound = u64::MAX;
 

@@ -36,7 +36,6 @@
 //! ```
 
 pub mod backend;
-pub mod batch;
 pub mod branch;
 pub mod config;
 pub mod core;
@@ -45,12 +44,11 @@ pub mod multicore;
 pub mod record;
 pub mod tlb;
 
-pub use backend::{FixedLatencyBackend, LaneBackend, MemoryBackend, UncoreBackend};
-pub use batch::run_batch;
+pub use backend::{FixedLatencyBackend, MemoryBackend, UncoreBackend};
 pub use branch::Tage;
 pub use config::CoreConfig;
 pub use core::{Core, CoreStats};
 pub use energy::{energy_of_core, energy_of_run, EnergyBreakdown, EnergyModel};
-pub use multicore::{record_run, validation_ipcs, validation_ipcs_batch, MulticoreSim, SimResult};
+pub use multicore::{record_run, validation_ipcs, MulticoreSim, SimResult};
 pub use record::{ReqEvent, RunRecording};
 pub use tlb::Tlb;

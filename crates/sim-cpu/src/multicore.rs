@@ -123,6 +123,15 @@ impl MulticoreSim {
     /// Runs the multiprogram workload with `n` instructions per thread and
     /// returns the measured result.
     ///
+    /// Cores tick round-robin, but only on cycles where something can
+    /// happen: after every executed cycle the clock jumps to the minimum
+    /// [`Core::next_event_bound`] over all cores, and a core whose own
+    /// bound is still in the future sits the executed cycle out. Ticking
+    /// every core on every cycle gives the same result, because the
+    /// skipped ticks change no state and make no uncore request; the
+    /// equivalence tests below check every [`SimResult`] field against
+    /// such an ungated run.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is zero or the simulation fails to make forward
@@ -130,41 +139,104 @@ impl MulticoreSim {
     pub fn run(mut self, n: u64) -> SimResult {
         assert!(n > 0, "need a positive instruction count");
         let span = mps_obs::span("sim.detailed.run");
-        let ticks = mps_obs::counter("sim.detailed.core_ticks");
         let start = Instant::now();
-        let k = self.traces.len();
-        let mut cores: Vec<Core> = self
-            .traces
-            .drain(..)
-            .enumerate()
-            .map(|(id, t)| Core::new(self.cfg.clone(), id, t, n))
-            .collect();
-
-        let mut cycle: u64 = 0;
+        let mut cores = self.cores(n);
+        let mut slices = Slices::new(cores.len());
         let guard = n.saturating_mul(10_000);
-        let mut midpoint: Vec<Option<(u64, u64)>> = vec![None; k];
-        let mut finish: Vec<Option<(u64, u64)>> = vec![None; k];
+        // Cached per-core event bounds. A core's state only changes when it
+        // ticks, so a bound computed after its last tick stays a valid "no
+        // state change strictly before this cycle" promise until it next
+        // ticks. `0` = "must tick at the next executed cycle".
+        let mut core_bound = vec![0u64; cores.len()];
+        let (mut now, mut executed, mut ticks) = (0u64, 0u64, 0u64);
+        let cycles = loop {
+            for (core, &bound) in cores.iter_mut().zip(&core_bound) {
+                if bound <= now {
+                    core.tick(now, &mut self.uncore);
+                    ticks += 1;
+                }
+            }
+            executed += 1;
+            // Snapshot checks only need the cores that ticked: committed
+            // counts and per-core traffic move only on the owning core's
+            // own tick, so a gated-out core cannot cross a threshold.
+            for (c, core) in cores.iter().enumerate() {
+                if core_bound[c] <= now {
+                    slices.observe(c, core, &self.uncore.0, n);
+                }
+            }
+            if cores.iter().all(Core::done) {
+                break now + 1;
+            }
+            // Event-horizon skip. Done cores still tick (the restart rule
+            // keeps them perturbing the shared uncore), so they bound the
+            // jump too. Only cores that ticked refresh their bound.
+            let mut next = u64::MAX;
+            for (core, bound) in cores.iter_mut().zip(&mut core_bound) {
+                if *bound <= now {
+                    *bound = core.next_event_bound(now);
+                }
+                next = next.min(*bound);
+            }
+            assert!(next > now, "event bound must advance the clock");
+            now = next;
+            assert!(
+                now < guard,
+                "simulation deadlock: no progress by cycle {now}"
+            );
+        };
+        // The `batch.` prefix stays because the study bench derives its
+        // skip ratio from these two names.
+        mps_obs::counter("sim.detailed.core_ticks").add(ticks);
+        mps_obs::counter("batch.cycles_executed").add(executed);
+        mps_obs::counter("batch.cycles_skipped").add(cycles - executed);
+        let result = self.result(n, &cores, slices, cycles, start);
+        span.finish();
+        result
+    }
+
+    /// The reference the skip is checked against: every core ticks on
+    /// every cycle.
+    #[cfg(test)]
+    fn run_ungated(mut self, n: u64) -> SimResult {
+        let start = Instant::now();
+        let mut cores = self.cores(n);
+        let mut slices = Slices::new(cores.len());
+        let mut cycle = 0;
         while !cores.iter().all(Core::done) {
             for core in &mut cores {
                 core.tick(cycle, &mut self.uncore);
             }
-            ticks.add(k as u64);
             for (c, core) in cores.iter().enumerate() {
-                let traffic = self.uncore.0.core_misses(c) + self.uncore.0.core_prefetches(c);
-                if midpoint[c].is_none() && core.committed() >= n / 2 {
-                    midpoint[c] = Some((traffic, core.committed()));
-                }
-                if finish[c].is_none() && core.done() {
-                    finish[c] = Some((traffic, core.committed()));
-                }
+                slices.observe(c, core, &self.uncore.0, n);
             }
             cycle += 1;
-            assert!(
-                cycle < guard,
-                "simulation deadlock: no progress by cycle {cycle}"
-            );
+            assert!(cycle < n.saturating_mul(10_000), "simulation deadlock");
         }
+        self.result(n, &cores, slices, cycle, start)
+    }
 
+    /// One core per trace, each running `n`-instruction slices.
+    fn cores(&mut self, n: u64) -> Vec<Core> {
+        self.traces
+            .drain(..)
+            .enumerate()
+            .map(|(id, t)| Core::new(self.cfg.clone(), id, t, n))
+            .collect()
+    }
+
+    /// Assembles the measured result of a finished run and flushes its
+    /// statistics into the observability counters.
+    fn result(
+        self,
+        n: u64,
+        cores: &[Core],
+        slices: Slices,
+        total_cycles: u64,
+        start: Instant,
+    ) -> SimResult {
+        let uncore = &self.uncore.0;
+        let k = cores.len();
         let finish_cycles: Vec<u64> = cores
             .iter()
             .map(|c| c.finish_cycle().expect("all cores done"))
@@ -174,37 +246,62 @@ impl MulticoreSim {
             .map(|&f| n as f64 / (f.max(1)) as f64)
             .collect();
         let instructions = cores.iter().map(Core::committed).sum();
-        flush_obs(instructions, cycle, &cores, &self.uncore.0.stats());
-        span.finish();
-        let llc_misses_per_core = (0..k).map(|c| self.uncore.0.core_misses(c)).collect();
-        let llc_prefetches_per_core = (0..k).map(|c| self.uncore.0.core_prefetches(c)).collect();
+        flush_obs(instructions, total_cycles, cores, &uncore.stats());
         SimResult {
             ipc,
             finish_cycles,
-            total_cycles: cycle,
+            total_cycles,
             instructions,
             core_stats: cores.iter().map(Core::stats).collect(),
-            llc_misses_per_core,
-            llc_prefetches_per_core,
-            midpoint_traffic: midpoint
+            llc_misses_per_core: (0..k).map(|c| uncore.core_misses(c)).collect(),
+            llc_prefetches_per_core: (0..k).map(|c| uncore.core_prefetches(c)).collect(),
+            midpoint_traffic: slices
+                .midpoint
                 .into_iter()
                 .map(|m| m.expect("midpoint reached before finish"))
                 .collect(),
-            finish_traffic: finish
+            finish_traffic: slices
+                .finish
                 .into_iter()
                 .map(|f| f.expect("all cores finished"))
                 .collect(),
-            uncore_stats: self.uncore.0.stats(),
+            uncore_stats: uncore.stats(),
             wall_seconds: start.elapsed().as_secs_f64().max(1e-9),
+        }
+    }
+}
+
+/// Per-core (misses + prefetches, committed) snapshots taken when each
+/// thread crosses the midpoint and the end of its measured slice.
+struct Slices {
+    midpoint: Vec<Option<(u64, u64)>>,
+    finish: Vec<Option<(u64, u64)>>,
+}
+
+impl Slices {
+    fn new(k: usize) -> Self {
+        Slices {
+            midpoint: vec![None; k],
+            finish: vec![None; k],
+        }
+    }
+
+    /// Takes core `c`'s snapshots the first cycle each threshold is met.
+    fn observe(&mut self, c: usize, core: &Core, uncore: &Uncore, n: u64) {
+        let traffic = uncore.core_misses(c) + uncore.core_prefetches(c);
+        if self.midpoint[c].is_none() && core.committed() >= n / 2 {
+            self.midpoint[c] = Some((traffic, core.committed()));
+        }
+        if self.finish[c].is_none() && core.done() {
+            self.finish[c] = Some((traffic, core.committed()));
         }
     }
 }
 
 /// Flushes one finished run's pipeline and uncore statistics into the
 /// process-global `sim.detailed.*` observability counters. Counters are
-/// bumped once per run (not per event), so the hot loop stays clean; the
-/// only per-cycle instrumentation is the `core_ticks` counter above.
-pub(crate) fn flush_obs(instructions: u64, cycles: u64, cores: &[Core], uncore: &UncoreStats) {
+/// bumped once per run (not per event), so the hot loop stays clean.
+fn flush_obs(instructions: u64, cycles: u64, cores: &[Core], uncore: &UncoreStats) {
     mps_obs::counter("sim.detailed.runs").incr();
     mps_obs::counter("sim.detailed.instructions").add(instructions);
     mps_obs::counter("sim.detailed.cycles").add(cycles);
@@ -273,30 +370,6 @@ pub fn validation_ipcs(
     MulticoreSim::new(cfg, uncore, traces).run(n).ipc
 }
 
-/// Batched companion of [`validation_ipcs`]: runs many workloads through
-/// [`crate::run_batch`] and returns one per-core IPC vector per lane.
-///
-/// Every lane's result is bit-identical to a [`validation_ipcs`] call
-/// for that workload alone (the batch kernel's contract), so `mps-harness
-/// validate` measures the same quantity whichever entry point it uses;
-/// the differential test in the harness asserts the equality end to end.
-///
-/// # Panics
-///
-/// As [`crate::run_batch`]: empty lane list, an empty lane, `n == 0`, or
-/// a deadlocked lane.
-pub fn validation_ipcs_batch(
-    cfg: &CoreConfig,
-    uncore_cfg: &mps_uncore::UncoreConfig,
-    lanes: Vec<Vec<Box<dyn TraceSource>>>,
-    n: u64,
-) -> Vec<Vec<f64>> {
-    crate::batch::run_batch(cfg, uncore_cfg, lanes, n)
-        .into_iter()
-        .map(|r| r.ipc)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +395,59 @@ mod tests {
             })
             .collect();
         MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces)
+    }
+
+    /// Runs `names` on the gated driver and on the ungated reference and
+    /// asserts every [`SimResult`] field but `wall_seconds` is equal.
+    fn assert_skip_is_exact(policy: PolicyKind, names: &[&str], n: u64) {
+        let got = sim(policy, names).run(n);
+        let want = sim(policy, names).run_ungated(n);
+        let tag = format!("{policy} {names:?}");
+        assert_eq!(got.ipc, want.ipc, "{tag}: ipc");
+        assert_eq!(got.finish_cycles, want.finish_cycles, "{tag}: finish");
+        assert_eq!(got.total_cycles, want.total_cycles, "{tag}: total_cycles");
+        assert_eq!(got.instructions, want.instructions, "{tag}: instructions");
+        assert_eq!(got.core_stats, want.core_stats, "{tag}: core_stats");
+        assert_eq!(
+            got.llc_misses_per_core, want.llc_misses_per_core,
+            "{tag}: misses"
+        );
+        assert_eq!(
+            got.llc_prefetches_per_core, want.llc_prefetches_per_core,
+            "{tag}: prefetches"
+        );
+        assert_eq!(
+            got.midpoint_traffic, want.midpoint_traffic,
+            "{tag}: midpoint"
+        );
+        assert_eq!(got.finish_traffic, want.finish_traffic, "{tag}: finish tr");
+        assert_eq!(got.uncore_stats, want.uncore_stats, "{tag}: uncore");
+    }
+
+    #[test]
+    fn skipping_run_matches_ungated_reference() {
+        assert_skip_is_exact(PolicyKind::Lru, &["gcc", "mcf"], 1_500);
+    }
+
+    #[test]
+    fn skipping_matches_ungated_reference_under_drrip() {
+        // Mixed 2-core and 1-core machines under a policy with global
+        // state (DRRIP's PSEL).
+        for names in [
+            &["mcf", "libquantum"][..],
+            &["povray"],
+            &["gcc", "soplex"],
+            &["bwaves", "milc"],
+        ] {
+            assert_skip_is_exact(PolicyKind::Drrip, names, 1_200);
+        }
+    }
+
+    #[test]
+    fn every_suite_benchmark_skips_exactly_single_core() {
+        for b in suite() {
+            assert_skip_is_exact(PolicyKind::Lru, &[b.name()], 1_000);
+        }
     }
 
     #[test]

@@ -85,29 +85,17 @@ impl CacheStats {
 pub struct Cache {
     sets: usize,
     ways: usize,
-    /// Independent cache instances interleaved set-by-set for batched
-    /// simulation: lane `l`'s set `s` lives at `(s * lanes + l) * ways`,
-    /// so when a batch of combinations walks the same trace, the same
-    /// set's metadata for every lane sits in adjacent cache words. With
-    /// `lanes == 1` the layout degenerates to the classic `set * ways`
-    /// indexing byte for byte.
-    lanes: usize,
     /// `line & set_mask` indexes the set when the set count is a power of
     /// two (the common case — every Table II geometry); `usize::MAX`
     /// otherwise, falling back to the modulo in [`Cache::set_of`].
     set_mask: u64,
-    /// `tags[(set * lanes + lane) * ways + way]`: line number currently
-    /// cached.
+    /// `tags[set * ways + way]`: line number currently cached.
     tags: Vec<u64>,
     /// Packed per-line metadata: [`META_VALID`] | [`META_DIRTY`]. One byte
     /// per line keeps a whole 16-way set's state in two cache words.
     meta: Vec<u8>,
-    /// One policy instance per lane: DIP/DRRIP duel with a global PSEL,
-    /// BIP/BRRIP throttle with a global counter and RND carries a seeded
-    /// RNG — none of that state may leak between lanes, or a lane's
-    /// victim choices would depend on its batch neighbours.
-    policies: Vec<Box<dyn ReplacementPolicy>>,
-    stats: Vec<CacheStats>,
+    policy: Box<dyn ReplacementPolicy>,
+    stats: CacheStats,
 }
 
 /// `meta` bit: the way holds a valid line.
@@ -122,20 +110,7 @@ impl Cache {
     ///
     /// Panics if `sets` or `ways` is zero.
     pub fn new(sets: usize, ways: usize, policy: PolicyKind) -> Self {
-        Cache::new_lanes(sets, ways, policy, 1)
-    }
-
-    /// Creates `lanes` independent caches of `sets × ways` sharing one
-    /// set-interleaved allocation (see the `lanes` field). Every lane gets
-    /// its own policy instance and statistics; lane 0 of a 1-lane cache is
-    /// bit-identical to [`Cache::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets`, `ways` or `lanes` is zero.
-    pub fn new_lanes(sets: usize, ways: usize, policy: PolicyKind, lanes: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
-        assert!(lanes > 0, "cache must have at least one lane");
         let set_mask = if sets.is_power_of_two() {
             sets as u64 - 1
         } else {
@@ -144,12 +119,11 @@ impl Cache {
         Cache {
             sets,
             ways,
-            lanes,
             set_mask,
-            tags: vec![0; sets * ways * lanes],
-            meta: vec![0; sets * ways * lanes],
-            policies: policy.build_lanes(sets, ways, lanes),
-            stats: vec![CacheStats::default(); lanes],
+            tags: vec![0; sets * ways],
+            meta: vec![0; sets * ways],
+            policy: policy.build(sets, ways),
+            stats: CacheStats::default(),
         }
     }
 
@@ -160,30 +134,13 @@ impl Cache {
     /// Panics unless `size_bytes` is an exact multiple of
     /// `ways * line_bytes` yielding a power-of-two set count.
     pub fn with_size(size_bytes: u64, ways: usize, line_bytes: u64, policy: PolicyKind) -> Self {
-        Cache::with_size_lanes(size_bytes, ways, line_bytes, policy, 1)
-    }
-
-    /// [`Cache::with_size`] with `lanes` independent instances
-    /// (see [`Cache::new_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `size_bytes` is an exact multiple of
-    /// `ways * line_bytes` yielding a power-of-two set count.
-    pub fn with_size_lanes(
-        size_bytes: u64,
-        ways: usize,
-        line_bytes: u64,
-        policy: PolicyKind,
-        lanes: usize,
-    ) -> Self {
         let sets = size_bytes / (ways as u64 * line_bytes);
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "size {size_bytes} with {ways} ways and {line_bytes}-byte lines \
              gives a non-power-of-two set count {sets}"
         );
-        Cache::new_lanes(sets as usize, ways, policy, lanes)
+        Cache::new(sets as usize, ways, policy)
     }
 
     /// Number of sets.
@@ -196,24 +153,14 @@ impl Cache {
         self.ways
     }
 
-    /// Number of independent lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Statistics so far (lane 0).
+    /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats[0]
+        self.stats
     }
 
-    /// Statistics for one lane.
-    pub fn stats_lane(&self, lane: usize) -> CacheStats {
-        self.stats[lane]
-    }
-
-    /// Resets statistics on every lane (not contents).
+    /// Resets statistics (not contents).
     pub fn reset_stats(&mut self) {
-        self.stats.fill(CacheStats::default());
+        self.stats = CacheStats::default();
     }
 
     #[inline]
@@ -227,13 +174,7 @@ impl Cache {
 
     /// Checks presence without disturbing replacement state or stats.
     pub fn probe(&self, line: u64) -> bool {
-        self.probe_lane(0, line)
-    }
-
-    /// [`Cache::probe`] against one lane.
-    pub fn probe_lane(&self, lane: usize, line: u64) -> bool {
-        debug_assert!(lane < self.lanes);
-        let base = (self.set_of(line) * self.lanes + lane) * self.ways;
+        let base = self.set_of(line) * self.ways;
         let tags = &self.tags[base..base + self.ways];
         let meta = &self.meta[base..base + self.ways];
         tags.iter()
@@ -243,19 +184,11 @@ impl Cache {
 
     /// Accesses `line`, installing it on a miss (write-allocate).
     pub fn access(&mut self, line: u64, kind: AccessType) -> AccessOutcome {
-        self.access_lane(0, line, kind)
-    }
-
-    /// [`Cache::access`] against one lane: identical semantics over the
-    /// lane's own tags, metadata, policy instance and statistics.
-    pub fn access_lane(&mut self, lane: usize, line: u64, kind: AccessType) -> AccessOutcome {
-        debug_assert!(lane < self.lanes);
         let set = self.set_of(line);
-        let base = (set * self.lanes + lane) * self.ways;
-        let stats = &mut self.stats[lane];
+        let base = set * self.ways;
         match kind {
-            AccessType::Prefetch => stats.prefetch_accesses += 1,
-            _ => stats.demand_accesses += 1,
+            AccessType::Prefetch => self.stats.prefetch_accesses += 1,
+            _ => self.stats.demand_accesses += 1,
         }
         // Lookup over the packed set slices. The invalid-way scan for the
         // miss path rides along so the hot loop touches each way once.
@@ -268,7 +201,7 @@ impl Cache {
                     invalid_way = w;
                 }
             } else if t == line {
-                self.policies[lane].on_hit(set, w);
+                self.policy.on_hit(set, w);
                 if kind == AccessType::Write {
                     self.meta[base + w] |= META_DIRTY;
                 }
@@ -276,19 +209,18 @@ impl Cache {
             }
         }
         // Miss: fill the first invalid way, else ask the policy for a victim.
-        let stats = &mut self.stats[lane];
         match kind {
-            AccessType::Prefetch => stats.prefetch_misses += 1,
-            _ => stats.demand_misses += 1,
+            AccessType::Prefetch => self.stats.prefetch_misses += 1,
+            _ => self.stats.demand_misses += 1,
         }
         let (way, writeback) = if invalid_way != usize::MAX {
             (invalid_way, None)
         } else {
-            let w = self.policies[lane].victim(set);
+            let w = self.policy.victim(set);
             assert!(w < self.ways, "policy returned way {w} of {}", self.ways);
-            self.stats[lane].evictions += 1;
+            self.stats.evictions += 1;
             let wb = if self.meta[base + w] & META_DIRTY != 0 {
-                self.stats[lane].writebacks += 1;
+                self.stats.writebacks += 1;
                 Some(self.tags[base + w])
             } else {
                 None
@@ -301,19 +233,18 @@ impl Cache {
         } else {
             META_VALID
         };
-        self.policies[lane].on_fill(set, way);
+        self.policy.on_fill(set, way);
         AccessOutcome::Miss { writeback }
     }
 
-    /// Number of valid lines currently resident across all lanes (for
-    /// tests/invariants).
+    /// Number of valid lines currently resident (for tests/invariants).
     pub fn occupancy(&self) -> usize {
         self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
     }
 
     /// The replacement policy's display name.
     pub fn policy_name(&self) -> &'static str {
-        self.policies[0].name()
+        self.policy.name()
     }
 }
 
@@ -452,68 +383,6 @@ mod tests {
         c.access(0, AccessType::Read);
         c.access(0, AccessType::Read);
         assert!((c.stats().miss_ratio() - 0.25).abs() < 1e-12);
-    }
-
-    /// Deterministic pseudo-random line stream for the lane tests.
-    fn line_stream(seed: u64, n: usize) -> Vec<(u64, AccessType)> {
-        let mut x = seed | 1;
-        (0..n)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let kind = if x & 7 == 0 {
-                    AccessType::Write
-                } else if x & 7 == 1 {
-                    AccessType::Prefetch
-                } else {
-                    AccessType::Read
-                };
-                ((x >> 16) % 257, kind)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn every_lane_matches_an_identically_driven_scalar_cache() {
-        // The core batching contract: each lane of an L-lane cache,
-        // driven with some access stream, produces exactly the outcomes
-        // and statistics a standalone 1-lane cache produces for the same
-        // stream. Policies with global state (DIP's PSEL, RND's RNG...)
-        // make this fail immediately if lanes share a policy instance.
-        for kind in PolicyKind::PAPER_POLICIES {
-            let lanes = 3;
-            let mut batched = Cache::new_lanes(16, 4, kind, lanes);
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| line_stream(0x9E37 + l as u64 * 77, 4000))
-                .collect();
-            let mut scalars: Vec<_> = (0..lanes).map(|_| Cache::new(16, 4, kind)).collect();
-            // Interleave lanes round-robin — the batch kernel's shape
-            // (lane-inner order is the point, so no iterator rewrite).
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..4000 {
-                for (l, scalar) in scalars.iter_mut().enumerate() {
-                    let (line, k) = streams[l][i];
-                    let got = batched.access_lane(l, line, k);
-                    let want = scalar.access(line, k);
-                    assert_eq!(got, want, "{kind} lane {l} access {i}");
-                }
-            }
-            for (l, scalar) in scalars.iter().enumerate() {
-                assert_eq!(batched.stats_lane(l), scalar.stats(), "{kind} lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_lane_layout_is_the_scalar_layout() {
-        let mut a = Cache::new(8, 2, PolicyKind::Lru);
-        let mut b = Cache::new_lanes(8, 2, PolicyKind::Lru, 1);
-        for (line, kind) in line_stream(42, 2000) {
-            assert_eq!(a.access(line, kind), b.access_lane(0, line, kind));
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.occupancy(), b.occupancy());
     }
 
     #[test]

@@ -89,26 +89,6 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates one policy per batch lane for a cache of
-    /// `sets × ways`.
-    ///
-    /// Batched simulation must NOT share a policy instance across lanes:
-    /// several policies carry state that is global to the cache rather
-    /// than per-set — DIP and DRRIP duel with a single `PSEL` counter,
-    /// BIP/BRRIP throttle bimodal insertion with one global fill counter,
-    /// and RND owns a seeded RNG. Each lane therefore gets a fresh
-    /// instance, exactly as a standalone scalar cache would, which is
-    /// what keeps batched victim decisions bit-identical to scalar ones.
-    pub fn build_lanes(
-        self,
-        sets: usize,
-        ways: usize,
-        lanes: usize,
-    ) -> Vec<Box<dyn ReplacementPolicy>> {
-        assert!(lanes > 0, "cache must have at least one lane");
-        (0..lanes).map(|_| self.build(sets, ways)).collect()
-    }
-
     /// Display name as used in the paper ("LRU", "RND", "FIFO", ...).
     pub fn short_name(self) -> &'static str {
         match self {

@@ -74,16 +74,15 @@ impl ObsCounters {
     }
 }
 
-/// Per-lane mutable uncore state for batched simulation: everything the
-/// scalar uncore owned besides the LLC arrays (which are lane-interleaved
-/// inside [`Cache`]) and the process-global obs counters. One lane is one
-/// independent simulated machine; lanes never read each other's state.
+/// The shared uncore. See the module docs.
 #[derive(Debug)]
-struct LaneState {
-    /// Cores attached to this lane's machine.
+pub struct Uncore {
+    cfg: UncoreConfig,
+    llc: Cache,
+    /// Cores attached.
     cores: usize,
-    /// This lane's private FSB/DRAM bandwidth queue (stateful: it carries
-    /// the bus-free cycle between accesses).
+    /// FSB/DRAM bandwidth queue (stateful: it carries the bus-free cycle
+    /// between accesses).
     mem: MemoryModel,
     /// In-flight demand misses: `(physical line, completion cycle)` pairs.
     ///
@@ -104,12 +103,19 @@ struct LaneState {
     core_accesses: Vec<u64>,
     /// Per-core prefetch lines fetched from memory on the core's behalf.
     core_prefetches: Vec<u64>,
+    obs: ObsCounters,
 }
 
-impl LaneState {
-    fn new(cfg: &UncoreConfig, cores: usize) -> Self {
+impl Uncore {
+    /// Builds the uncore for `cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
+    pub fn new(cfg: UncoreConfig, cores: usize) -> Self {
         assert!(cores > 0, "need at least one core");
-        LaneState {
+        Uncore {
+            llc: Cache::new(cfg.llc_sets(), cfg.llc_ways, cfg.policy),
             cores,
             mem: MemoryModel::new(cfg.memory),
             pending: Vec::with_capacity(cfg.mshrs),
@@ -120,7 +126,19 @@ impl LaneState {
             core_misses: vec![0; cores],
             core_accesses: vec![0; cores],
             core_prefetches: vec![0; cores],
+            obs: ObsCounters::new(),
+            cfg,
         }
+    }
+
+    /// The configuration in use.
+    pub fn config(&self) -> &UncoreConfig {
+        &self.cfg
+    }
+
+    /// Number of cores attached.
+    pub fn cores(&self) -> usize {
+        self.cores
     }
 
     /// Retires MSHRs whose miss has completed by `now`.
@@ -136,82 +154,13 @@ impl LaneState {
             .find(|&&(l, _)| l == line)
             .map(|&(_, done)| done)
     }
-}
 
-/// The shared uncore. See the module docs.
-///
-/// A scalar uncore is a 1-lane batch: [`Uncore::new`] delegates to
-/// [`Uncore::new_batch`] with a single lane, and the lane-less methods
-/// ([`Uncore::access`], [`Uncore::stats`], ...) address lane 0, so the
-/// scalar and batched paths execute the same code.
-#[derive(Debug)]
-pub struct Uncore {
-    cfg: UncoreConfig,
-    llc: Cache,
-    lanes: Vec<LaneState>,
-    obs: ObsCounters,
-}
-
-/// Translates a core-local byte address to a global physical line number.
-/// Each core gets a disjoint 1 TB window.
-#[inline]
-fn phys_line(cfg: &UncoreConfig, cores: usize, core: usize, addr: u64) -> u64 {
-    debug_assert!(core < cores, "core {core} out of range");
-    ((core as u64) << 40 | (addr & ((1 << 40) - 1))) / cfg.line_bytes
-}
-
-impl Uncore {
-    /// Builds the uncore for `cores` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    pub fn new(cfg: UncoreConfig, cores: usize) -> Self {
-        Uncore::new_batch(cfg, &[cores])
-    }
-
-    /// Builds one uncore backing a whole batch of independent machines:
-    /// `lane_cores[l]` cores on lane `l`, each lane with its own LLC
-    /// contents/replacement state (lane-interleaved in one [`Cache`]),
-    /// memory model, MSHRs, write buffer, port and statistics. Lane core
-    /// counts may differ (ragged tail batches mix grid cells).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_cores` is empty or any entry is zero.
-    pub fn new_batch(cfg: UncoreConfig, lane_cores: &[usize]) -> Self {
-        assert!(!lane_cores.is_empty(), "need at least one lane");
-        let llc = Cache::new_lanes(cfg.llc_sets(), cfg.llc_ways, cfg.policy, lane_cores.len());
-        let lanes = lane_cores
-            .iter()
-            .map(|&c| LaneState::new(&cfg, c))
-            .collect();
-        Uncore {
-            cfg,
-            llc,
-            lanes,
-            obs: ObsCounters::new(),
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &UncoreConfig {
-        &self.cfg
-    }
-
-    /// Number of cores attached (lane 0).
-    pub fn cores(&self) -> usize {
-        self.lanes[0].cores
-    }
-
-    /// Number of batch lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of cores attached to one lane.
-    pub fn lane_cores(&self, lane: usize) -> usize {
-        self.lanes[lane].cores
+    /// Translates a core-local byte address to a global physical line
+    /// number. Each core gets a disjoint 1 TB window.
+    #[inline]
+    fn phys_line(&self, core: usize, addr: u64) -> u64 {
+        debug_assert!(core < self.cores, "core {core} out of range");
+        ((core as u64) << 40 | (addr & ((1 << 40) - 1))) / self.cfg.line_bytes
     }
 
     /// Issues a demand access from `core` for byte address `addr` at core
@@ -224,34 +173,22 @@ impl Uncore {
     ///
     /// Panics if `core` is out of range (debug builds).
     pub fn access(&mut self, core: usize, addr: u64, write: bool, now: u64) -> u64 {
-        self.access_lane(0, core, addr, write, now)
-    }
-
-    /// [`Uncore::access`] against one batch lane.
-    pub fn access_lane(&mut self, l: usize, core: usize, addr: u64, write: bool, now: u64) -> u64 {
-        let Uncore {
-            cfg,
-            llc,
-            lanes,
-            obs,
-        } = self;
-        let lane = &mut lanes[l];
-        let line = phys_line(cfg, lane.cores, core, addr);
-        lane.stats.requests += 1;
-        lane.core_accesses[core] += 1;
-        obs.accesses.incr();
+        let line = self.phys_line(core, addr);
+        self.stats.requests += 1;
+        self.core_accesses[core] += 1;
+        self.obs.accesses.incr();
 
         // Port arbitration: one request enters per cycle.
-        let start = now.max(lane.port_free);
-        lane.port_free = start + 1;
+        let start = now.max(self.port_free);
+        self.port_free = start + 1;
         // LLC array access.
-        let t_hit = start + cfg.llc_latency;
-        lane.drain(start);
+        let t_hit = start + self.cfg.llc_latency;
+        self.drain(start);
 
         // MSHR merge: a miss to an in-flight line piggybacks on it.
-        if let Some(done) = lane.pending_done(line) {
-            lane.stats.mshr_merges += 1;
-            obs.mshr_merges.incr();
+        if let Some(done) = self.pending_done(line) {
+            self.stats.mshr_merges += 1;
+            self.obs.mshr_merges.incr();
             return done.max(t_hit);
         }
 
@@ -260,76 +197,77 @@ impl Uncore {
         } else {
             AccessType::Read
         };
-        let evictions_before = llc.stats_lane(l).evictions;
-        match llc.access_lane(l, line, kind) {
+        let evictions_before = self.llc.stats().evictions;
+        match self.llc.access(line, kind) {
             AccessOutcome::Hit => {
-                lane.stats.llc_hits += 1;
-                obs.hits.incr();
+                self.stats.llc_hits += 1;
+                self.obs.hits.incr();
                 t_hit
             }
             AccessOutcome::Miss { writeback } => {
-                lane.stats.llc_misses += 1;
-                lane.core_misses[core] += 1;
-                obs.misses.incr();
+                self.stats.llc_misses += 1;
+                self.core_misses[core] += 1;
+                self.obs.misses.incr();
 
                 // MSHR occupancy: wait until one frees if all are busy.
                 let mut issue = t_hit;
-                if lane.pending.len() >= cfg.mshrs {
-                    let earliest = lane
+                if self.pending.len() >= self.cfg.mshrs {
+                    let earliest = self
                         .pending
                         .iter()
                         .map(|&(_, done)| done)
                         .min()
                         .expect("pending non-empty when full");
                     if earliest > issue {
-                        lane.stats.mshr_stall_cycles += earliest - issue;
+                        self.stats.mshr_stall_cycles += earliest - issue;
                         issue = earliest;
                     }
-                    lane.drain(issue);
+                    self.drain(issue);
                 }
 
                 if writeback.is_some() {
-                    obs.writebacks.incr();
+                    self.obs.writebacks.incr();
                     // Dirty victim: its writeback occupies a write-buffer
                     // entry until the bus carries it out; a full buffer
                     // stalls the miss (Table II: 8 entries).
-                    lane.wb_pending.retain(|&t| t > issue);
-                    if lane.wb_pending.len() >= cfg.write_buffer {
-                        let earliest = *lane.wb_pending.iter().min().expect("non-empty when full");
-                        lane.stats.wb_stall_cycles += earliest.saturating_sub(issue);
+                    self.wb_pending.retain(|&t| t > issue);
+                    if self.wb_pending.len() >= self.cfg.write_buffer {
+                        let earliest = *self.wb_pending.iter().min().expect("non-empty when full");
+                        self.stats.wb_stall_cycles += earliest.saturating_sub(issue);
                         issue = issue.max(earliest);
-                        lane.wb_pending.retain(|&t| t > issue);
+                        self.wb_pending.retain(|&t| t > issue);
                     }
                 }
-                let done = lane.mem.read_line(issue);
+                let done = self.mem.read_line(issue);
                 if writeback.is_some() {
                     // Dirty victim: consumes bus bandwidth behind the read.
-                    let freed = lane.mem.write_line(issue);
-                    lane.wb_pending.push(freed);
+                    let freed = self.mem.write_line(issue);
+                    self.wb_pending.push(freed);
                 }
-                lane.pending.push((line, done));
+                self.pending.push((line, done));
 
                 // Train the core's stream prefetcher on the demand miss.
-                if cfg.stream_prefetch {
-                    let suggestions = lane.prefetchers[core].on_miss(line);
+                if self.cfg.stream_prefetch {
+                    let suggestions = self.prefetchers[core].on_miss(line);
                     for pf_line in suggestions.into_iter().flatten() {
-                        if !llc.probe_lane(l, pf_line) && lane.pending_done(pf_line).is_none() {
-                            lane.stats.prefetches += 1;
-                            lane.core_prefetches[core] += 1;
-                            obs.prefetches.incr();
+                        if !self.llc.probe(pf_line) && self.pending_done(pf_line).is_none() {
+                            self.stats.prefetches += 1;
+                            self.core_prefetches[core] += 1;
+                            self.obs.prefetches.incr();
                             // Prefetch fills consume memory bandwidth but
                             // nobody waits on them.
-                            let pf_done = lane.mem.read_line(issue);
+                            let pf_done = self.mem.read_line(issue);
                             if let AccessOutcome::Miss { writeback: Some(_) } =
-                                llc.access_lane(l, pf_line, AccessType::Prefetch)
+                                self.llc.access(pf_line, AccessType::Prefetch)
                             {
-                                lane.mem.write_line(pf_done);
+                                self.mem.write_line(pf_done);
                             }
                         }
                     }
                 }
-                obs.evictions
-                    .add(llc.stats_lane(l).evictions - evictions_before);
+                self.obs
+                    .evictions
+                    .add(self.llc.stats().evictions - evictions_before);
                 done
             }
         }
@@ -343,109 +281,68 @@ impl Uncore {
     /// already resident (or already in flight) is "available" at its hit
     /// latency (resp. existing completion) without new traffic.
     pub fn prefetch(&mut self, core: usize, addr: u64, now: u64) -> Option<u64> {
-        self.prefetch_lane(0, core, addr, now)
-    }
-
-    /// [`Uncore::prefetch`] against one batch lane.
-    pub fn prefetch_lane(&mut self, l: usize, core: usize, addr: u64, now: u64) -> Option<u64> {
-        let Uncore {
-            cfg,
-            llc,
-            lanes,
-            obs,
-        } = self;
-        let lane = &mut lanes[l];
-        let line = phys_line(cfg, lane.cores, core, addr);
-        lane.drain(now);
-        if llc.probe_lane(l, line) {
-            return Some(now + cfg.llc_latency);
+        let line = self.phys_line(core, addr);
+        self.drain(now);
+        if self.llc.probe(line) {
+            return Some(now + self.cfg.llc_latency);
         }
-        if let Some(done) = lane.pending_done(line) {
+        if let Some(done) = self.pending_done(line) {
             return Some(done);
         }
-        if lane.pending.len() >= cfg.mshrs {
+        if self.pending.len() >= self.cfg.mshrs {
             return None;
         }
-        lane.stats.prefetches += 1;
-        lane.core_prefetches[core] += 1;
-        obs.prefetches.incr();
-        let done = lane.mem.read_line(now);
-        let evictions_before = llc.stats_lane(l).evictions;
+        self.stats.prefetches += 1;
+        self.core_prefetches[core] += 1;
+        self.obs.prefetches.incr();
+        let done = self.mem.read_line(now);
+        let evictions_before = self.llc.stats().evictions;
         if let AccessOutcome::Miss { writeback: Some(_) } =
-            llc.access_lane(l, line, AccessType::Prefetch)
+            self.llc.access(line, AccessType::Prefetch)
         {
-            obs.writebacks.incr();
-            let freed = lane.mem.write_line(done);
-            lane.wb_pending.push(freed);
+            self.obs.writebacks.incr();
+            let freed = self.mem.write_line(done);
+            self.wb_pending.push(freed);
         }
-        obs.evictions
-            .add(llc.stats_lane(l).evictions - evictions_before);
-        lane.pending.push((line, done));
+        self.obs
+            .evictions
+            .add(self.llc.stats().evictions - evictions_before);
+        self.pending.push((line, done));
         Some(done)
     }
 
-    /// LLC statistics (lane 0).
+    /// LLC statistics.
     pub fn llc_stats(&self) -> CacheStats {
-        self.llc.stats_lane(0)
+        self.llc.stats()
     }
 
-    /// LLC statistics for one batch lane.
-    pub fn llc_stats_lane(&self, lane: usize) -> CacheStats {
-        self.llc.stats_lane(lane)
-    }
-
-    /// Aggregate uncore statistics (lane 0).
+    /// Aggregate uncore statistics.
     pub fn stats(&self) -> UncoreStats {
-        self.lanes[0].stats
+        self.stats
     }
 
-    /// Aggregate uncore statistics for one batch lane.
-    pub fn stats_lane(&self, lane: usize) -> UncoreStats {
-        self.lanes[lane].stats
-    }
-
-    /// Demand misses suffered by one core (for MPKI; lane 0).
+    /// Demand misses suffered by one core (for MPKI).
     pub fn core_misses(&self, core: usize) -> u64 {
-        self.lanes[0].core_misses[core]
+        self.core_misses[core]
     }
 
-    /// Demand misses suffered by one core of one batch lane.
-    pub fn core_misses_lane(&self, lane: usize, core: usize) -> u64 {
-        self.lanes[lane].core_misses[core]
-    }
-
-    /// Demand accesses issued by one core (lane 0).
+    /// Demand accesses issued by one core.
     pub fn core_accesses(&self, core: usize) -> u64 {
-        self.lanes[0].core_accesses[core]
+        self.core_accesses[core]
     }
 
-    /// Demand accesses issued by one core of one batch lane.
-    pub fn core_accesses_lane(&self, lane: usize, core: usize) -> u64 {
-        self.lanes[lane].core_accesses[core]
-    }
-
-    /// Prefetch lines fetched from memory on behalf of one core (lane 0).
+    /// Prefetch lines fetched from memory on behalf of one core.
     ///
     /// Memory-intensity (MPKI) accounting adds these to demand misses:
     /// prefetchers convert would-be demand misses into prefetch traffic,
     /// but the benchmark's pressure on memory is the same.
     pub fn core_prefetches(&self, core: usize) -> u64 {
-        self.lanes[0].core_prefetches[core]
+        self.core_prefetches[core]
     }
 
-    /// Prefetch lines fetched on behalf of one core of one batch lane.
-    pub fn core_prefetches_lane(&self, lane: usize, core: usize) -> u64 {
-        self.lanes[lane].core_prefetches[core]
-    }
-
-    /// (reads, writes) that reached memory (lane 0).
+    /// (reads, writes) that reached memory.
     pub fn memory_traffic(&self) -> (u64, u64) {
-        self.lanes[0].mem.traffic()
-    }
-
-    /// (reads, writes) that reached memory from one batch lane.
-    pub fn memory_traffic_lane(&self, lane: usize) -> (u64, u64) {
-        self.lanes[lane].mem.traffic()
+        self.mem.traffic()
     }
 }
 
@@ -613,48 +510,6 @@ mod tests {
             "single-entry write buffer must stall: {:?}",
             u.stats()
         );
-    }
-
-    #[test]
-    fn batch_lanes_match_identically_driven_scalar_uncores() {
-        // One 3-lane batch uncore vs three standalone scalar uncores fed
-        // the same per-lane request streams: every returned completion
-        // time and every statistic must be identical, with lanes
-        // interleaved round-robin the way the batch kernel drives them.
-        let cfg = || UncoreConfig::ispass2013(2, PolicyKind::Drrip);
-        let lane_cores = [2usize, 1, 2];
-        let mut batch = Uncore::new_batch(cfg(), &lane_cores);
-        let mut scalars: Vec<_> = lane_cores.iter().map(|&c| Uncore::new(cfg(), c)).collect();
-        let mut now = vec![0u64; lane_cores.len()];
-        for i in 0..2000u64 {
-            for (l, &cores) in lane_cores.iter().enumerate() {
-                let x = i
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(l as u64 * 0x517C_C1B7);
-                let core = (x as usize) % cores;
-                let addr = (x >> 8) % (1 << 24);
-                let write = x & 15 == 0;
-                let got = batch.access_lane(l, core, addr, write, now[l]);
-                let want = scalars[l].access(core, addr, write, now[l]);
-                assert_eq!(got, want, "lane {l} access {i}");
-                if x & 31 == 7 {
-                    let gp = batch.prefetch_lane(l, core, addr ^ 0x40, now[l]);
-                    let wp = scalars[l].prefetch(core, addr ^ 0x40, now[l]);
-                    assert_eq!(gp, wp, "lane {l} prefetch {i}");
-                }
-                now[l] = got.max(now[l] + 1);
-            }
-        }
-        for (l, s) in scalars.iter().enumerate() {
-            assert_eq!(batch.stats_lane(l), s.stats(), "lane {l} uncore stats");
-            assert_eq!(batch.llc_stats_lane(l), s.llc_stats(), "lane {l} llc");
-            assert_eq!(batch.memory_traffic_lane(l), s.memory_traffic(), "lane {l}");
-            for c in 0..lane_cores[l] {
-                assert_eq!(batch.core_misses_lane(l, c), s.core_misses(c));
-                assert_eq!(batch.core_accesses_lane(l, c), s.core_accesses(c));
-                assert_eq!(batch.core_prefetches_lane(l, c), s.core_prefetches(c));
-            }
-        }
     }
 
     #[test]

@@ -89,7 +89,6 @@ fn validation_report_is_jobs_invariant() {
         policies: vec![mps::uncore::PolicyKind::Lru],
         workloads_per_group: 3,
         perturb: 1.0,
-        scalar: false,
     };
     let reference = {
         let ctx = StudyContext::builder()
@@ -120,29 +119,24 @@ fn validation_report_is_jobs_invariant() {
 }
 
 #[test]
-fn batched_kernel_artifacts_are_batch_and_jobs_invariant() {
-    // The lockstep batch kernel (PR 8) promises byte-identical study
-    // artifacts at any `--batch` width: a lane inside a batched call runs
-    // the same cycle-by-cycle schedule as a scalar `MulticoreSim::run`.
+fn detailed_kernel_artifacts_are_jobs_invariant() {
     // fig3/fig6/fig7 exercise the population + throughput-table + detailed
     // confidence loops, and the validation sweep covers the remaining
-    // detailed path; all must reproduce the batch=1 rendering exactly,
-    // whatever batch width and worker count schedule the cells.
+    // detailed path; every detailed cell runs the event-skipping
+    // `MulticoreSim::run`, and all must reproduce the jobs=1 rendering
+    // exactly, whatever worker count schedules the cells.
     let opts = mps::harness::ValidateOptions {
         core_counts: vec![2],
         policies: vec![mps::uncore::PolicyKind::Lru],
         workloads_per_group: 3,
         perturb: 1.0,
-        scalar: false,
     };
-    let artifacts = |batch: usize, jobs: usize| -> Vec<(&'static str, String)> {
+    let artifacts = |jobs: usize| -> Vec<(&'static str, String)> {
         let ctx = StudyContext::builder()
             .scale(mini())
             .jobs(jobs)
-            .batch(batch)
             .build()
             .unwrap();
-        assert_eq!(ctx.batch(), batch);
         let validate = mps::harness::validate::run(&ctx, &opts).unwrap();
         vec![
             ("fig3.csv", exp::fig3(&ctx).unwrap().csv()),
@@ -152,17 +146,10 @@ fn batched_kernel_artifacts_are_batch_and_jobs_invariant() {
             ("validate.csv", validate.csv()),
         ]
     };
-    let reference = artifacts(1, 1);
-    for batch in [4usize, 16] {
-        for jobs in [1usize, 4] {
-            let run = artifacts(batch, jobs);
-            for ((name, want), (_, got)) in reference.iter().zip(&run) {
-                assert_eq!(
-                    got, want,
-                    "{name} differs between batch=1/jobs=1 and batch={batch}/jobs={jobs}"
-                );
-            }
-        }
+    let reference = artifacts(1);
+    let run = artifacts(4);
+    for ((name, want), (_, got)) in reference.iter().zip(&run) {
+        assert_eq!(got, want, "{name} differs between jobs=1 and jobs=4");
     }
 }
 
