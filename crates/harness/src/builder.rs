@@ -1,7 +1,7 @@
 //! [`StudyBuilder`]: the single documented entry point for configuring a
 //! [`StudyContext`] (API v1).
 //!
-//! Every run knob lives here — scale, jobs, store, resume,
+//! Every run knob lives here — scale, jobs, store,
 //! isolation budget (timeout/retries) and distribution (workers,
 //! listen address, lease TTL):
 //!
@@ -12,14 +12,13 @@
 //!     .scale(Scale::small())
 //!     .jobs(8)
 //!     .store("study-store")
-//!     .resume(true)
 //!     .workers(4)
 //!     .build()?;
 //! # Ok::<(), mps_harness::Error>(())
 //! ```
 //!
 //! Every knob has a default (`Scale::default()`, `MPS_JOBS`/available
-//! parallelism, no store, no resume, no distribution), so
+//! parallelism, no store, no distribution), so
 //! `StudyContext::builder().build()` is a valid minimal call. `build`
 //! only fails when a *requested* store directory cannot be opened or a
 //! requested coordinator cannot start — an in-memory context never
@@ -41,7 +40,6 @@ pub struct StudyBuilder {
     scale: Option<Scale>,
     jobs: Option<usize>,
     store: Option<PathBuf>,
-    resume: bool,
     timeout: Option<Duration>,
     retries: u32,
     workers: usize,
@@ -72,7 +70,8 @@ impl StudyBuilder {
 
     /// Attaches a persistent artifact store rooted at `path` (created if
     /// absent). Expensive artifacts are then loaded-or-computed across
-    /// processes, and experiment grids checkpoint their progress there.
+    /// processes, and every completed experiment-grid cell is recorded
+    /// there, so rerunning a killed study recomputes only what it lacks.
     pub fn store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
         self
@@ -82,14 +81,6 @@ impl StudyBuilder {
     /// override `MPS_STORE`).
     pub fn no_store(mut self) -> Self {
         self.store = None;
-        self
-    }
-
-    /// Whether experiment grids resume from checkpoint logs left by an
-    /// interrupted run (default: `false`, which truncates stale logs).
-    /// Only meaningful together with [`Self::store`].
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
         self
     }
 
@@ -140,27 +131,19 @@ impl StudyBuilder {
     ///
     /// [`Error::Io`] when a requested store directory cannot be created
     /// or opened, or a coordinator cannot bind/spawn;
-    /// [`Error::InvalidInput`] when `resume` or distribution is
-    /// requested without a store (a resume without persisted state is a
-    /// silent fresh run — refused so the caller notices).
+    /// [`Error::InvalidInput`] when distribution is requested without a
+    /// store.
     pub fn build(self) -> Result<StudyContext, Error> {
-        let store = match &self.store {
-            Some(path) => Some(Arc::new(Store::open(path)?)),
-            None => {
-                if self.resume {
-                    return Err(Error::InvalidInput(
-                        "resume requires an artifact store (set .store(path) or --store)"
-                            .to_owned(),
-                    ));
-                }
-                None
-            }
-        };
+        let store = self
+            .store
+            .as_ref()
+            .map(Store::open)
+            .transpose()?
+            .map(Arc::new);
         let mut ctx = StudyContext::assemble(
             self.scale.unwrap_or_default(),
             self.jobs.unwrap_or_else(mps_par::default_jobs),
             store,
-            self.resume,
         );
         ctx.timeout = self.timeout;
         ctx.retries = self.retries;
@@ -193,28 +176,19 @@ mod tests {
         assert_eq!(ctx.scale, Scale::default());
         assert!(ctx.jobs() >= 1);
         assert!(ctx.store().is_none());
-        assert!(!ctx.resume());
     }
 
     #[test]
-    fn resume_without_store_is_refused() {
-        let err = StudyBuilder::new().resume(true).build().unwrap_err();
-        assert!(matches!(err, Error::InvalidInput(_)), "{err}");
-    }
-
-    #[test]
-    fn store_and_resume_round_trip() {
+    fn store_and_jobs_round_trip() {
         let dir = std::env::temp_dir().join(format!("mps-builder-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = StudyContext::builder()
             .scale(Scale::test())
             .jobs(2)
             .store(&dir)
-            .resume(true)
             .build()
             .unwrap();
         assert!(ctx.store().is_some());
-        assert!(ctx.resume());
         assert_eq!(ctx.jobs(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,13 +5,15 @@
 //! # Architecture
 //!
 //! The unit of distribution is the **grid cell** — the same unit the
-//! checkpoint log records. An experiment enumerates its cells up front as
+//! store records (one `cell` record per completed cell, keyed by the
+//! descriptor). An experiment enumerates its cells up front as
 //! [`DistCell`] descriptors (each carrying its pre-drawn RNG base, so the
 //! value is a pure function of the descriptor), then calls [`run_grid`]:
 //!
 //! * without a coordinator, cells evaluate sequentially in-process via
-//!   the caller's `local_eval` closure — byte-for-byte the pre-existing
-//!   single-process path (checkpoint replay included);
+//!   the caller's `local_eval` closure, each through
+//!   `StudyContext::grid_cell`: served from its store record when one
+//!   exists, else computed and recorded;
 //! * with a coordinator, one dispatcher thread per connected worker pops
 //!   cell indices off a shared [`mps_par::CellQueue`] and round-trips
 //!   them over TCP. Workers claim each cell's **lease** (see
@@ -22,8 +24,8 @@
 //!   cells still unassigned when every worker is gone are computed by the
 //!   coordinator itself, so a run *always* completes.
 //!
-//! The coordinator alone writes checkpoints and performs the same
-//! index-ordered merge as the local path, so artifacts are byte-identical
+//! The coordinator alone reads and writes cell records and performs the
+//! same index-ordered merge as the local path, so artifacts are byte-identical
 //! for any worker count and any `--jobs`. The
 //! content-addressed store is the shared result exchange: workers warm it
 //! with the expensive artifacts (BADCO tables, detailed tables,
@@ -82,7 +84,7 @@ use mps_sampling::{
     empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, PairData,
     Population, RandomSampling, Sampler, Workload, WorkloadSpace, WorkloadStratification,
 };
-use mps_store::{Checkpoint, Claim, Error, Lease, LeaseBoard, Store};
+use mps_store::{Claim, Error, Lease, LeaseBoard, Store};
 use mps_uncore::PolicyKind;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write as _};
@@ -104,8 +106,8 @@ pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
 const WORKER_WAIT: Duration = Duration::from_secs(10);
 
 /// Test hook: a worker exits abruptly (leaving its lease held) just
-/// before reporting its N-th completed cell. Mirrors the checkpoint
-/// layer's `MPS_ABORT_AFTER_CELLS` fault-injection precedent.
+/// before reporting its N-th completed cell. Mirrors the cell-record
+/// `MPS_ABORT_AFTER_CELLS` fault-injection hook.
 const EXIT_AFTER_ENV: &str = "MPS_DIST_EXIT_AFTER_CELLS";
 
 /// `=0` disables worker→coordinator telemetry shipping entirely (no
@@ -231,8 +233,19 @@ pub enum CellDesc {
 }
 
 impl CellDesc {
-    /// Encodes the descriptor as `dist.task` event fields.
-    fn fields(&self) -> Vec<(&'static str, String)> {
+    /// How many values the cell evaluates to: one confidence, one IPC per
+    /// validated thread, nothing for a prefetch.
+    pub fn value_count(&self) -> usize {
+        match self {
+            CellDesc::Confidence { .. } => 1,
+            CellDesc::Validate { cores, .. } => *cores,
+            CellDesc::Prefetch { .. } => 0,
+        }
+    }
+
+    /// Encodes the descriptor as `dist.task` event fields (also the key
+    /// of the cell's store record).
+    pub(crate) fn fields(&self) -> Vec<(&'static str, String)> {
         match self {
             CellDesc::Confidence {
                 source,
@@ -370,15 +383,12 @@ impl CellDesc {
     }
 }
 
-/// One distributable cell: a lease/wire id, the checkpoint keys its
-/// values land under (one per value; empty for prefetch tasks), and the
-/// evaluation descriptor.
+/// One distributable cell: a lease/wire id and the evaluation
+/// descriptor (which also keys the cell's store record).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistCell {
     /// Lease + wire identity; unique within its grid.
     pub id: String,
-    /// Checkpoint keys, one per produced value.
-    pub keys: Vec<String>,
     /// How to evaluate the cell anywhere.
     pub desc: CellDesc,
 }
@@ -459,36 +469,19 @@ fn send_line(stream: &mut TcpStream, name: &str, fields: &[(&str, String)]) -> s
 // The run_grid seam
 // ---------------------------------------------------------------------
 
-/// Replays a cell from the checkpoint iff *every* key is present.
-fn replay(ckpt: Option<&Arc<Checkpoint>>, cell: &DistCell) -> Option<Vec<f64>> {
-    if cell.keys.is_empty() {
-        return None; // prefetch cells are never checkpointed
-    }
-    let ck = ckpt?;
-    cell.keys.iter().map(|k| ck.lookup(k)).collect()
-}
-
-/// Records a cell's values under its checkpoint keys.
-fn record(ckpt: Option<&Arc<Checkpoint>>, cell: &DistCell, values: &[f64]) {
-    if let Some(ck) = ckpt {
-        for (k, &v) in cell.keys.iter().zip(values) {
-            ck.record(k, v);
-        }
-    }
-}
-
 /// A caller's single-process evaluator for one cell:
 /// `(index, cell)` → the cell's values.
 pub type LocalEval<'a> = &'a dyn Fn(usize, &DistCell) -> Result<Vec<f64>, Error>;
 
 /// Evaluates a grid of cells and returns their values **in cell order**
-/// (one `Vec<f64>` per cell, `keys.len()` values each).
+/// (one `Vec<f64>` per cell, [`CellDesc::value_count`] values each).
 ///
-/// Without a coordinator this is the classic sequential loop — checkpoint
-/// replay, `local_eval`, checkpoint record — and prefetch cells are
-/// skipped (the local path warms its caches lazily anyway). With a
-/// coordinator the cells are sharded across the connected workers; see
-/// the module docs for the failure model. Either way the returned vector
+/// Without a coordinator this is the classic sequential loop, each cell
+/// through `StudyContext::grid_cell` (its store record, else
+/// `local_eval` and a new record), and prefetch cells are skipped (the
+/// local path warms its caches lazily anyway). With a coordinator the
+/// cells are sharded across the connected workers; see the module docs
+/// for the failure model. Either way the returned vector
 /// is index-ordered, which is what keeps artifacts byte-identical for
 /// any worker count.
 ///
@@ -503,11 +496,10 @@ pub fn run_grid(
     ctx: &StudyContext,
     grid: &'static str,
     cells: &[DistCell],
-    ckpt: Option<&Arc<Checkpoint>>,
     local_eval: LocalEval<'_>,
 ) -> Result<Vec<Vec<f64>>, Error> {
     if let Some(co) = ctx.coordinator() {
-        return co.run_grid(grid, cells, ckpt, local_eval);
+        return co.run_grid(ctx, grid, cells, local_eval);
     }
     let mut out = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
@@ -515,17 +507,7 @@ pub fn run_grid(
             out.push(Vec::new());
             continue;
         }
-        if let Some(values) = replay(ckpt, cell) {
-            crate::heartbeat::cell_replayed();
-            out.push(values);
-            continue;
-        }
-        let started = Instant::now();
-        let values = local_eval(i, cell)?;
-        debug_assert_eq!(values.len(), cell.keys.len(), "one value per key");
-        crate::heartbeat::cell_finished(started.elapsed());
-        record(ckpt, cell, &values);
-        out.push(values);
+        out.push(ctx.grid_cell(grid, &cell.desc, || local_eval(i, cell))?);
     }
     Ok(out)
 }
@@ -545,11 +527,10 @@ pub fn prefetch(
         .iter()
         .map(|k| DistCell {
             id: format!("prefetch;{}", k.tag()),
-            keys: Vec::new(),
             desc: CellDesc::Prefetch { what: *k },
         })
         .collect();
-    run_grid(ctx, grid, &cells, None, &|_, cell| {
+    run_grid(ctx, grid, &cells, &|_, cell| {
         let CellDesc::Prefetch { what } = &cell.desc else {
             unreachable!("prefetch grid contains only prefetch cells");
         };
@@ -797,9 +778,9 @@ impl Coordinator {
 
     fn run_grid(
         &self,
+        ctx: &StudyContext,
         grid: &'static str,
         cells: &[DistCell],
-        ckpt: Option<&Arc<Checkpoint>>,
         local_eval: LocalEval<'_>,
     ) -> Result<Vec<Vec<f64>>, Error> {
         let board = LeaseBoard::open(&self.store, grid, &self.spec)?;
@@ -807,7 +788,11 @@ impl Coordinator {
             cells.iter().map(|_| Mutex::new(None)).collect();
         let queue = mps_par::CellQueue::new();
         for (i, cell) in cells.iter().enumerate() {
-            if let Some(values) = replay(ckpt, cell) {
+            let recorded = match cell.desc {
+                CellDesc::Prefetch { .. } => None,
+                _ => ctx.recorded_cell(grid, &cell.desc),
+            };
+            if let Some(values) = recorded {
                 crate::heartbeat::cell_replayed();
                 *lock(&results[i]) = Some(values);
             } else {
@@ -833,7 +818,7 @@ impl Coordinator {
                 let results = &results;
                 let local_only = &local_only;
                 s.spawn(move || {
-                    self.dispatch_loop(w, grid, cells, ckpt, queue, results, local_only);
+                    self.dispatch_loop(ctx, w, grid, cells, queue, results, local_only);
                 });
             }
         });
@@ -867,7 +852,7 @@ impl Coordinator {
             } else {
                 let v = local_eval(i, cell)?;
                 crate::heartbeat::cell_finished(started.elapsed());
-                record(ckpt, cell, &v);
+                ctx.record_cell(grid, &cell.desc, &v);
                 v
             };
             if let Some((l, _)) = lease {
@@ -936,10 +921,10 @@ impl Coordinator {
     #[allow(clippy::too_many_arguments)]
     fn dispatch_loop(
         &self,
+        ctx: &StudyContext,
         w: &Arc<WorkerConn>,
         grid: &'static str,
         cells: &[DistCell],
-        ckpt: Option<&Arc<Checkpoint>>,
         queue: &mps_par::CellQueue,
         results: &[Mutex<Option<Vec<f64>>>],
         local_only: &Mutex<Vec<usize>>,
@@ -956,7 +941,7 @@ impl Coordinator {
                     mps_obs::counter("dist.renewals").add(u64::from(done.renewals));
                     crate::heartbeat::cell_finished(started.elapsed());
                     self.note_latency(&w.id, started.elapsed());
-                    record(ckpt, cell, &done.values);
+                    ctx.record_cell(grid, &cell.desc, &done.values);
                     let mut prov = lock(&self.prov);
                     prov.cells_remote += 1;
                     let entry = prov
@@ -997,11 +982,8 @@ impl Coordinator {
     /// claim outcome in `dist.done`.
     fn exchange(&self, w: &WorkerConn, grid: &str, cell: &DistCell) -> Result<TaskDone, TaskError> {
         {
-            let mut fields: Vec<(&str, String)> = vec![
-                ("id", cell.id.clone()),
-                ("grid", grid.to_owned()),
-                ("values_len", cell.keys.len().to_string()),
-            ];
+            let mut fields: Vec<(&str, String)> =
+                vec![("id", cell.id.clone()), ("grid", grid.to_owned())];
             fields.extend(cell.desc.fields());
             let mut writer = lock(&w.writer);
             send_line(&mut writer, "dist.task", &fields)
@@ -1062,11 +1044,11 @@ impl Coordinator {
                         .get("values")
                         .and_then(|v| parse_values(v))
                         .ok_or_else(|| TaskError::Dead("garbled dist.done".to_owned()))?;
-                    if values.len() != cell.keys.len() {
+                    if values.len() != cell.desc.value_count() {
                         return Err(TaskError::Reported(format!(
                             "worker returned {} values, expected {}",
                             values.len(),
-                            cell.keys.len()
+                            cell.desc.value_count()
                         )));
                     }
                     return Ok(TaskDone {
@@ -1377,7 +1359,7 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
             .unwrap_or(DEFAULT_LEASE_TTL.as_millis() as u64),
     );
     let store = Arc::new(Store::open(store_path)?);
-    let ctx = StudyContext::assemble(scale, jobs, Some(store.clone()), false);
+    let ctx = StudyContext::assemble(scale, jobs, Some(store.clone()));
 
     // Heartbeat: renew the held lease and ping the coordinator every
     // quarter-TTL while a task is in flight (including the claim wait),

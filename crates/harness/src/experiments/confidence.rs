@@ -8,13 +8,12 @@ use mps_sampling::{
     analytic_confidence, empirical_confidence_seeded, BalancedRandomSampling,
     BenchmarkStratification, PairData, RandomSampling, Sampler, WorkloadStratification,
 };
-use mps_store::{Checkpoint, Error};
+use mps_store::Error;
 use mps_uncore::PolicyKind;
-use std::sync::Arc;
 
 /// Builds one confidence grid cell. The RNG base is drawn at enumeration
 /// time (exactly one `next_u64` per cell, same order as the
-/// pre-distribution code path, so resumed, distributed and uninterrupted
+/// pre-distribution code path, so rerun, distributed and uninterrupted
 /// runs all see identical streams) and travels inside the descriptor:
 /// the cell's value is a pure function of the descriptor, evaluable on
 /// any process.
@@ -27,7 +26,6 @@ fn confidence_cell(
     base: u64,
 ) -> DistCell {
     DistCell {
-        keys: vec![id.clone()],
         id,
         desc: CellDesc::Confidence {
             source,
@@ -135,9 +133,9 @@ impl std::fmt::Display for Fig3Report {
 
 /// Runs the Figure 3 validation: empirical random-sampling confidence vs
 /// the equation (5) model, for DRRIP vs DIP under WSU. With a store
-/// attached, every evaluated grid point lands in the `fig3` checkpoint
-/// log, so a killed run resumed with `--resume` replays the completed
-/// cells and continues bit-identically.
+/// attached, every evaluated grid point becomes a cell record, so the
+/// rerun of a killed run serves the completed cells from the store and
+/// continues bit-identically.
 pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
     let metric = ThroughputMetric::WeightedSpeedup;
     // The paper validates on 2, 4 and 8 cores; the 8-core population is
@@ -147,7 +145,6 @@ pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
     } else {
         vec![2usize, 4]
     };
-    let ckpt = ctx.grid_checkpoint("fig3");
     crate::heartbeat::grid_add_total((cores_list.len() * ctx.scale.sample_sizes.len()) as u64);
     let prefetch: Vec<PrefetchKind> = cores_list
         .iter()
@@ -180,7 +177,7 @@ pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
         }
         inputs.push((pop, data, probe));
     }
-    let values = dist::run_grid(ctx, "fig3", &cells, ckpt.as_ref(), &|i, cell| {
+    let values = dist::run_grid(ctx, "fig3", &cells, &|i, cell| {
         let CellDesc::Confidence {
             w, samples, base, ..
         } = &cell.desc
@@ -316,7 +313,6 @@ pub fn fig6_pairs() -> [(PolicyKind, PolicyKind); 4] {
 #[allow(clippy::too_many_arguments)]
 fn panel(
     ctx: &StudyContext,
-    ckpt: Option<&Arc<Checkpoint>>,
     experiment: &'static str,
     cell_prefix: &str,
     source: ConfSource,
@@ -367,7 +363,7 @@ fn panel(
             ));
         }
     }
-    let values = dist::run_grid(ctx, experiment, &cells, ckpt, &|_, cell| {
+    let values = dist::run_grid(ctx, experiment, &cells, &|_, cell| {
         let CellDesc::Confidence {
             method,
             w,
@@ -420,7 +416,6 @@ pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     let metric = ThroughputMetric::IpcThroughput;
     let pop = ctx.population(cores)?;
     let samples = ctx.scale.confidence_samples;
-    let ckpt = ctx.grid_checkpoint("fig6");
     let mut prefetch: Vec<PrefetchKind> = Vec::new();
     for policy in fig6_pairs().into_iter().flat_map(|(x, y)| [x, y]) {
         let kind = PrefetchKind::Table { cores, policy };
@@ -434,7 +429,6 @@ pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
         let data = ctx.badco_pair_data(cores, x, y, metric)?;
         panels.push(panel(
             ctx,
-            ckpt.as_ref(),
             "fig6",
             &format!("p{i}"),
             ConfSource::Fig6 { pair: i },
@@ -515,7 +509,6 @@ pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
         .copied()
         .filter(|&w| w <= 50)
         .collect();
-    let ckpt = ctx.grid_checkpoint("fig7");
     crate::heartbeat::grid_add_total((methods.len() * sizes.len()) as u64);
     let probe = ConvergenceProbe::new("fig7", "p0", &detailed_data.differences());
     let mut cells = Vec::new();
@@ -533,7 +526,7 @@ pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
             ));
         }
     }
-    let values = dist::run_grid(ctx, "fig7", &cells, ckpt.as_ref(), &|_, cell| {
+    let values = dist::run_grid(ctx, "fig7", &cells, &|_, cell| {
         let CellDesc::Confidence {
             method,
             w,

@@ -43,8 +43,8 @@ pub fn cell_finished(took: Duration) {
     mps_obs::gauge("grid.cells.done").add(1);
 }
 
-/// Marks one cell replayed from a checkpoint (a `--resume` run): done,
-/// but not counted into the latency histogram.
+/// Marks one cell served from the store (its record was written by an
+/// earlier run): done, but not counted into the latency histogram.
 pub fn cell_replayed() {
     mps_obs::counter("grid.cells.replayed").incr();
     mps_obs::gauge("grid.cells.done").add(1);

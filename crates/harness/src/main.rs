@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mps-harness [run] <experiment...> [--scale test|small|full] [--out DIR]
-//!                   [--jobs N] [--store DIR] [--resume] [--no-store]
+//!                   [--jobs N] [--store DIR] [--no-store]
 //!                   [--timeout SECS] [--retries N] [--profile] [--trace FILE]
 //!                   [--metrics-addr HOST:PORT]
 //! mps-harness trace <FILE> [--folded] [--worker ID]
@@ -10,7 +10,7 @@
 //! mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]
 //! mps-harness report [--ledger FILE] [--store DIR] [--out FILE]
 //! mps-harness validate [--scale test|small|full] [--jobs N] [--store DIR]
-//!                      [--resume] [--no-store] [--out DIR]
+//!                      [--no-store] [--out DIR]
 //!                      [--fail-on THRESHOLDS] [--baseline FILE]
 //!                      [--write-baseline FILE] [--perturb FACTOR]
 //!                      [--metrics-addr HOST:PORT]
@@ -35,11 +35,11 @@
 //! bit-identical for every N.
 //! --store DIR (or MPS_STORE=DIR) persists expensive artifacts — BADCO
 //! models, populations, throughput tables, traces, rendered reports — so
-//! reruns and other processes load instead of recompute; experiment
-//! grids additionally checkpoint per-cell progress there.
-//! --resume continues a killed run from the store's checkpoints,
-//! bit-identically to an uninterrupted run (requires --store/MPS_STORE).
-//! --no-store ignores MPS_STORE and runs fully in memory.
+//! reruns and other processes load instead of recompute. Every completed
+//! experiment-grid cell is a store record too, so rerunning a killed run
+//! on the same store serves its finished cells from the store and
+//! finishes bit-identically to an uninterrupted run.
+//! --no-store ignores --store and MPS_STORE and runs fully in memory.
 //! --timeout SECS bounds each experiment's wall-clock; --retries N
 //! re-attempts an experiment that panicked. A failing experiment is
 //! reported and skipped; the exit code is nonzero if any failed.
@@ -397,211 +397,298 @@ fn report_cli(args: &[String]) -> i32 {
     0
 }
 
+/// The options `run` and `validate` share: everything that configures the
+/// study context. Parsed by [`parse_options`]; [`Options::open`] turns
+/// them into the context.
+#[derive(Debug, Clone, PartialEq)]
+struct Options {
+    scale: Scale,
+    /// `None` means auto (no flag, or `--jobs 0`): `MPS_JOBS`, else every
+    /// available core.
+    jobs: Option<usize>,
+    store: Option<PathBuf>,
+    out: Option<PathBuf>,
+    workers: usize,
+    dist_addr: Option<String>,
+    lease_ttl: Option<Duration>,
+    metrics_addr: Option<String>,
+}
+
+/// The environment variables the shared options fall back to.
+#[derive(Debug, Clone, Default)]
+struct Env {
+    /// `MPS_STORE`.
+    store: Option<PathBuf>,
+    /// `MPS_METRICS_ADDR`.
+    metrics_addr: Option<String>,
+}
+
+impl Env {
+    fn read() -> Env {
+        Env {
+            store: std::env::var_os("MPS_STORE").map(PathBuf::from),
+            metrics_addr: std::env::var("MPS_METRICS_ADDR").ok(),
+        }
+    }
+}
+
+/// Why a command line was not run.
+#[derive(Debug, Clone, PartialEq)]
+enum CliError {
+    /// `--help` or `-h`: print the usage and exit 0.
+    Help,
+    /// A malformed command line: print the message and the usage, exit 2.
+    Usage(String),
+}
+
+impl CliError {
+    /// Reports the error on stderr; returns the process exit code.
+    fn report(&self, usage: &str) -> i32 {
+        match self {
+            CliError::Help => {
+                eprintln!("{usage}");
+                0
+            }
+            CliError::Usage(msg) => {
+                eprintln!("{msg}\n{usage}");
+                2
+            }
+        }
+    }
+}
+
+/// The value of `flag`, parsed as a `T` that passes `ok`; a usage error
+/// naming the flag and `what` it needs when the value is missing, empty
+/// or malformed.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<&String>,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    match value.filter(|v| !v.is_empty()) {
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(ok)
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs {what} (got '{v}')"))),
+        None => Err(CliError::Usage(format!("{flag} needs {what}"))),
+    }
+}
+
+/// A subcommand's own arguments, in command-line order: each flag with
+/// the value that followed it (for the flags the subcommand declared as
+/// taking one), every other argument with none.
+type OwnArgs = Vec<(String, Option<String>)>;
+
+/// Parses the options `run` and `validate` share out of `args`, starting
+/// from `scale` and the environment's defaults. `valued` names the
+/// subcommand's own flags that take a value, so their values pass through
+/// untouched; those flags and every other argument come back as
+/// [`OwnArgs`]. `--no-store` beats both `--store` and `MPS_STORE`,
+/// wherever it appears.
+fn parse_options(
+    args: &[String],
+    scale: Scale,
+    valued: &[&str],
+    env: Env,
+) -> Result<(Options, OwnArgs), CliError> {
+    let mut o = Options {
+        scale,
+        jobs: None,
+        store: env.store,
+        out: None,
+        workers: 0,
+        dist_addr: None,
+        lease_ttl: None,
+        metrics_addr: env.metrics_addr,
+    };
+    let mut no_store = false;
+    let mut own = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--scale" => {
+                let name: String = flag_value(flag, args.next(), "test|small|full", |_| true)?;
+                o.scale = Scale::parse(&name).ok_or_else(|| {
+                    CliError::Usage(format!("--scale needs test|small|full (got '{name}')"))
+                })?;
+            }
+            "--jobs" => {
+                let n = flag_value(
+                    flag,
+                    args.next(),
+                    "a non-negative integer, 0 = auto",
+                    |_| true,
+                )?;
+                o.jobs = (n > 0).then_some(n);
+            }
+            "--store" => o.store = Some(flag_value(flag, args.next(), "a directory", |_| true)?),
+            "--no-store" => no_store = true,
+            "--out" => o.out = Some(flag_value(flag, args.next(), "a directory", |_| true)?),
+            "--workers" => {
+                o.workers = flag_value(flag, args.next(), "a non-negative integer", |_| true)?;
+            }
+            "--dist-addr" => {
+                o.dist_addr = Some(flag_value(
+                    flag,
+                    args.next(),
+                    "HOST:PORT (port 0 = ephemeral)",
+                    |_| true,
+                )?);
+            }
+            "--lease-ttl" => {
+                let secs = flag_value(flag, args.next(), "a positive number of seconds", |&s| {
+                    s > 0
+                })?;
+                o.lease_ttl = Some(Duration::from_secs(secs));
+            }
+            "--metrics-addr" => {
+                o.metrics_addr = Some(flag_value(
+                    flag,
+                    args.next(),
+                    "HOST:PORT (port 0 = ephemeral)",
+                    |_| true,
+                )?);
+            }
+            "--help" | "-h" => return Err(CliError::Help),
+            _ if valued.contains(&flag) => own.push((arg.clone(), args.next().cloned())),
+            _ => own.push((arg.clone(), None)),
+        }
+    }
+    if no_store {
+        o.store = None;
+    }
+    Ok((o, own))
+}
+
+impl Options {
+    /// Builds the study context these options describe (`extra` adds a
+    /// subcommand's own builder settings), records the run metadata of
+    /// the /metrics `mps_run_info` line, and serves /metrics when asked.
+    fn open(
+        &self,
+        extra: impl FnOnce(mps_harness::StudyBuilder) -> mps_harness::StudyBuilder,
+    ) -> Result<StudyContext, Error> {
+        let mut builder = StudyContext::builder()
+            .scale(self.scale.clone())
+            .jobs(mps_par::resolve_jobs(self.jobs))
+            .workers(self.workers);
+        if let Some(dir) = &self.store {
+            builder = builder.store(dir);
+        }
+        if let Some(addr) = &self.dist_addr {
+            builder = builder.dist_addr(addr.clone());
+        }
+        if let Some(ttl) = self.lease_ttl {
+            builder = builder.lease_ttl(ttl);
+        }
+        let ctx = extra(builder).build()?;
+        mps_obs::set_meta("schema", mps_store::SCHEMA.to_string());
+        mps_obs::set_meta("kernel_rev", mps_store::KERNEL_REV.to_string());
+        mps_obs::set_meta("jobs", ctx.jobs().to_string());
+        mps_obs::set_meta("scale", self.scale.spec_string());
+        mps_obs::set_meta("store", self.store.is_some().to_string());
+        mps_obs::set_meta("workers", self.workers.to_string());
+        if let Some(addr) = &self.metrics_addr {
+            match mps_obs::serve_metrics(addr) {
+                Ok(bound) => eprintln!("metrics: serving http://{bound}/metrics"),
+                Err(e) => eprintln!("note: metrics server disabled ({e})"),
+            }
+        }
+        Ok(ctx)
+    }
+}
+
+const VALIDATE_USAGE: &str = "usage: mps-harness validate [--scale test|small|full] [--jobs N] \
+                              [--store DIR] [--no-store] [--out DIR] \
+                              [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
+                              [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
+                              [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] \
+                              [--metrics-addr HOST:PORT]";
+
+/// A parsed `validate` command line.
+#[derive(Debug)]
+struct ValidateArgs {
+    opts: Options,
+    fail_on: Option<mps_harness::FailOn>,
+    baseline: Option<PathBuf>,
+    write_baseline: Option<PathBuf>,
+    /// `--perturb`; `MPS_VALIDATE_PERTURB` applies when absent.
+    perturb: Option<f64>,
+}
+
+/// Parses a `validate` command line. Validation defaults to the fast
+/// deterministic test scale: it is a model-consistency gate, not a
+/// paper-scale experiment.
+fn parse_validate(args: &[String], env: Env) -> Result<ValidateArgs, CliError> {
+    let valued = ["--fail-on", "--baseline", "--write-baseline", "--perturb"];
+    let (opts, own) = parse_options(args, Scale::test(), &valued, env)?;
+    let mut v = ValidateArgs {
+        opts,
+        fail_on: None,
+        baseline: None,
+        write_baseline: None,
+        perturb: None,
+    };
+    for (flag, value) in own {
+        let value = value.as_ref();
+        match flag.as_str() {
+            "--fail-on" => {
+                let spec: String = flag_value(&flag, value, "thresholds", |_| true)?;
+                let gate = mps_harness::FailOn::parse(&spec)
+                    .map_err(|e| CliError::Usage(format!("--fail-on: {e}")))?;
+                v.fail_on = Some(gate);
+            }
+            "--baseline" => v.baseline = Some(flag_value(&flag, value, "a file path", |_| true)?),
+            "--write-baseline" => {
+                v.write_baseline = Some(flag_value(&flag, value, "a file path", |_| true)?);
+            }
+            "--perturb" => {
+                v.perturb = Some(flag_value(
+                    &flag,
+                    value,
+                    "a finite positive factor",
+                    |f: &f64| f.is_finite() && *f > 0.0,
+                )?);
+            }
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unknown validate argument '{other}'"
+                )))
+            }
+        }
+    }
+    Ok(v)
+}
+
 /// The `validate` subcommand: the BADCO-vs-detailed error-bound sweep
 /// with optional baseline-drift gating. Returns the process exit code
 /// (0 ok, 1 error, 2 usage, 4 when `--fail-on` thresholds are breached).
 fn validate_cli(args: &[String]) -> i32 {
-    const USAGE: &str = "usage: mps-harness validate [--scale test|small|full] [--jobs N] \
-                         [--store DIR] [--resume] [--no-store] [--out DIR] \
-                         [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
-                         [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
-                         [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] \
-                         [--metrics-addr HOST:PORT]";
-    // Validation defaults to the fast deterministic test scale — it is a
-    // model-consistency gate, not a paper-scale experiment.
-    let mut scale = Scale::test();
-    let mut jobs: Option<usize> = None;
-    let mut store: Option<PathBuf> = std::env::var_os("MPS_STORE").map(PathBuf::from);
-    let mut resume = false;
-    let mut out: Option<PathBuf> = None;
-    let mut fail_on: Option<mps_harness::FailOn> = None;
-    let mut baseline_file: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut perturb: Option<f64> = std::env::var("MPS_VALIDATE_PERTURB")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let mut metrics_addr: Option<String> = std::env::var("MPS_METRICS_ADDR").ok();
-    let mut workers = 0usize;
-    let mut dist_addr: Option<String> = None;
-    let mut lease_ttl: Option<Duration> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| -> Option<&str> {
-            args.get(i).map(String::as_str).filter(|v| !v.is_empty())
-        };
-        match args[i].as_str() {
-            "--resume" => resume = true,
-            "--no-store" => store = None,
-            "--scale" => {
-                i += 1;
-                let name = need(i).unwrap_or("");
-                match Scale::parse(name) {
-                    Some(s) => scale = s,
-                    None => {
-                        eprintln!("unknown scale '{name}' (use test|small|full)\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match need(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(0) => jobs = None,
-                    Some(n) => jobs = Some(n),
-                    None => {
-                        eprintln!("--jobs needs a non-negative integer (0 = auto)\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--store" => {
-                i += 1;
-                match need(i) {
-                    Some(d) => store = Some(PathBuf::from(d)),
-                    None => {
-                        eprintln!("--store needs a directory\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--out" => {
-                i += 1;
-                match need(i) {
-                    Some(d) => out = Some(PathBuf::from(d)),
-                    None => {
-                        eprintln!("--out needs a directory\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--fail-on" => {
-                i += 1;
-                match need(i).map(mps_harness::FailOn::parse) {
-                    Some(Ok(f)) => fail_on = Some(f),
-                    Some(Err(e)) => {
-                        eprintln!("--fail-on: {e}\n{USAGE}");
-                        return 2;
-                    }
-                    None => {
-                        eprintln!("--fail-on needs thresholds\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match need(i) {
-                    Some(f) => baseline_file = Some(PathBuf::from(f)),
-                    None => {
-                        eprintln!("--baseline needs a file path\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--write-baseline" => {
-                i += 1;
-                match need(i) {
-                    Some(f) => write_baseline = Some(PathBuf::from(f)),
-                    None => {
-                        eprintln!("--write-baseline needs a file path\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--perturb" => {
-                i += 1;
-                match need(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(f) if f.is_finite() && f > 0.0 => perturb = Some(f),
-                    _ => {
-                        eprintln!("--perturb needs a finite positive factor\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--metrics-addr" => {
-                i += 1;
-                match need(i) {
-                    Some(a) => metrics_addr = Some(a.to_owned()),
-                    None => {
-                        eprintln!("--metrics-addr needs HOST:PORT\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--workers" => {
-                i += 1;
-                match need(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) => workers = n,
-                    None => {
-                        eprintln!("--workers needs a non-negative integer\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--dist-addr" => {
-                i += 1;
-                match need(i) {
-                    Some(a) => dist_addr = Some(a.to_owned()),
-                    None => {
-                        eprintln!("--dist-addr needs HOST:PORT\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--lease-ttl" => {
-                i += 1;
-                match need(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(secs) if secs > 0 => lease_ttl = Some(Duration::from_secs(secs)),
-                    _ => {
-                        eprintln!("--lease-ttl needs a positive number of seconds\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return 0;
-            }
-            other => {
-                eprintln!("unknown validate argument '{other}'\n{USAGE}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
-
-    let jobs = mps_par::resolve_jobs(jobs);
-    let mut builder = StudyContext::builder()
-        .scale(scale.clone())
-        .jobs(jobs)
-        .workers(workers);
-    if let Some(dir) = &store {
-        builder = builder.store(dir);
-    }
-    if let Some(addr) = &dist_addr {
-        builder = builder.dist_addr(addr.clone());
-    }
-    if let Some(ttl) = lease_ttl {
-        builder = builder.lease_ttl(ttl);
-    }
-    let ctx = match builder.resume(resume).build() {
+    let ValidateArgs {
+        opts: cli,
+        fail_on,
+        baseline: baseline_file,
+        write_baseline,
+        perturb,
+    } = match parse_validate(args, Env::read()) {
+        Ok(v) => v,
+        Err(e) => return e.report(VALIDATE_USAGE),
+    };
+    let ctx = match cli.open(|b| b) {
         Ok(ctx) => ctx,
         Err(e) => {
             eprintln!("error: {e}");
             return 1;
         }
     };
-    mps_obs::set_meta("schema", mps_store::SCHEMA.to_string());
-    mps_obs::set_meta("kernel_rev", mps_store::KERNEL_REV.to_string());
-    mps_obs::set_meta("jobs", jobs.to_string());
-    mps_obs::set_meta("scale", scale.spec_string());
-    if let Some(addr) = &metrics_addr {
-        match mps_obs::serve_metrics(addr) {
-            Ok(bound) => eprintln!("metrics: serving http://{bound}/metrics"),
-            Err(e) => eprintln!("note: metrics server disabled ({e})"),
-        }
-    }
-
+    let perturb = perturb.or_else(|| {
+        std::env::var("MPS_VALIDATE_PERTURB")
+            .ok()
+            .and_then(|v| v.parse().ok())
+    });
     let opts = mps_harness::ValidateOptions {
         perturb: perturb.unwrap_or(1.0),
         ..mps_harness::ValidateOptions::default()
@@ -617,7 +704,7 @@ fn validate_cli(args: &[String]) -> i32 {
     print!("{report}");
     let jsonl = report.to_jsonl();
 
-    if let Some(dir) = &out {
+    if let Some(dir) = &cli.out {
         let write = |name: &str, body: &str| -> Result<(), String> {
             std::fs::create_dir_all(dir)
                 .and_then(|()| std::fs::write(dir.join(name), body))
@@ -646,8 +733,8 @@ fn validate_cli(args: &[String]) -> i32 {
         rec.set("wall_ms", t0.elapsed().as_millis().to_string());
         rec.set("schema", mps_store::SCHEMA.to_string());
         rec.set("kernel_rev", mps_store::KERNEL_REV.to_string());
-        rec.set("jobs", jobs.to_string());
-        rec.set("scale", scale.spec_string());
+        rec.set("jobs", ctx.jobs().to_string());
+        rec.set("scale", cli.scale.spec_string());
         rec.set("experiments", "validate".to_owned());
         rec.set(
             "validate.mean_abs_err",
@@ -823,280 +910,157 @@ fn worker_cli(args: &[String]) -> i32 {
     }
 }
 
+const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|energy|dw|profile|all> \
+     [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] \
+     [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
+     [--lease-ttl SECS] [--profile] [--trace FILE] [--metrics-addr HOST:PORT]\n\
+     \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
+     \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]\n\
+     \x20      mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]\n\
+     \x20      mps-harness report [--ledger FILE] [--store DIR] [--out FILE]\n\
+     \x20      mps-harness validate [--fail-on mean-abs-err=5%,rank-inversions=3] \
+     [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] (see validate --help)\n\
+     \x20      mps-harness worker --connect HOST:PORT [--id NAME]\n\
+     --metrics-addr (or MPS_METRICS_ADDR) serves live /metrics; \
+     MPS_HEARTBEAT_SECS tunes progress heartbeats (0 = off)\n\
+     --jobs 0 (or omitting the flag) means auto: MPS_JOBS, else all available cores\n\
+     --store DIR (or MPS_STORE=DIR) persists artifacts and grid cells, so a rerun \
+     of a killed run recomputes only what it lacks; --no-store overrides MPS_STORE\n\
+     --workers N shards grids across N local worker processes (requires --store); \
+     --dist-addr also accepts remote `worker --connect` processes; artifacts stay \
+     byte-identical to a single-process run (see docs/distributed.md)";
+
+/// Every experiment `run` knows, in paper order (what `all` runs). The
+/// names are static so each can also name a `phase.<experiment>` span.
+const EXPERIMENTS: [&str; 16] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "overhead",
+    "guideline",
+    "ablation",
+    "energy",
+    "dw",
+];
+
+/// A parsed `run` command line.
+#[derive(Debug)]
+struct RunArgs {
+    opts: Options,
+    experiments: Vec<&'static str>,
+    profile: bool,
+    timeout: Option<Duration>,
+    retries: u32,
+    trace: Option<String>,
+}
+
+/// Parses a `run` command line (the `run` word itself is optional).
+/// Naming no experiment means `all`; `profile` as an experiment name asks
+/// for the profile report alone.
+fn parse_run(args: &[String], env: Env) -> Result<RunArgs, CliError> {
+    let valued = ["--timeout", "--retries", "--trace"];
+    let (opts, own) = parse_options(args, Scale::small(), &valued, env)?;
+    let mut r = RunArgs {
+        opts,
+        experiments: Vec::new(),
+        profile: false,
+        timeout: None,
+        retries: 0,
+        trace: None,
+    };
+    let (mut all, mut named) = (false, false);
+    for (arg, value) in own {
+        let value = value.as_ref();
+        named |= !arg.starts_with('-') && arg != "run";
+        match arg.as_str() {
+            "--profile" | "profile" => r.profile = true,
+            "--timeout" => {
+                let secs = flag_value(&arg, value, "a positive number of seconds", |&s| s > 0)?;
+                r.timeout = Some(Duration::from_secs(secs));
+            }
+            "--retries" => r.retries = flag_value(&arg, value, "a non-negative integer", |_| true)?,
+            "--trace" => r.trace = Some(flag_value(&arg, value, "a file path", |_| true)?),
+            "run" => {}
+            "all" => all = true,
+            flag if flag.starts_with('-') => {
+                return Err(CliError::Usage(format!("unknown argument '{flag}'")))
+            }
+            name => match EXPERIMENTS.iter().find(|e| **e == name) {
+                Some(&e) => r.experiments.push(e),
+                None => return Err(CliError::Usage(format!("unknown experiment '{name}'"))),
+            },
+        }
+    }
+    if all || !named {
+        r.experiments = EXPERIMENTS.to_vec();
+    }
+    Ok(r)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "trace") {
-        std::process::exit(trace_cli(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "validate") {
-        mps_obs::init_from_env();
-        std::process::exit(validate_cli(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "runs") {
-        std::process::exit(runs_cli(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "report") {
-        std::process::exit(report_cli(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "worker") {
-        std::process::exit(worker_cli(&args[1..]));
-    }
-    let mut which: Vec<String> = Vec::new();
-    let mut scale = Scale::small();
-    let mut out: Option<PathBuf> = None;
-    let mut profile = false;
-    let mut jobs: Option<usize> = None;
-    let mut store: Option<PathBuf> = std::env::var_os("MPS_STORE").map(PathBuf::from);
-    let mut resume = false;
-    let mut timeout: Option<Duration> = None;
-    let mut retries = 0u32;
-    let mut workers = 0usize;
-    let mut dist_addr: Option<String> = None;
-    let mut lease_ttl: Option<Duration> = None;
-    let mut metrics_addr: Option<String> = std::env::var("MPS_METRICS_ADDR").ok();
-    let mut i = 0;
-    mps_obs::init_from_env();
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match arg {
-            "--profile" => profile = true,
-            "--resume" => resume = true,
-            "--no-store" => store = None,
-            "--jobs" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<usize>() {
-                    // 0 means "auto": resolve from MPS_JOBS, else all
-                    // available cores — same as omitting the flag.
-                    Ok(0) => jobs = None,
-                    Ok(n) => jobs = Some(n),
-                    Err(_) => {
-                        eprintln!("--jobs needs a non-negative integer (got '{n}'; 0 = auto)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--store" => {
-                i += 1;
-                let dir = args.get(i).map(String::as_str).unwrap_or("");
-                if dir.is_empty() {
-                    eprintln!("--store needs a directory");
-                    std::process::exit(2);
-                }
-                store = Some(PathBuf::from(dir));
-            }
-            "--timeout" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<u64>() {
-                    Ok(secs) if secs > 0 => timeout = Some(Duration::from_secs(secs)),
-                    _ => {
-                        eprintln!("--timeout needs a positive number of seconds (got '{n}')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--retries" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<u32>() {
-                    Ok(n) => retries = n,
-                    Err(_) => {
-                        eprintln!("--retries needs a non-negative integer (got '{n}')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--workers" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<usize>() {
-                    Ok(n) => workers = n,
-                    Err(_) => {
-                        eprintln!("--workers needs a non-negative integer (got '{n}')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--dist-addr" => {
-                i += 1;
-                let addr = args.get(i).map(String::as_str).unwrap_or("");
-                if addr.is_empty() {
-                    eprintln!("--dist-addr needs HOST:PORT (port 0 = ephemeral)");
-                    std::process::exit(2);
-                }
-                dist_addr = Some(addr.to_owned());
-            }
-            "--lease-ttl" => {
-                i += 1;
-                let n = args.get(i).map(String::as_str).unwrap_or("");
-                match n.parse::<u64>() {
-                    Ok(secs) if secs > 0 => lease_ttl = Some(Duration::from_secs(secs)),
-                    _ => {
-                        eprintln!("--lease-ttl needs a positive number of seconds (got '{n}')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--trace" => {
-                i += 1;
-                let file = args.get(i).map(String::as_str).unwrap_or("");
-                if file.is_empty() {
-                    eprintln!("--trace needs a file path");
-                    std::process::exit(2);
-                }
-                if !mps_obs::enabled() {
-                    eprintln!("note: built without the `obs` feature; --trace will record nothing");
-                }
-                if let Err(e) = mps_obs::set_sink_path(file) {
-                    eprintln!("cannot open trace file {file}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            "--metrics-addr" => {
-                i += 1;
-                let addr = args.get(i).map(String::as_str).unwrap_or("");
-                if addr.is_empty() {
-                    eprintln!("--metrics-addr needs HOST:PORT (port 0 = ephemeral)");
-                    std::process::exit(2);
-                }
-                metrics_addr = Some(addr.to_owned());
-            }
-            "--scale" => {
-                i += 1;
-                let name = args.get(i).map(String::as_str).unwrap_or("");
-                scale = Scale::parse(name).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{name}' (use test|small|full)");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                i += 1;
-                let dir = args.get(i).map(String::as_str).unwrap_or("");
-                if dir.is_empty() {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                }
-                out = Some(PathBuf::from(dir));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|profile|all> \
-                     [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] [--resume] \
-                     [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
-                     [--lease-ttl SECS] [--profile] [--trace FILE] [--metrics-addr HOST:PORT]\n\
-                     \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
-                     \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]\n\
-                     \x20      mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]\n\
-                     \x20      mps-harness report [--ledger FILE] [--store DIR] [--out FILE]\n\
-                     \x20      mps-harness validate [--fail-on mean-abs-err=5%,rank-inversions=3] \
-                     [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] (see validate --help)\n\
-                     \x20      mps-harness worker --connect HOST:PORT [--id NAME]\n\
-                     --metrics-addr (or MPS_METRICS_ADDR) serves live /metrics; \
-                     MPS_HEARTBEAT_SECS tunes progress heartbeats (0 = off)\n\
-                     --jobs 0 (or omitting the flag) means auto: MPS_JOBS, else all available cores\n\
-                     --store DIR (or MPS_STORE=DIR) persists artifacts and checkpoints; --resume \
-                     continues a killed run; --no-store overrides MPS_STORE\n\
-                     --workers N shards grids across N local worker processes (requires --store); \
-                     --dist-addr also accepts remote `worker --connect` processes; artifacts stay \
-                     byte-identical to a single-process run (see docs/distributed.md)"
-                );
-                return;
-            }
-            // `run` is the explicit subcommand form (`mps-harness run
-            // --resume`); the bare form stays equivalent.
-            "run" => {}
-            other => which.push(other.to_owned()),
+    let code = match args.first().map(String::as_str) {
+        Some("trace") => trace_cli(&args[1..]),
+        Some("validate") => {
+            mps_obs::init_from_env();
+            validate_cli(&args[1..])
         }
-        i += 1;
-    }
-    if which.is_empty() {
-        which.push("all".to_owned());
-    }
-    let all = [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "overhead",
-        "guideline",
-        "ablation",
-        "energy",
-        "dw",
-    ];
-    // Experiment names come from the static list so each can also name a
-    // `phase.<experiment>` observability span (which wants 'static strs).
-    let selected: Vec<&'static str> = if which.iter().any(|w| w == "all") {
-        all.to_vec()
-    } else {
-        which
-            .iter()
-            .filter_map(|w| {
-                if w == "profile" {
-                    profile = true;
-                    return None;
-                }
-                match all.iter().find(|a| *a == w) {
-                    Some(&a) => Some(a),
-                    None => {
-                        eprintln!("unknown experiment '{w}'");
-                        std::process::exit(2);
-                    }
-                }
-            })
-            .collect()
+        Some("runs") => runs_cli(&args[1..]),
+        Some("report") => report_cli(&args[1..]),
+        Some("worker") => worker_cli(&args[1..]),
+        _ => {
+            mps_obs::init_from_env();
+            run_cli(&args)
+        }
     };
-    if let Some(dir) = &out {
+    std::process::exit(code);
+}
+
+/// The `run` subcommand (also the bare form): regenerate experiments.
+/// Returns the process exit code (0 ok, 1 when an experiment failed or an
+/// output could not be written, 2 usage).
+fn run_cli(args: &[String]) -> i32 {
+    let RunArgs {
+        opts: cli,
+        experiments: selected,
+        profile,
+        timeout,
+        retries,
+        trace,
+    } = match parse_run(args, Env::read()) {
+        Ok(r) => r,
+        Err(e) => return e.report(RUN_USAGE),
+    };
+    if let Some(file) = &trace {
+        if !mps_obs::enabled() {
+            eprintln!("note: built without the `obs` feature; --trace will record nothing");
+        }
+        if let Err(e) = mps_obs::set_sink_path(file) {
+            eprintln!("cannot open trace file {file}: {e}");
+            return 1;
+        }
+    }
+    if let Some(dir) = &cli.out {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir:?}: {e}");
-            std::process::exit(1);
+            return 1;
         }
     }
-
-    let jobs = mps_par::resolve_jobs(jobs);
-    let mut builder = StudyContext::builder()
-        .scale(scale.clone())
-        .jobs(jobs)
-        .timeout(timeout)
-        .retries(retries)
-        .workers(workers);
-    if let Some(dir) = &store {
-        builder = builder.store(dir);
-    }
-    if let Some(addr) = &dist_addr {
-        builder = builder.dist_addr(addr.clone());
-    }
-    if let Some(ttl) = lease_ttl {
-        builder = builder.lease_ttl(ttl);
-    }
-    let ctx = match builder.resume(resume).build() {
+    let ctx = match cli.open(|b| b.timeout(timeout).retries(retries)) {
         Ok(ctx) => ctx,
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            return 1;
         }
     };
-    // Run metadata for the /metrics `mps_run_info` line.
-    mps_obs::set_meta("schema", mps_store::SCHEMA.to_string());
-    mps_obs::set_meta("kernel_rev", mps_store::KERNEL_REV.to_string());
-    mps_obs::set_meta("jobs", jobs.to_string());
-    mps_obs::set_meta("scale", scale.spec_string());
-    mps_obs::set_meta("store", store.is_some().to_string());
-    mps_obs::set_meta("resume", resume.to_string());
-    mps_obs::set_meta("workers", workers.to_string());
-    if let Some(addr) = &metrics_addr {
-        match mps_obs::serve_metrics(addr) {
-            Ok(bound) => eprintln!("metrics: serving http://{bound}/metrics"),
-            Err(e) => eprintln!("note: metrics server disabled ({e})"),
-        }
-    }
     let heartbeat_secs = std::env::var("MPS_HEARTBEAT_SECS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -1104,15 +1068,15 @@ fn main() {
     if heartbeat_secs > 0 {
         mps_harness::heartbeat::start(Duration::from_secs(heartbeat_secs));
     }
+    let scale = &cli.scale;
     mps_obs::event(
         "harness.start",
         &[
             ("trace_len", scale.trace_len.to_string()),
             ("pop_4core", scale.pop_4core.to_string()),
             ("confidence_samples", scale.confidence_samples.to_string()),
-            ("jobs", jobs.to_string()),
-            ("store", store.is_some().to_string()),
-            ("resume", resume.to_string()),
+            ("jobs", ctx.jobs().to_string()),
+            ("store", cli.store.is_some().to_string()),
         ],
     );
     let opts = ctx.isolate_options();
@@ -1242,15 +1206,15 @@ fn main() {
             }
         };
         print!("{text}");
-        if let Some(dir) = &out {
+        if let Some(dir) = &cli.out {
             if let Err(e) = std::fs::write(dir.join(format!("{name}.txt")), &text) {
                 eprintln!("write failed: {e}");
-                std::process::exit(1);
+                return 1;
             }
             if let Some(c) = csv {
                 if let Err(e) = std::fs::write(dir.join(format!("{name}.csv")), c) {
                     eprintln!("write failed: {e}");
-                    std::process::exit(1);
+                    return 1;
                 }
             }
         }
@@ -1271,10 +1235,10 @@ fn main() {
             Ok(report) => {
                 let text = report.to_string();
                 print!("{text}");
-                if let Some(dir) = &out {
+                if let Some(dir) = &cli.out {
                     if let Err(e) = std::fs::write(dir.join("profile.txt"), &text) {
                         eprintln!("write failed: {e}");
-                        std::process::exit(1);
+                        return 1;
                     }
                 }
             }
@@ -1322,7 +1286,7 @@ fn main() {
         rec.set("wall_ms", run_t0.elapsed().as_millis().to_string());
         rec.set("schema", mps_store::SCHEMA.to_string());
         rec.set("kernel_rev", mps_store::KERNEL_REV.to_string());
-        rec.set("jobs", jobs.to_string());
+        rec.set("jobs", ctx.jobs().to_string());
         rec.set("scale", scale.spec_string());
         rec.set(
             "config_hash",
@@ -1392,6 +1356,160 @@ fn main() {
         for (name, e) in &failures {
             eprintln!("  {name}: {e}");
         }
-        std::process::exit(1);
+        return 1;
+    }
+    0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    fn run(line: &str) -> Result<RunArgs, CliError> {
+        parse_run(&args(line), Env::default())
+    }
+
+    fn validate(line: &str) -> Result<ValidateArgs, CliError> {
+        parse_validate(&args(line), Env::default())
+    }
+
+    fn usage_error(r: Result<impl std::fmt::Debug, CliError>) -> String {
+        match r {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shared_flags_parse_the_same_under_run_and_validate() {
+        let shared = "--scale full --jobs 3 --store st --out o --workers 2 \
+                      --dist-addr 0.0.0.0:7000 --lease-ttl 9 --metrics-addr 127.0.0.1:0";
+        let want = Options {
+            scale: Scale::full(),
+            jobs: Some(3),
+            store: Some(PathBuf::from("st")),
+            out: Some(PathBuf::from("o")),
+            workers: 2,
+            dist_addr: Some("0.0.0.0:7000".to_owned()),
+            lease_ttl: Some(Duration::from_secs(9)),
+            metrics_addr: Some("127.0.0.1:0".to_owned()),
+        };
+        assert_eq!(run(&format!("fig3 {shared}")).unwrap().opts, want);
+        assert_eq!(validate(shared).unwrap().opts, want);
+        // Each flag alone, too.
+        for (flag, value) in [
+            ("--scale", "test"),
+            ("--jobs", "0"),
+            ("--store", "d"),
+            ("--no-store", ""),
+            ("--out", "d"),
+            ("--workers", "4"),
+            ("--dist-addr", "h:1"),
+            ("--lease-ttl", "1"),
+            ("--metrics-addr", "h:2"),
+        ] {
+            let line = format!("{flag} {value}");
+            assert_eq!(
+                run(&format!("fig3 {line}")).unwrap().opts,
+                validate(&format!("--scale small {line}")).unwrap().opts,
+                "{flag}"
+            );
+        }
+    }
+
+    #[test]
+    fn missing_or_malformed_values_name_the_flag() {
+        for flag in [
+            "--scale",
+            "--jobs",
+            "--store",
+            "--out",
+            "--workers",
+            "--dist-addr",
+            "--lease-ttl",
+            "--metrics-addr",
+        ] {
+            assert!(usage_error(run(&format!("fig3 {flag}"))).starts_with(flag));
+            assert!(usage_error(validate(flag)).starts_with(flag));
+        }
+        for (flag, bad) in [
+            ("--scale", "huge"),
+            ("--jobs", "-1"),
+            ("--workers", "two"),
+            ("--lease-ttl", "0"),
+        ] {
+            let line = format!("{flag} {bad}");
+            let msg = usage_error(run(&line));
+            assert!(msg.starts_with(flag) && msg.contains(bad), "{msg}");
+            assert_eq!(usage_error(validate(&line)), msg);
+        }
+        for (line, flag) in [
+            ("--timeout 0", "--timeout"),
+            ("--retries", "--retries"),
+            ("--trace", "--trace"),
+        ] {
+            assert!(usage_error(run(line)).starts_with(flag), "{line}");
+        }
+        for (line, flag) in [
+            ("--perturb -1", "--perturb"),
+            ("--fail-on", "--fail-on"),
+            ("--baseline", "--baseline"),
+        ] {
+            assert!(usage_error(validate(line)).starts_with(flag), "{line}");
+        }
+        assert_eq!(CliError::Usage("x".to_owned()).report("usage"), 2);
+        assert_eq!(CliError::Help.report("usage"), 0);
+    }
+
+    #[test]
+    fn no_store_beats_store_flag_and_environment() {
+        let env = || Env {
+            store: Some(PathBuf::from("from-env")),
+            metrics_addr: None,
+        };
+        for line in ["--no-store --store d", "--store d --no-store", "--no-store"] {
+            assert_eq!(parse_run(&args(line), env()).unwrap().opts.store, None);
+            assert_eq!(parse_validate(&args(line), env()).unwrap().opts.store, None);
+        }
+        let from_env = parse_validate(&[], env()).unwrap().opts.store;
+        assert_eq!(from_env, Some(PathBuf::from("from-env")));
+        let flag = parse_run(&args("--store d"), env()).unwrap().opts.store;
+        assert_eq!(flag, Some(PathBuf::from("d")));
+    }
+
+    #[test]
+    fn subcommands_keep_their_default_scales() {
+        assert_eq!(run("fig3").unwrap().opts.scale, Scale::small());
+        assert_eq!(validate("").unwrap().opts.scale, Scale::test());
+    }
+
+    #[test]
+    fn resume_is_an_unknown_argument() {
+        assert!(usage_error(run("fig3 --resume")).contains("'--resume'"));
+        assert!(usage_error(validate("--resume")).contains("'--resume'"));
+    }
+
+    #[test]
+    fn run_selects_experiments_and_its_own_flags() {
+        let r = run("run fig3 fig6 --timeout 5 --retries 2 --trace t.jsonl --profile").unwrap();
+        assert_eq!(r.experiments, ["fig3", "fig6"]);
+        assert!(r.profile);
+        assert_eq!(r.timeout, Some(Duration::from_secs(5)));
+        assert_eq!((r.retries, r.trace.as_deref()), (2, Some("t.jsonl")));
+        // A subcommand flag's value is never read as a shared flag.
+        assert_eq!(
+            run("fig1 --trace --jobs").unwrap().trace.as_deref(),
+            Some("--jobs")
+        );
+        assert_eq!(run("").unwrap().experiments, EXPERIMENTS);
+        assert_eq!(run("--profile").unwrap().experiments, EXPERIMENTS);
+        let profile_only = run("profile").unwrap();
+        assert!(profile_only.profile && profile_only.experiments.is_empty());
+        assert!(usage_error(run("fig9")).contains("unknown experiment 'fig9'"));
+        assert_eq!(run("fig3 --help").unwrap_err(), CliError::Help);
     }
 }

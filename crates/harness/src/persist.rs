@@ -2,7 +2,7 @@
 //!
 //! Every codec here is *exact*: floats travel as IEEE-754 bit patterns,
 //! so an artifact loaded from the store is bit-identical to the one the
-//! simulators computed — the property the kill-and-resume tests assert
+//! simulators computed — the property the kill-and-rerun tests assert
 //! end to end. Decoders never panic on malformed input; they return
 //! [`Error::Corrupt`], which the store layer answers by quarantining the
 //! file and recomputing.

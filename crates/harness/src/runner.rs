@@ -16,9 +16,12 @@
 //! persists every expensive artifact — populations, BADCO models,
 //! reference IPCs, per-policy throughput tables, trace buffers — through
 //! an [`mps_store::Store`], so they are *transparently loaded-or-computed
-//! across processes*: a second run (or a resumed killed run) hits the
-//! store instead of re-simulating. A poisoned artifact file degrades to a
-//! recompute (the store quarantines it), never to a wrong result. The
+//! across processes*: a second run (or the rerun of a killed one) hits
+//! the store instead of re-simulating. Every completed experiment-grid
+//! cell is a store record as well (see `StudyContext::grid_cell`), so a
+//! rerun recomputes only the cells it lacks. A poisoned artifact file
+//! degrades to a recompute (the store quarantines it), never to a wrong
+//! result. The
 //! public accessors return `Result<_, mps::Error>`; the panicking
 //! `*_or_panic` shims of the transition release are gone (API v1).
 //!
@@ -27,13 +30,14 @@
 //! carries a [`Coordinator`](crate::dist::Coordinator) that shards
 //! experiment-grid cells across worker processes; see [`crate::dist`].
 
+use crate::dist::CellDesc;
 use crate::scale::Scale;
 use mps_badco::{BadcoModel, BadcoMulticoreSim, BadcoTiming};
 use mps_metrics::{PerfTable, ThroughputMetric, WorkloadPerf};
 use mps_sampling::{PairData, Population, Workload};
 use mps_sim_cpu::{CoreConfig, MulticoreSim, SimResult};
 use mps_stats::rng::Rng;
-use mps_store::{ArtifactKey, Checkpoint, Error, Store};
+use mps_store::{ArtifactKey, Error, Store};
 use mps_uncore::{PolicyKind, Uncore, UncoreConfig};
 use mps_workloads::{suite, BenchmarkSpec, TraceBuffer, TraceCursor, TraceSource};
 
@@ -197,7 +201,6 @@ impl<K: Eq + Hash, V: Clone> ArtifactCache<K, V> {
 ///     .scale(Scale::small())
 ///     .jobs(4)
 ///     .store("run-store")
-///     .resume(true)
 ///     .build()?;
 /// # Ok::<(), mps_store::Error>(())
 /// ```
@@ -206,7 +209,6 @@ pub struct StudyContext {
     pub scale: Scale,
     jobs: usize,
     store: Option<Arc<Store>>,
-    resume: bool,
     /// Wall-clock budget and retry count for isolated experiment runs
     /// (`--timeout` / `--retries`), carried by the builder.
     pub(crate) timeout: Option<std::time::Duration>,
@@ -234,7 +236,6 @@ impl std::fmt::Debug for StudyContext {
             .field("scale", &self.scale)
             .field("jobs", &self.jobs)
             .field("store", &self.store.as_ref().map(|s| s.root().to_owned()))
-            .field("resume", &self.resume)
             .finish_non_exhaustive()
     }
 }
@@ -252,20 +253,14 @@ impl StudyContext {
     /// explicit jobs, a store, distribution — goes through
     /// [`StudyContext::builder`].
     pub fn new(scale: Scale) -> Self {
-        Self::assemble(scale, mps_par::default_jobs(), None, false)
+        Self::assemble(scale, mps_par::default_jobs(), None)
     }
 
-    pub(crate) fn assemble(
-        scale: Scale,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        resume: bool,
-    ) -> Self {
+    pub(crate) fn assemble(scale: Scale, jobs: usize, store: Option<Arc<Store>>) -> Self {
         StudyContext {
             scale,
             jobs: jobs.max(1),
             store,
-            resume,
             timeout: None,
             retries: 0,
             dist: OnceLock::new(),
@@ -309,11 +304,6 @@ impl StudyContext {
     /// The artifact store backing this context, if one was configured.
     pub fn store(&self) -> Option<&Arc<Store>> {
         self.store.as_ref()
-    }
-
-    /// Whether this context resumes checkpointed grids (`--resume`).
-    pub fn resume(&self) -> bool {
-        self.resume
     }
 
     /// The distributed-execution coordinator, if the builder started one
@@ -383,40 +373,121 @@ impl StudyContext {
         encode: impl Fn(&V) -> Vec<u8>,
         compute: impl FnOnce() -> V,
     ) -> V {
-        let Some(store) = self.store.as_deref() else {
-            return compute();
-        };
         let key = ArtifactKey::new(kind, self.artifact_spec(extra_spec));
-        if let Some(bytes) = store.get(&key) {
-            match decode(&bytes) {
-                Ok(v) => return v,
-                Err(e) => {
-                    // The record passed the store's integrity checks but
-                    // failed domain decoding: quarantine + recompute.
-                    store.quarantine_key(&key, &e);
-                }
-            }
+        if let Some(v) = self.load(&key, decode) {
+            return v;
         }
         let v = compute();
-        if let Err(e) = store.put(&key, &encode(&v)) {
-            // A full disk must not kill a running study.
-            eprintln!("warning: could not persist {kind}: {e}");
-        }
+        self.persist(&key, &encode(&v));
         v
     }
 
-    /// Opens (or resumes) the checkpoint log for an experiment grid.
-    /// Returns `None` when the context has no store — the grid then runs
-    /// un-checkpointed, exactly as before the durability rework.
-    pub fn grid_checkpoint(&self, grid: &'static str) -> Option<Arc<Checkpoint>> {
+    /// The stored value of `key`, if the store holds a valid one. A record
+    /// that passes the store's integrity checks but fails `decode` is
+    /// quarantined, so the caller recomputes.
+    fn load<V>(&self, key: &ArtifactKey, decode: impl Fn(&[u8]) -> Result<V, Error>) -> Option<V> {
         let store = self.store.as_deref()?;
-        match Checkpoint::open(store, grid, &self.artifact_spec(""), self.resume) {
-            Ok(c) => Some(Arc::new(c)),
+        let bytes = store.get(key)?;
+        decode(&bytes)
+            .map_err(|e| store.quarantine_key(key, &e))
+            .ok()
+    }
+
+    /// Writes `key` to the store; whether the record is now durable. A
+    /// failed write (a full disk, say) is a warning, never an error: it
+    /// must not kill a running study.
+    fn persist(&self, key: &ArtifactKey, payload: &[u8]) -> bool {
+        let Some(store) = self.store.as_deref() else {
+            return false;
+        };
+        match store.put(key, payload) {
+            Ok(()) => true,
             Err(e) => {
-                eprintln!("warning: checkpointing disabled for {grid}: {e}");
-                None
+                eprintln!("warning: could not persist {}: {e}", key.kind());
+                false
             }
         }
+    }
+
+    /// The store record of one grid cell: kind `cell`, keyed by the grid
+    /// and every field of the cell's descriptor — the fields a worker
+    /// evaluates it from — so the key covers every input of the value.
+    fn cell_key(&self, grid: &str, desc: &CellDesc) -> ArtifactKey {
+        let fields: Vec<String> = desc
+            .fields()
+            .into_iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        ArtifactKey::new(
+            "cell",
+            self.artifact_spec(&format!("grid={grid};{}", fields.join(";"))),
+        )
+    }
+
+    /// The recorded values of a grid cell, if the store holds its record.
+    pub(crate) fn recorded_cell(&self, grid: &str, desc: &CellDesc) -> Option<Vec<f64>> {
+        let want = desc.value_count();
+        self.load(&self.cell_key(grid, desc), |bytes| {
+            let values = crate::persist::decode_f64s(bytes)?;
+            if values.len() != want {
+                return Err(Error::Corrupt {
+                    path: format!("{grid} cell record"),
+                    detail: format!("{} values, expected {want}", values.len()),
+                });
+            }
+            Ok(values)
+        })
+    }
+
+    /// Records a computed grid cell in the store (a no-op without one).
+    /// The `MPS_ABORT_AFTER_CELLS=<n>` environment variable aborts the
+    /// process right after the n-th durable cell record — the hook the
+    /// kill-and-rerun tests use to stop a grid at a known point.
+    pub(crate) fn record_cell(&self, grid: &str, desc: &CellDesc, values: &[f64]) {
+        let key = self.cell_key(grid, desc);
+        if !self.persist(&key, &crate::persist::encode_f64s(values)) {
+            return;
+        }
+        static RECORDED: AtomicU64 = AtomicU64::new(0);
+        static LIMIT: OnceLock<Option<u64>> = OnceLock::new();
+        let limit = LIMIT.get_or_init(|| {
+            std::env::var("MPS_ABORT_AFTER_CELLS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+        });
+        if let Some(limit) = *limit {
+            if RECORDED.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
+                eprintln!("MPS_ABORT_AFTER_CELLS={limit}: simulating a killed run");
+                std::process::abort();
+            }
+        }
+    }
+
+    /// The values of one grid cell: served from its store record when
+    /// there is one, else computed with `compute` and recorded. This is
+    /// the single persistence path of every cell evaluated in this
+    /// process, so the rerun of a killed grid is an ordinary cache hit
+    /// for each cell the killed run completed.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns.
+    pub(crate) fn grid_cell(
+        &self,
+        grid: &str,
+        desc: &CellDesc,
+        compute: impl FnOnce() -> Result<Vec<f64>, Error>,
+    ) -> Result<Vec<f64>, Error> {
+        if let Some(values) = self.recorded_cell(grid, desc) {
+            crate::heartbeat::cell_replayed();
+            return Ok(values);
+        }
+        let started = std::time::Instant::now();
+        let values = compute()?;
+        debug_assert_eq!(values.len(), desc.value_count(), "cell value count");
+        crate::heartbeat::cell_finished(started.elapsed());
+        self.record_cell(grid, desc, &values);
+        Ok(values)
     }
 
     fn check_bench(&self, bench: usize) -> Result<(), Error> {
@@ -931,6 +1002,45 @@ mod tests {
             .unwrap()
             .throughputs(ThroughputMetric::IpcThroughput);
         assert_eq!(t1, t4);
+    }
+
+    #[test]
+    fn cell_values_round_trip_bit_exactly() {
+        let dir = std::env::temp_dir().join(format!("mps-cell-bits-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            StudyBuilder::new()
+                .scale(Scale::test())
+                .jobs(1)
+                .store(&dir)
+                .build()
+                .unwrap()
+        };
+        let desc = |widx| CellDesc::Validate {
+            cores: 4,
+            policy: PolicyKind::Drrip,
+            p_idx: 1,
+            widx,
+            perturb: 1.0,
+            side: crate::dist::ValSide::Badco,
+        };
+        let values = [f64::NAN, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let c = open();
+        assert_eq!(c.recorded_cell("validate", &desc(0)), None);
+        c.record_cell("validate", &desc(0), &values);
+        // Another context on the same store reads the record back exactly,
+        // and only under the descriptor it was recorded for.
+        let c = open();
+        let got = c.recorded_cell("validate", &desc(0)).expect("recorded");
+        assert_eq!(bits(&got), bits(&values));
+        assert_eq!(c.recorded_cell("validate", &desc(1)), None);
+        assert_eq!(c.recorded_cell("fig3", &desc(0)), None);
+        // A stored record with the wrong value count is poison.
+        c.record_cell("validate", &desc(2), &values[..3]);
+        assert_eq!(c.recorded_cell("validate", &desc(2)), None);
+        assert_eq!(c.store_stats().unwrap().corrupt, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! `docs/validation.md` for the methodology and the re-baselining
 //! procedure.
 
+use crate::dist::{self, CellDesc, DistCell, ValSide};
 use crate::runner::{experiment_uncore, StudyContext};
 use mps_badco::BadcoModel;
 use mps_sampling::{Workload, WorkloadSpace};
@@ -85,8 +86,8 @@ impl ValidateOptions {
     /// shape. `perturb` is deliberately **excluded**: a perturbed model
     /// must masquerade as the real one so the drift gate catches it
     /// against the honest baseline (the factor is still recorded in the
-    /// report header and kept out of shared checkpoint cells via the
-    /// per-cell tag).
+    /// report header and kept out of shared cell records, whose
+    /// descriptor carries it).
     pub fn spec_string(&self) -> String {
         let cores: Vec<String> = self.core_counts.iter().map(|c| c.to_string()).collect();
         let pols: Vec<String> = self.policies.iter().map(|p| p.to_string()).collect();
@@ -210,15 +211,16 @@ pub struct ValidationReport {
     pub wall_ms: u128,
 }
 
-/// The spec under which validation artifacts are keyed and checkpointed.
+/// The spec under which validation reports are keyed.
 fn sweep_spec(ctx: &StudyContext, opts: &ValidateOptions) -> String {
     ctx.artifact_spec(&format!("validate;{}", opts.spec_string()))
 }
 
 /// Runs the validation sweep. Deterministic for a given context scale and
-/// options; resumable through the context's store checkpoint (cells carry
-/// the perturbation factor in their ids, so perturbed and honest sweeps
-/// never share cells).
+/// options. With a store, each cell side is a store record keyed by its
+/// full descriptor — core count, policy, the policy's position in the
+/// sweep (its seed stream), workload index, perturbation factor and side —
+/// so any sweep on the same store reuses exactly the sides it shares.
 ///
 /// # Errors
 ///
@@ -233,14 +235,14 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     // With a coordinator attached, warm the store's shared artifacts
     // (models, reference IPCs) through the workers first — every process
     // then loads the same bytes instead of re-simulating.
-    let mut refs: Vec<crate::dist::PrefetchKind> = Vec::new();
+    let mut refs: Vec<dist::PrefetchKind> = Vec::new();
     for &cores in &opts.core_counts {
-        let kind = crate::dist::PrefetchKind::Refs { cores };
+        let kind = dist::PrefetchKind::Refs { cores };
         if !refs.contains(&kind) {
             refs.push(kind);
         }
     }
-    crate::dist::prefetch(ctx, "validate", &refs)?;
+    dist::prefetch(ctx, "validate", &refs)?;
 
     // Prefetch shared artifacts through the validated accessors so the
     // parallel cells below cannot fail, and apply the perturbation once
@@ -289,54 +291,22 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
         }
     }
 
-    let ckpt = ctx.grid_checkpoint("validate");
-    let sweep_tag = format!("perturb={}", opts.perturb);
-    let results: Vec<(Vec<f64>, Vec<f64>)> = if ctx.coordinator().is_some() {
-        validate_distributed(ctx, opts, &cells, ckpt.as_ref(), &sweep_tag, &per_cores)?
+    let results: IpcPairs = if ctx.coordinator().is_some() {
+        validate_distributed(ctx, opts, &cells, &per_cores)?
     } else {
         let cell_hist = mps_obs::histogram("validate.cell.latency_us");
-        mps_par::par_map_indexed(ctx.jobs(), &cells, |_, cell| {
+        let pairs = mps_par::par_map_indexed(ctx.jobs(), &cells, |_, cell| {
             let started = Instant::now();
-            let key = |model: &str, k: usize| {
-                format!(
-                    "{sweep_tag};c={};p={};w={};m={model};k={k}",
-                    cell.cores, cell.policy, cell.widx
-                )
-            };
-            // A cell side is computed unless the checkpoint holds all of
-            // its per-core values, and recorded once computed.
-            let side = |model: &str, run: &dyn Fn() -> Vec<f64>| -> Vec<f64> {
-                let cached = ckpt.as_ref().and_then(|ck| {
-                    (0..cell.workload.cores())
-                        .map(|k| ck.lookup(&key(model, k)))
-                        .collect()
-                });
-                cached.unwrap_or_else(|| {
-                    let ipcs = run();
-                    if let Some(ck) = ckpt.as_ref() {
-                        for (k, &v) in ipcs.iter().enumerate() {
-                            ck.record(&key(model, k), v);
-                        }
-                    }
-                    ipcs
+            let side = |side| {
+                ctx.grid_cell("validate", &cell.desc(opts.perturb, side), || {
+                    cell.evaluate(ctx, side, &per_cores)
                 })
             };
-            let det = side("det", &|| {
-                ctx.validation_detailed_ipcs(cell.cores, cell.policy, &cell.workload)
-                    .expect("workloads drawn from the suite's own space")
-            });
-            let models = &per_cores
-                .iter()
-                .find(|(c, _)| *c == cell.cores)
-                .expect("prefetched above")
-                .1
-                .models;
-            let bad = side("badco", &|| {
-                StudyContext::badco_run_with(models, cell.cores, cell.policy, &cell.workload)
-            });
+            let pair = side(ValSide::Detailed).and_then(|det| Ok((det, side(ValSide::Badco)?)));
             cell_hist.record_duration(started.elapsed());
-            (det, bad)
-        })
+            pair
+        });
+        pairs.into_iter().collect::<Result<_, _>>()?
     };
 
     // Merge in cell order (index-ordered by construction) and aggregate —
@@ -454,65 +424,74 @@ struct Cell {
     workload: Workload,
 }
 
-/// One cell's per-thread IPCs from both simulators: `(detailed, badco)`.
-type IpcPairs = Vec<(Vec<f64>, Vec<f64>)>;
-
-/// Distributed evaluation of the validation grid: each `Cell` becomes
-/// two [`DistCell`]s (detailed side, BADCO side) whose per-thread IPCs
-/// land under exactly the checkpoint keys the in-process path uses, so
-/// single-process, distributed and killed-then-resumed sweeps all
-/// produce byte-identical reports.
-fn validate_distributed(
-    ctx: &StudyContext,
-    opts: &ValidateOptions,
-    cells: &[Cell],
-    ckpt: Option<&Arc<mps_store::Checkpoint>>,
-    sweep_tag: &str,
-    per_cores: &[(usize, PerCores)],
-) -> Result<IpcPairs, Error> {
-    use crate::dist::{self, CellDesc, DistCell, ValSide};
-    let mut dcells = Vec::with_capacity(cells.len() * 2);
-    for cell in cells {
-        for (model, side) in [("det", ValSide::Detailed), ("badco", ValSide::Badco)] {
-            let prefix = format!(
-                "{sweep_tag};c={};p={};w={};m={model}",
-                cell.cores, cell.policy, cell.widx
-            );
-            dcells.push(DistCell {
-                keys: (0..cell.workload.cores())
-                    .map(|k| format!("{prefix};k={k}"))
-                    .collect(),
-                id: prefix,
-                desc: CellDesc::Validate {
-                    cores: cell.cores,
-                    policy: cell.policy,
-                    p_idx: cell.p_idx,
-                    widx: cell.widx,
-                    perturb: opts.perturb,
-                    side,
-                },
-            });
+impl Cell {
+    /// The descriptor of one side of this cell: what keys its store
+    /// record and what a distributed worker evaluates it from.
+    fn desc(&self, perturb: f64, side: ValSide) -> CellDesc {
+        CellDesc::Validate {
+            cores: self.cores,
+            policy: self.policy,
+            p_idx: self.p_idx,
+            widx: self.widx,
+            perturb,
+            side,
         }
     }
-    let values = dist::run_grid(ctx, "validate", &dcells, ckpt, &|i, dc| {
-        let cell = &cells[i / 2];
-        let CellDesc::Validate { side, .. } = &dc.desc else {
-            unreachable!("validate grid contains only validate cells");
-        };
+
+    /// The per-thread IPCs of one side, computed in this process.
+    fn evaluate(
+        &self,
+        ctx: &StudyContext,
+        side: ValSide,
+        per_cores: &[(usize, PerCores)],
+    ) -> Result<Vec<f64>, Error> {
         Ok(match side {
             ValSide::Detailed => {
-                ctx.validation_detailed_ipcs(cell.cores, cell.policy, &cell.workload)?
+                ctx.validation_detailed_ipcs(self.cores, self.policy, &self.workload)?
             }
             ValSide::Badco => {
                 let models = &per_cores
                     .iter()
-                    .find(|(c, _)| *c == cell.cores)
+                    .find(|(c, _)| *c == self.cores)
                     .expect("prefetched by the sweep")
                     .1
                     .models;
-                StudyContext::badco_run_with(models, cell.cores, cell.policy, &cell.workload)
+                StudyContext::badco_run_with(models, self.cores, self.policy, &self.workload)
             }
         })
+    }
+}
+
+/// One cell's per-thread IPCs from both simulators: `(detailed, badco)`.
+type IpcPairs = Vec<(Vec<f64>, Vec<f64>)>;
+
+/// Distributed evaluation of the validation grid: each `Cell` becomes
+/// two [`DistCell`]s (detailed side, BADCO side) with the descriptors the
+/// in-process path records under, so single-process, distributed and
+/// rerun sweeps all produce byte-identical reports.
+fn validate_distributed(
+    ctx: &StudyContext,
+    opts: &ValidateOptions,
+    cells: &[Cell],
+    per_cores: &[(usize, PerCores)],
+) -> Result<IpcPairs, Error> {
+    let mut dcells = Vec::with_capacity(cells.len() * 2);
+    for cell in cells {
+        for (model, side) in [("det", ValSide::Detailed), ("badco", ValSide::Badco)] {
+            dcells.push(DistCell {
+                id: format!(
+                    "perturb={};c={};p={};w={};m={model}",
+                    opts.perturb, cell.cores, cell.policy, cell.widx
+                ),
+                desc: cell.desc(opts.perturb, side),
+            });
+        }
+    }
+    let values = dist::run_grid(ctx, "validate", &dcells, &|i, dc| {
+        let CellDesc::Validate { side, .. } = dc.desc else {
+            unreachable!("validate grid contains only validate cells");
+        };
+        cells[i / 2].evaluate(ctx, side, per_cores)
     })?;
     Ok(values
         .chunks(2)

@@ -1,9 +1,10 @@
 //! End-to-end durability tests against the real `mps-harness` binary:
 //! a run killed mid-grid (via the `MPS_ABORT_AFTER_CELLS` test hook,
-//! which calls `abort()` inside checkpoint recording) must, after
-//! `--resume`, produce output byte-identical to an uninterrupted run —
-//! at both `--jobs 1` and `--jobs 4` — and a warm store must serve
-//! reruns from hits instead of recomputing.
+//! which calls `abort()` right after a durable cell-record put) must,
+//! when simply rerun on the same store, produce output byte-identical to
+//! an uninterrupted run — at both `--jobs 1` and `--jobs 4` — while
+//! recomputing only the cells the killed run did not record; and a warm
+//! store must serve reruns from hits instead of recomputing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -45,22 +46,41 @@ fn read(path: &Path) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// Parses the hit count out of the binary's trailing
-/// `store: N hits, M misses, ...` stderr summary.
-fn store_hits(output: &Output) -> u64 {
+/// The binary's trailing `store: N hits, M misses, P puts, ...` stderr
+/// summary, as `(hits, misses, puts)`.
+fn store_summary(output: &Output) -> (u64, u64, u64) {
     let stderr = String::from_utf8_lossy(&output.stderr);
     let line = stderr
         .lines()
         .rev()
         .find(|l| l.starts_with("store: "))
         .unwrap_or_else(|| panic!("no store summary in stderr:\n{stderr}"));
-    line.strip_prefix("store: ")
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable store summary: {line}"))
+    let n: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    match n[..] {
+        [hits, misses, puts, ..] => (hits, misses, puts),
+        _ => panic!("unparseable store summary: {line}"),
+    }
 }
 
-fn kill_and_resume_is_byte_identical(jobs: &str) {
+fn store_hits(output: &Output) -> u64 {
+    store_summary(output).0
+}
+
+/// The store's grid-cell records.
+fn cell_records(store: &Path) -> usize {
+    std::fs::read_dir(store.join("artifacts"))
+        .map(|d| {
+            d.flatten()
+                .filter(|e| e.file_name().to_string_lossy().starts_with("cell-"))
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+fn kill_and_rerun_is_byte_identical(jobs: &str) {
     let tmp = TempDir::new(&format!("fig3-j{jobs}"));
     let store = tmp.path("store");
     let (reference, interrupted) = (tmp.path("ref"), tmp.path("int"));
@@ -73,7 +93,7 @@ fn kill_and_resume_is_byte_identical(jobs: &str) {
     );
     assert!(out.status.success(), "reference run failed: {out:?}");
 
-    // The same study, killed after a few grid cells...
+    // The same study, killed right after its second cell record...
     let args = [
         &common[..],
         &[
@@ -89,34 +109,56 @@ fn kill_and_resume_is_byte_identical(jobs: &str) {
         !out.status.success(),
         "abort hook should have killed the run: {out:?}"
     );
-    let checkpoints = store.join("checkpoints");
-    let logged = checkpoints.is_dir()
-        && std::fs::read_dir(&checkpoints)
-            .map(|mut d| d.next().is_some())
-            .unwrap_or(false);
-    assert!(logged, "killed run left no checkpoint log");
+    assert_eq!(cell_records(&store), 2, "the killed run recorded two cells");
 
-    // ...then resumed: replays the recorded cells, finishes the rest.
-    let out = harness(&[&args[..], &["--resume"]].concat(), &[]);
-    assert!(out.status.success(), "resumed run failed: {out:?}");
+    // ...then rerun plainly: the two recorded cells are store hits, and
+    // the only puts are the missing cells plus the rendered report.
+    let out = harness(&args, &[]);
+    assert!(out.status.success(), "rerun failed: {out:?}");
+    let cells = cell_records(&store);
+    assert!(cells > 2, "the rerun recorded the remaining cells");
+    let (hits, misses, puts) = store_summary(&out);
+    let missing = cells as u64 - 2;
+    assert_eq!(
+        puts,
+        missing + 1,
+        "rerun must put only the {missing} missing cells and the report"
+    );
+    assert_eq!(
+        misses, puts,
+        "every miss is a recomputed, recorded artifact"
+    );
+    assert!(hits >= 2, "the recorded cells must be served as hits");
 
     for file in ["fig3.txt", "fig3.csv"] {
         assert_eq!(
             read(&reference.join(file)),
             read(&interrupted.join(file)),
-            "{file} differs between uninterrupted and killed-then-resumed runs at --jobs {jobs}"
+            "{file} differs between uninterrupted and killed-then-rerun runs at --jobs {jobs}"
         );
     }
 }
 
 #[test]
-fn killed_run_resumes_byte_identically_jobs_1() {
-    kill_and_resume_is_byte_identical("1");
+fn killed_run_reruns_byte_identically_jobs_1() {
+    kill_and_rerun_is_byte_identical("1");
 }
 
 #[test]
-fn killed_run_resumes_byte_identically_jobs_4() {
-    kill_and_resume_is_byte_identical("4");
+fn killed_run_reruns_byte_identically_jobs_4() {
+    kill_and_rerun_is_byte_identical("4");
+}
+
+#[test]
+fn resume_flag_is_an_unknown_argument() {
+    for args in [&["fig3", "--resume"][..], &["validate", "--resume"]] {
+        let out = harness(args, &[]);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("'--resume'"),
+            "{args:?} must name the unknown argument: {out:?}"
+        );
+    }
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! baseline, while the unmodified model reproduces the baseline exactly
 //! (the simulators are deterministic) and passes.
 
+use mps_harness::export::CsvExport;
 use mps_harness::{Baseline, FailOn, Scale, StudyContext, ValidateOptions};
 use mps_sampling::Workload;
 use mps_uncore::PolicyKind;
@@ -110,4 +111,36 @@ fn group_entry_point_matches_per_workload_runs() {
         .validation_detailed_ipcs_batch(2, PolicyKind::Lru, &[])
         .unwrap()
         .is_empty());
+}
+
+/// A validate cell's workload is drawn from the stream of its policy's
+/// position in the sweep, so a sweep with the policies reversed draws
+/// other workloads for the same policy. Cell records are keyed by the
+/// full descriptor (position included): two such sweeps sharing a store
+/// must each report exactly what they report on a fresh store.
+#[test]
+fn reversed_policy_sweeps_share_a_store_safely() {
+    let dir = std::env::temp_dir().join(format!("mps-validate-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = |policies: Vec<PolicyKind>, store: Option<&std::path::Path>| {
+        let mut b = StudyContext::builder().scale(mini()).jobs(2);
+        if let Some(dir) = store {
+            b = b.store(dir);
+        }
+        let opts = ValidateOptions {
+            policies,
+            ..opts(1.0)
+        };
+        mps_harness::validate::run(&b.build().unwrap(), &opts)
+            .unwrap()
+            .csv()
+    };
+    let forward = vec![PolicyKind::Lru, PolicyKind::Drrip];
+    let reversed = vec![PolicyKind::Drrip, PolicyKind::Lru];
+    let fresh_forward = sweep(forward.clone(), None);
+    let fresh_reversed = sweep(reversed.clone(), None);
+    assert_ne!(fresh_forward, fresh_reversed, "the order changes the draws");
+    assert_eq!(sweep(forward, Some(&dir)), fresh_forward);
+    assert_eq!(sweep(reversed, Some(&dir)), fresh_reversed);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! The run ledger: one durable record per harness invocation.
 //!
-//! Where a [`crate::Checkpoint`] tracks progress *inside* one run, the
-//! ledger tracks runs themselves: an append-only, schema-versioned JSONL
+//! Where cell records in the [`crate::Store`] hold progress *inside* one
+//! run, the ledger tracks runs themselves: an append-only, schema-versioned JSONL
 //! file (`ledger.jsonl` at the store root) gaining one record per
 //! completed `mps-harness run` — config hash, kernel revision, scale,
 //! jobs, per-experiment durations, store hit ratio and the final
@@ -11,7 +11,7 @@
 //!
 //! Records reuse the obs JSONL event encoding (`{"type":"event",
 //! "name":"run","fields":{…}}`), so any trace tooling parses the ledger
-//! too. Like the checkpoint log, the file tolerates a torn trailing line:
+//! too. The file tolerates a torn trailing line:
 //! reading stops at the first unparsable record and keeps the complete
 //! prefix. Records written by a *newer* ledger schema are skipped rather
 //! than misread; old-schema records remain readable forever (fields are

@@ -8,10 +8,10 @@
 //! * [`Store`] — a content-addressed, schema-versioned on-disk artifact
 //!   store with atomic write-then-rename, checksum + truncation
 //!   detection, quarantine of poisoned files and capacity-cap eviction.
+//!   Every completed experiment-grid cell is one record too, so a killed
+//!   grid rerun on the same store recomputes only the cells it lacks.
 //!   Hits, misses, puts, corruptions and evictions are mirrored into the
 //!   `store.*` observability counters.
-//! * [`Checkpoint`] — append-only JSONL progress logs that let a killed
-//!   experiment grid resume bit-identically from its last completed cell.
 //! * [`LeaseBoard`] — per-cell lease files with deadlines, the claim /
 //!   renew / release primitive the distributed grid runner uses to shard
 //!   cells across worker processes (a dead worker's lease lapses and its
@@ -25,10 +25,9 @@
 //! * [`Error`] — the workspace-wide durable-run error enum, re-exported
 //!   by the `mps` facade as `mps::Error`.
 //!
-//! See `docs/durability.md` for the store layout, keying scheme, resume
-//! semantics and the failure matrix.
+//! See `docs/durability.md` for the store layout, keying scheme, cell
+//! records and the failure matrix.
 
-mod checkpoint;
 mod codec;
 mod error;
 mod lease;
@@ -36,7 +35,6 @@ mod ledger;
 #[allow(clippy::module_inception)]
 mod store;
 
-pub use checkpoint::Checkpoint;
 pub use codec::{fnv1a64, Dec, Enc};
 pub use error::{Error, Result};
 pub use lease::{Claim, Lease, LeaseBoard, LEASE_SCHEMA};

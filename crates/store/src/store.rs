@@ -5,7 +5,7 @@
 //! ```text
 //! <root>/
 //!   artifacts/<kind>-<fnv64 of key spec, hex>.mps   one record per artifact
-//!   checkpoints/<grid>-<hex>.jsonl                  append-only resume logs
+//!                                                   (grid cells: kind `cell`)
 //!   quarantine/<original name>.<n>                  poisoned files, kept for forensics
 //! ```
 //!
@@ -51,7 +51,10 @@ pub const MIN_SCHEMA: u32 = 1;
 /// matches; a mismatch evicts the stale file. **Bump this whenever a
 /// change alters simulator semantics** (core model, uncore, BADCO
 /// training, trace generation, RNG derivation) — pure refactors and new
-/// experiments don't require a bump.
+/// experiments don't require a bump. Since grid cells are store records,
+/// the sampler and estimator code that computes a cell's value feeds
+/// stored values too: a change to what a sampler draws or an estimator
+/// returns needs a bump as well.
 pub const KERNEL_REV: u32 = 3;
 
 /// Identifies one artifact: a `kind` (namespace, e.g. `"perf-table"`) and
@@ -160,7 +163,7 @@ impl Store {
             obs_read_bytes: mps_obs::histogram("store.read.bytes"),
             obs_write_bytes: mps_obs::histogram("store.write.bytes"),
         };
-        for sub in ["artifacts", "checkpoints", "quarantine"] {
+        for sub in ["artifacts", "quarantine"] {
             let dir = store.root.join(sub);
             fs::create_dir_all(&dir)
                 .map_err(|e| Error::Io(format!("create {}: {e}", dir.display())))?;
@@ -178,11 +181,6 @@ impl Store {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Directory holding checkpoint logs (used by [`crate::Checkpoint`]).
-    pub(crate) fn checkpoints_dir(&self) -> PathBuf {
-        self.root.join("checkpoints")
     }
 
     /// Snapshot of the hit/miss/corruption counters.

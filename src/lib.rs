@@ -27,7 +27,9 @@
 //! # Durable studies
 //!
 //! A [`prelude::StudyBuilder`] study with an artifact store survives
-//! kills and reruns (see `docs/durability.md`):
+//! kills and reruns: every artifact and every completed grid cell is a
+//! store record, so a rerun recomputes only what it lacks (see
+//! `docs/durability.md`):
 //!
 //! ```no_run
 //! use mps::prelude::*;
@@ -35,7 +37,6 @@
 //! let ctx = StudyContext::builder()
 //!     .scale(Scale::test())
 //!     .store("study-store")
-//!     .resume(true)
 //!     .build()?;
 //! let table = ctx.badco_table(2, PolicyKind::Lru)?; // loaded-or-computed
 //! # let _ = table;
