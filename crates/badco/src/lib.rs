@@ -28,12 +28,10 @@
 //! shared [`mps_uncore::Uncore`] with time-ordered, round-robin-on-ties
 //! arbitration, exactly mirroring the paper's setup.
 
-pub mod cophase;
 pub mod machine;
 pub mod model;
 pub mod multicore;
 
-pub use cophase::CoPhaseMatrix;
 pub use machine::BadcoMachine;
 pub use model::{BadcoModel, BadcoTiming, ModelNode, ModelRequest};
 pub use multicore::{BadcoMulticoreSim, BadcoSimResult};

@@ -2,7 +2,7 @@
 //!
 //! The paper's stratified samplers allocate draws *proportionally* to
 //! stratum sizes (`Wh ∝ Nh`). Classical sampling theory (Cochran, the
-//! paper's reference [15]) also defines **Neyman allocation**,
+//! paper's reference \[15\]) also defines **Neyman allocation**,
 //! `Wh ∝ Nh·σh`, which is variance-optimal when the within-stratum
 //! standard deviations `σh` are known — and with an approximate simulator
 //! they *are* known. This module makes the allocation rule a pluggable

@@ -40,7 +40,6 @@
 //! # let _ = pop;
 //! ```
 
-pub mod adaptive;
 pub mod allocation;
 pub mod cluster;
 pub mod estimate;
@@ -49,7 +48,6 @@ pub mod sampler;
 pub mod space;
 pub mod speedup;
 
-pub use adaptive::{two_stage_study, SequentialComparison, StudyOutcome, Verdict};
 pub use allocation::{allocate, Allocation};
 pub use cluster::{benchmark_classes_from_features, kmeans, ClusterSampling, KMeansResult};
 pub use estimate::{

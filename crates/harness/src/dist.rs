@@ -325,7 +325,7 @@ impl CellDesc {
         };
         let policy = |k: &str| -> Result<PolicyKind, String> {
             let name = get(k)?;
-            policy_from_name(name).ok_or_else(|| format!("unknown policy '{name}'"))
+            PolicyKind::from_short_name(name).ok_or_else(|| format!("unknown policy '{name}'"))
         };
         match get("kind")?.as_str() {
             "conf" => {
@@ -396,23 +396,6 @@ pub struct DistCell {
 // ---------------------------------------------------------------------
 // Wire codecs
 // ---------------------------------------------------------------------
-
-/// Short-name → [`PolicyKind`] (inverse of [`PolicyKind::short_name`]).
-pub fn policy_from_name(name: &str) -> Option<PolicyKind> {
-    const ALL: [PolicyKind; 10] = [
-        PolicyKind::Lru,
-        PolicyKind::Random,
-        PolicyKind::Fifo,
-        PolicyKind::Bip,
-        PolicyKind::Dip,
-        PolicyKind::Srrip,
-        PolicyKind::Brrip,
-        PolicyKind::Drrip,
-        PolicyKind::Nru,
-        PolicyKind::TreePlru,
-    ];
-    ALL.into_iter().find(|p| p.short_name() == name)
-}
 
 fn join_values(values: &[f64]) -> String {
     values
@@ -1808,7 +1791,7 @@ mod tests {
     fn descriptors_survive_the_jsonl_event_encoding() {
         let desc = CellDesc::Validate {
             cores: 4,
-            policy: PolicyKind::TreePlru,
+            policy: PolicyKind::Brrip,
             p_idx: 2,
             widx: 3,
             perturb: 0.75,
@@ -1841,21 +1824,16 @@ mod tests {
 
     #[test]
     fn every_policy_short_name_parses_back() {
-        for p in [
-            PolicyKind::Lru,
-            PolicyKind::Random,
-            PolicyKind::Fifo,
-            PolicyKind::Bip,
-            PolicyKind::Dip,
-            PolicyKind::Srrip,
-            PolicyKind::Brrip,
-            PolicyKind::Drrip,
-            PolicyKind::Nru,
-            PolicyKind::TreePlru,
-        ] {
-            assert_eq!(policy_from_name(p.short_name()), Some(p));
+        for policy in PolicyKind::ALL {
+            round_trip(CellDesc::Validate {
+                cores: 2,
+                policy,
+                p_idx: 0,
+                widx: 0,
+                perturb: 1.0,
+                side: ValSide::Badco,
+            });
         }
-        assert_eq!(policy_from_name("nope"), None);
     }
 
     #[test]

@@ -9,7 +9,6 @@ pub mod accuracy;
 pub mod confidence;
 pub mod cv;
 pub mod distribution;
-pub mod energy;
 pub mod guideline;
 pub mod overhead;
 pub mod profile;
@@ -20,7 +19,6 @@ pub use accuracy::{fig2, table3, CpiAccuracyReport, SpeedReport};
 pub use confidence::{fig1, fig3, fig6, fig7, ConfidenceCurves, Fig1Report, Fig3Report};
 pub use cv::{fig4, fig5, InvCvReport};
 pub use distribution::{dw, DistributionReport};
-pub use energy::{energy, EnergyReport};
 pub use guideline::{guideline, GuidelineReport};
 pub use overhead::{overhead, OverheadReport};
 pub use profile::{profile, ProfileReport};

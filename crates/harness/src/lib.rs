@@ -13,7 +13,7 @@
 //! | Figure 5  | 1/cv on the full population, 3 metrics | [`experiments::cv`] |
 //! | Figure 6  | confidence of 4 sampling methods | [`experiments::confidence`] |
 //! | Figure 7  | actual (detailed-sim) confidence | [`experiments::confidence`] |
-//! | §VII-A    | CPU-hours overhead example | [`experiments::overhead`] |
+//! | §VII-A    | CPU-hours overhead example | [`mod@experiments::overhead`] |
 //!
 //! Everything is driven by a [`Scale`]: the paper's setup (100 M
 //! instructions, full 12650-workload 4-core population) is reproduced in

@@ -20,7 +20,6 @@
 //!   fig1 fig2 fig3 fig4 fig5 fig6 fig7
 //!   overhead   — the §VII-A CPU-hours example
 //!   guideline  — §VII decisions for every policy pair
-//!   energy     — per-policy energy (the "why detailed simulation" motivation)
 //!   ablation   — stratification parameter / allocation / clustering sweep
 //!   dw         — d(w) distribution histograms (the stratification input)
 //!   profile    — run the representative pipeline and print the per-phase
@@ -910,7 +909,7 @@ fn worker_cli(args: &[String]) -> i32 {
     }
 }
 
-const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|energy|dw|profile|all> \
+const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|dw|profile|all> \
      [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] \
      [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
      [--lease-ttl SECS] [--profile] [--trace FILE] [--metrics-addr HOST:PORT]\n\
@@ -932,7 +931,7 @@ const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|ove
 
 /// Every experiment `run` knows, in paper order (what `all` runs). The
 /// names are static so each can also name a `phase.<experiment>` span.
-const EXPERIMENTS: [&str; 16] = [
+const EXPERIMENTS: [&str; 15] = [
     "table1",
     "table2",
     "table3",
@@ -947,7 +946,6 @@ const EXPERIMENTS: [&str; 16] = [
     "overhead",
     "guideline",
     "ablation",
-    "energy",
     "dw",
 ];
 
@@ -1150,7 +1148,6 @@ fn run_cli(args: &[String]) -> i32 {
                     Ok((r.to_string(), Some(r.csv())))
                 }
                 "dw" => Ok((exp::dw(&ctx)?.to_string(), None)),
-                "energy" => Ok((exp::energy(&ctx)?.to_string(), None)),
                 "guideline" => {
                     let r = exp::guideline(&ctx)?;
                     Ok((r.to_string(), Some(r.csv())))

@@ -28,12 +28,10 @@
 //! All three are oriented so that `d(w) > 0` means Y beats X on `w`.
 
 pub mod difference;
-pub mod fairness;
 pub mod metric;
 pub mod table;
 
 pub use difference::{pair_comparison, workload_difference, PairComparison};
-pub use fairness::{fairness_report, jain_index, min_max_fairness, FairnessReport};
 pub use metric::{
     per_workload_throughput, sample_throughput, stratified_throughput, ThroughputMetric,
 };

@@ -124,7 +124,7 @@ impl TelemetryDelta {
         out
     }
 
-    /// Decodes event fields produced by [`to_fields`]. Returns `None`
+    /// Decodes event fields produced by [`Self::to_fields`]. Returns `None`
     /// when the required `worker`/`seq` fields are missing or any typed
     /// field is malformed — a garbled chunk is dropped whole rather than
     /// half-applied.

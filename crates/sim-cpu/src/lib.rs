@@ -39,7 +39,6 @@ pub mod backend;
 pub mod branch;
 pub mod config;
 pub mod core;
-pub mod energy;
 pub mod multicore;
 pub mod record;
 pub mod tlb;
@@ -48,7 +47,6 @@ pub use backend::{FixedLatencyBackend, MemoryBackend, UncoreBackend};
 pub use branch::Tage;
 pub use config::CoreConfig;
 pub use core::{Core, CoreStats};
-pub use energy::{energy_of_core, energy_of_run, EnergyBreakdown, EnergyModel};
 pub use multicore::{record_run, validation_ipcs, MulticoreSim, SimResult};
 pub use record::{ReqEvent, RunRecording};
 pub use tlb::Tlb;

@@ -3,7 +3,7 @@
 //! This crate gathers every piece of numerical machinery the ISPASS 2013
 //! methodology needs, with no simulator dependencies:
 //!
-//! * [`erf`]/[`erfc`] — the error function used by the random-sampling
+//! * [`erf()`]/[`erfc`] — the error function used by the random-sampling
 //!   confidence model (paper equation (5)),
 //! * [`moments`] — streaming (Welford) and slice-based moments, including the
 //!   coefficient of variation `cv = σ/µ` that drives the sample-size rule,

@@ -36,7 +36,8 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 }
 
-/// The policy menu. `PAPER_POLICIES` lists the five the paper evaluates.
+/// The policy menu. [`PolicyKind::PAPER_POLICIES`] lists the five the
+/// paper evaluates; [`PolicyKind::ALL`] adds their set-dueling components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Least recently used.
@@ -55,11 +56,6 @@ pub enum PolicyKind {
     Brrip,
     /// Dynamic RRIP: SRRIP vs BRRIP set dueling.
     Drrip,
-    /// Not-recently-used: one reference bit per line (an LRU
-    /// approximation common in TLBs and low-cost caches).
-    Nru,
-    /// Tree pseudo-LRU (the classic hardware LRU approximation).
-    TreePlru,
 }
 
 impl PolicyKind {
@@ -71,6 +67,23 @@ impl PolicyKind {
         PolicyKind::Dip,
         PolicyKind::Drrip,
     ];
+
+    /// Every policy, in declaration order.
+    pub const ALL: [PolicyKind; 8] = [
+        PolicyKind::Lru,
+        PolicyKind::Random,
+        PolicyKind::Fifo,
+        PolicyKind::Bip,
+        PolicyKind::Dip,
+        PolicyKind::Srrip,
+        PolicyKind::Brrip,
+        PolicyKind::Drrip,
+    ];
+
+    /// The policy whose [`short_name`](Self::short_name) is `name`.
+    pub fn from_short_name(name: &str) -> Option<PolicyKind> {
+        Self::ALL.into_iter().find(|p| p.short_name() == name)
+    }
 
     /// Instantiates the policy for a cache of `sets × ways`.
     pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
@@ -84,8 +97,6 @@ impl PolicyKind {
             PolicyKind::Srrip => Box::new(RripPolicy::new(sets, ways, RripMode::Static)),
             PolicyKind::Brrip => Box::new(RripPolicy::new(sets, ways, RripMode::Bimodal)),
             PolicyKind::Drrip => Box::new(DrripPolicy::new(sets, ways)),
-            PolicyKind::Nru => Box::new(NruPolicy::new(sets, ways)),
-            PolicyKind::TreePlru => Box::new(TreePlruPolicy::new(sets, ways)),
         }
     }
 
@@ -100,8 +111,6 @@ impl PolicyKind {
             PolicyKind::Srrip => "SRRIP",
             PolicyKind::Brrip => "BRRIP",
             PolicyKind::Drrip => "DRRIP",
-            PolicyKind::Nru => "NRU",
-            PolicyKind::TreePlru => "PLRU",
         }
     }
 }
@@ -515,142 +524,6 @@ impl ReplacementPolicy for DrripPolicy {
     }
 }
 
-/// NRU: a reference bit per line; victims come from lines with a clear
-/// bit, and when all bits in a set are set they are cleared (except the
-/// line just referenced, conceptually — here: all cleared, matching the
-/// common hardware simplification).
-#[derive(Debug)]
-struct NruPolicy {
-    ways: usize,
-    referenced: Vec<bool>,
-}
-
-impl NruPolicy {
-    fn new(sets: usize, ways: usize) -> Self {
-        NruPolicy {
-            ways,
-            referenced: vec![false; sets * ways],
-        }
-    }
-
-    fn mark(&mut self, set: usize, way: usize) {
-        let base = set * self.ways;
-        self.referenced[base + way] = true;
-        if self.referenced[base..base + self.ways].iter().all(|&r| r) {
-            for r in &mut self.referenced[base..base + self.ways] {
-                *r = false;
-            }
-            self.referenced[base + way] = true;
-        }
-    }
-}
-
-impl ReplacementPolicy for NruPolicy {
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.mark(set, way);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.mark(set, way);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        self.referenced[base..base + self.ways]
-            .iter()
-            .position(|&r| !r)
-            .unwrap_or(0)
-    }
-
-    fn name(&self) -> &'static str {
-        "NRU"
-    }
-}
-
-/// Tree pseudo-LRU: a binary tree of direction bits per set; touching a
-/// way points the path away from it, the victim follows the pointers.
-/// Associativity is rounded up to a power of two internally; phantom ways
-/// are never reported as victims.
-#[derive(Debug)]
-struct TreePlruPolicy {
-    ways: usize,
-    /// Ways rounded up to a power of two (tree leaf count).
-    leaves: usize,
-    /// Per-set tree bits (leaves − 1 internal nodes), flattened.
-    bits: Vec<bool>,
-}
-
-impl TreePlruPolicy {
-    fn new(sets: usize, ways: usize) -> Self {
-        let leaves = ways.next_power_of_two();
-        TreePlruPolicy {
-            ways,
-            leaves,
-            bits: vec![false; sets * (leaves - 1).max(1)],
-        }
-    }
-
-    fn touch(&mut self, set: usize, way: usize) {
-        if self.leaves == 1 {
-            return;
-        }
-        let stride = self.leaves - 1;
-        let base = set * stride;
-        let mut node = 0usize; // root
-        let mut lo = 0usize;
-        let mut hi = self.leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = way >= mid;
-            // Point the bit AWAY from the touched way.
-            self.bits[base + node] = !go_right;
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-    }
-}
-
-impl ReplacementPolicy for TreePlruPolicy {
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        if self.leaves == 1 {
-            return 0;
-        }
-        let stride = self.leaves - 1;
-        let base = set * stride;
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = self.bits[base + node];
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // Phantom leaves (beyond the real associativity) fold back in.
-        lo.min(self.ways - 1)
-    }
-
-    fn name(&self) -> &'static str {
-        "PLRU"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,30 +703,25 @@ mod tests {
         assert_eq!(p.value, -512);
     }
 
-    const ALL_POLICIES: [PolicyKind; 10] = [
-        PolicyKind::Lru,
-        PolicyKind::Random,
-        PolicyKind::Fifo,
-        PolicyKind::Bip,
-        PolicyKind::Dip,
-        PolicyKind::Srrip,
-        PolicyKind::Brrip,
-        PolicyKind::Drrip,
-        PolicyKind::Nru,
-        PolicyKind::TreePlru,
-    ];
-
     #[test]
     fn all_policies_build_and_report_names() {
-        for kind in ALL_POLICIES {
+        for kind in PolicyKind::ALL {
             let p = kind.build(32, 4);
             assert_eq!(p.name(), kind.short_name());
         }
     }
 
     #[test]
+    fn short_names_parse_back() {
+        for kind in PolicyKind::ALL {
+            assert_eq!(PolicyKind::from_short_name(kind.short_name()), Some(kind));
+        }
+        assert_eq!(PolicyKind::from_short_name("nope"), None);
+    }
+
+    #[test]
     fn victims_always_in_range() {
-        for kind in ALL_POLICIES {
+        for kind in PolicyKind::ALL {
             let mut p = kind.build(8, 4);
             let mut rng = Rng::new(1);
             for i in 0..2000u64 {
@@ -866,63 +734,6 @@ mod tests {
                         assert!(v < 4, "{kind}: victim {v} out of range");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn nru_prefers_unreferenced_lines() {
-        let mut p = PolicyKind::Nru.build(1, 4);
-        p.on_fill(0, 0);
-        p.on_fill(0, 1);
-        // Ways 2 and 3 never referenced: victim must be way 2 (first clear).
-        assert_eq!(p.victim(0), 2);
-        p.on_hit(0, 2);
-        assert_eq!(p.victim(0), 3);
-    }
-
-    #[test]
-    fn nru_clears_epoch_when_all_referenced() {
-        let mut p = PolicyKind::Nru.build(1, 2);
-        p.on_fill(0, 0);
-        p.on_fill(0, 1); // all referenced → bits clear, way 1 re-marked
-        assert_eq!(p.victim(0), 0);
-    }
-
-    #[test]
-    fn tree_plru_never_evicts_just_touched_way() {
-        let mut p = PolicyKind::TreePlru.build(1, 8);
-        for w in 0..8 {
-            p.on_fill(0, w);
-        }
-        for w in 0..8 {
-            p.on_hit(0, w);
-            assert_ne!(p.victim(0), w, "victim must avoid the MRU way");
-        }
-    }
-
-    #[test]
-    fn tree_plru_approximates_lru_on_cyclic_touches() {
-        // Touch 0,1,2,3 in order on a 4-way set: PLRU's victim is way 0
-        // (the least recently touched), matching true LRU here.
-        let mut p = PolicyKind::TreePlru.build(1, 4);
-        for w in 0..4 {
-            p.on_fill(0, w);
-        }
-        assert_eq!(p.victim(0), 0);
-    }
-
-    #[test]
-    fn tree_plru_handles_non_power_of_two_ways() {
-        let mut p = PolicyKind::TreePlru.build(2, 3);
-        for set in 0..2 {
-            for w in 0..3 {
-                p.on_fill(set, w);
-            }
-            for _ in 0..20 {
-                let v = p.victim(set);
-                assert!(v < 3, "victim {v} out of range for 3 ways");
-                p.on_hit(set, v);
             }
         }
     }
@@ -1038,7 +849,7 @@ mod tests {
     #[test]
     fn associativity_one_caches_work_for_every_policy() {
         use crate::cache::{AccessType, Cache};
-        for kind in ALL_POLICIES {
+        for kind in PolicyKind::ALL {
             let mut c = Cache::new(4, 1, kind);
             // Cold miss, then a hit on the resident line.
             assert!(!c.access(0, AccessType::Read).is_hit(), "{kind}: cold");

@@ -14,8 +14,6 @@ fn any_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::Srrip),
         Just(PolicyKind::Brrip),
         Just(PolicyKind::Drrip),
-        Just(PolicyKind::Nru),
-        Just(PolicyKind::TreePlru),
     ]
 }
 

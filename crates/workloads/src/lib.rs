@@ -26,22 +26,20 @@
 //! Determinism: every generator is seeded and [`TraceSource::reset`]
 //! restores it exactly — the synthetic analogue of the paper's
 //! "simulations are reproducible, so traces represent exactly the same
-//! sequence of dynamic µops".
+//! sequence of dynamic µops". [`TraceBuffer`] captures a generator's
+//! first µops in memory and [`TraceCursor`] replays them (the EIO-trace
+//! analogue); every study replays traces this way.
 
 pub mod analyze;
 pub mod classify;
-pub mod phases;
 pub mod soa;
 pub mod suite;
 pub mod synth;
-pub mod tracefile;
 pub mod uop;
 
 pub use analyze::TraceProfile;
 pub use classify::MpkiClass;
-pub use phases::PhasedTrace;
 pub use soa::{TraceBuffer, TraceCursor};
 pub use suite::{benchmark_by_name, suite, BenchmarkSpec};
 pub use synth::{AccessPattern, SynthParams, SyntheticTrace};
-pub use tracefile::{write_trace, FileTrace};
 pub use uop::{Reg, TraceSource, Uop, UopKind};

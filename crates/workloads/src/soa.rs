@@ -5,12 +5,11 @@
 //! streams the hardware prefetcher follows perfectly, instead of
 //! re-running the synthetic generator's RNG for every µop of every
 //! workload. [`TraceCursor`] replays a shared (`Arc`ed) buffer as a
-//! [`TraceSource`], cycling past the end exactly like
-//! [`crate::FileTrace`] — which is the thread-restart rule: the detailed
-//! core resets its trace after `trace_len` fetched µops, so a buffer of
-//! `trace_len` µops with modular wrap is stream-identical to the
-//! generator it captured (`tests/trace_replay.rs` pins this equivalence
-//! end to end).
+//! [`TraceSource`], cycling past the end — which is the thread-restart
+//! rule: the detailed core resets its trace after `trace_len` fetched
+//! µops, so a buffer of `trace_len` µops with modular wrap is
+//! stream-identical to the generator it captured (`tests/trace_replay.rs`
+//! pins this equivalence end to end).
 //!
 //! Cursors are cheap to clone (an `Arc` bump and an index), so one
 //! memoized buffer per benchmark serves every workload the benchmark
@@ -57,7 +56,7 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// Captures the first `n` µops of `source` (after a reset), leaving
-    /// the source reset again, exactly like [`crate::write_trace`].
+    /// the source reset again.
     ///
     /// # Panics
     ///
@@ -237,20 +236,6 @@ mod tests {
         assert_eq!(ua, ub);
         a.next_uop();
         assert_eq!(b.next_uop(), buf.uop(11), "b is unaffected by a");
-    }
-
-    #[test]
-    fn agrees_with_file_trace_replay() {
-        // Same capture semantics as the AoS FileTrace codec.
-        let bench = benchmark_by_name("povray").unwrap();
-        let mut raw = Vec::new();
-        crate::write_trace(&mut bench.trace(), 500, &mut raw).unwrap();
-        let mut file = crate::FileTrace::read(raw.as_slice()).unwrap();
-        let buf = Arc::new(TraceBuffer::capture(&mut bench.trace(), 500));
-        let mut cursor = buf.cursor();
-        for i in 0..1_500 {
-            assert_eq!(cursor.next_uop(), file.next_uop(), "µop {i}");
-        }
     }
 
     #[test]
