@@ -115,6 +115,11 @@ impl CoreConfig {
         if self.fetch_buffer < self.fetch_width {
             return Err("fetch buffer smaller than fetch width".into());
         }
+        if self.dl1_latency == 0 {
+            // The issue stage relies on every result arriving at least one
+            // cycle after its producer issues.
+            return Err("L1D latency must be at least one cycle".into());
+        }
         Ok(())
     }
 }
@@ -163,6 +168,9 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = CoreConfig::ispass2013();
         c.fetch_buffer = 1;
+        assert!(c.validate().is_err());
+        let mut c = CoreConfig::ispass2013();
+        c.dl1_latency = 0;
         assert!(c.validate().is_err());
     }
 }

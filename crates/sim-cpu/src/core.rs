@@ -26,6 +26,7 @@ use crate::record::{ReqEvent, RunRecording};
 use crate::tlb::Tlb;
 use mps_uncore::{AccessType, Cache, PolicyKind};
 use mps_workloads::{TraceSource, Uop, UopKind};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Per-core performance counters.
@@ -56,23 +57,19 @@ pub struct CoreStats {
 struct RobEntry {
     seq: u64,
     kind: UopKind,
-    producers: [Option<u64>; 2],
     addr: u64,
     pc: u64,
     issued: bool,
     complete: u64,
     mispredicted: bool,
+    /// Latest completion cycle among the producers that have issued.
+    ready_at: u64,
+    /// Producers not yet issued; the entry wakes when this reaches 0.
+    waits: u8,
 }
 
-/// `scan_key` flag bit for an issued ROB entry: the issue scan skips it
-/// with a single compare (`key >= KEY_ISSUED`), and the low 63 bits carry
-/// the entry's completion cycle so dependent entries' producer lookups
-/// ([`Core::producer_ready_at`]) read this same dense packed word instead
-/// of the wide `RobEntry`.
-const KEY_ISSUED: u64 = 1 << 63;
-/// `scan_key` flag bit marking "blocked on an unissued producer"; the
-/// low 62 bits carry the `issue_epoch` the entry was stamped at.
-const KEY_CHAIN: u64 = 1 << 62;
+/// End of a dependents list (see `Core::dep_head`).
+const NIL: u32 = u32::MAX;
 
 /// A capacity-limited queue whose entries free at scheduled cycles
 /// (models LDQ/STQ occupancy).
@@ -80,7 +77,7 @@ const KEY_CHAIN: u64 = 1 << 62;
 struct ReleaseQueue {
     cap: usize,
     used: usize,
-    releases: BinaryHeap<std::cmp::Reverse<u64>>,
+    releases: BinaryHeap<Reverse<u64>>,
 }
 
 impl ReleaseQueue {
@@ -95,7 +92,7 @@ impl ReleaseQueue {
     }
 
     fn drain(&mut self, now: u64) {
-        while let Some(&std::cmp::Reverse(t)) = self.releases.peek() {
+        while let Some(&Reverse(t)) = self.releases.peek() {
             if t <= now {
                 self.releases.pop();
                 self.used -= 1;
@@ -116,7 +113,7 @@ impl ReleaseQueue {
     }
 
     fn schedule_release(&mut self, t: u64) {
-        self.releases.push(std::cmp::Reverse(t));
+        self.releases.push(Reverse(t));
     }
 
     /// Whether a reservation at `now` would succeed, without reserving.
@@ -131,7 +128,7 @@ impl ReleaseQueue {
     /// not yet scheduled (dispatched µops that have not issued) are not
     /// visible here — their release is created by a future issue event.
     fn earliest_release(&self) -> Option<u64> {
-        self.releases.peek().map(|&std::cmp::Reverse(t)| t)
+        self.releases.peek().map(|&Reverse(t)| t)
     }
 }
 
@@ -170,35 +167,33 @@ pub struct Core {
 
     // Backend.
     rob: VecDeque<RobEntry>,
-    /// Ring parallel to `rob`, one packed word per entry, holding exactly
-    /// what the issue scan's hot path needs: [`KEY_ISSUED`]`| complete`
-    /// for issued entries (so producer lookups read this same dense word),
-    /// [`KEY_CHAIN`]`| epoch` for entries blocked on an unissued
-    /// producer, or the memoized finite producer-readiness cycle. The
-    /// scan walks this dense array and only touches the wide `RobEntry`
-    /// when a readiness recompute or an issue is actually due (see the
-    /// cache-validity argument in `issue_stage`).
-    scan_key: VecDeque<u64>,
     head_seq: u64,
     next_seq: u64,
     /// Entries in the ROB not yet issued (the RS occupancy), maintained
     /// incrementally so dispatch does not rescan the ROB every cycle.
     unissued: usize,
-    /// Lowest sequence number not yet issued: every ROB entry below it is
-    /// issued, so the issue scan starts there instead of at the ROB head
-    /// (which is O(ROB) per cycle while a long-latency miss blocks commit).
-    first_unissued_seq: u64,
-    /// Earliest cycle the issue scan can possibly issue anything: the
-    /// minimum over every in-window wake source (producer completion
-    /// times, the divider freeing, `now + 1` after any issue or
-    /// dispatch). Until then `issue_stage` returns immediately — during a
-    /// memory-miss stall this turns hundreds of fruitless window scans
-    /// into one comparison, with identical issue timing.
+    /// `seq & slot_mask` is an in-flight entry's ROB slot, the index into
+    /// `dep_head`; the mask spans at least `rob_entries` slots.
+    slot_mask: u64,
+    /// Per ROB slot, the first link node of the entry's dependents list.
+    /// Node `2 * slot + k` links the entry in `slot` through its source
+    /// `k`, so each unissued producer chains its waiting consumers without
+    /// allocating.
+    dep_head: Vec<u32>,
+    /// Per link node, the next node of the same dependents list.
+    dep_next: Vec<u32>,
+    /// Entries whose producers have all issued, keyed by the cycle the
+    /// last of them completes, then by age.
+    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Sequence numbers of the entries whose operands are available by
+    /// the next select, oldest first: the candidates `issue_stage`
+    /// selects from.
+    ready: Vec<u64>,
+    /// Earliest cycle `issue_stage` can issue anything: `now + 1` after
+    /// any issue or dispatch, otherwise the earlier of the top of
+    /// `wakeups` and the divider freeing for a ready divide. Until then
+    /// `issue_stage` returns at once.
     issue_wake: u64,
-    /// Monotonic count of cycles on which this core issued at least one
-    /// µop; epoch-stamps [`KEY_CHAIN`] `scan_key`s ("blocked on an
-    /// unissued producer"), which can only change after an issue event.
-    issue_epoch: u64,
     reg_producer: [Option<u64>; mps_workloads::uop::NUM_REGS],
     ldq: ReleaseQueue,
     stq: ReleaseQueue,
@@ -243,6 +238,7 @@ impl Core {
         assert!(trace_len > 0, "trace slice must be non-empty");
         let il1_sets = (cfg.il1_size / (cfg.il1_ways as u64 * cfg.line_bytes)) as usize;
         let dl1_sets = (cfg.dl1_size / (cfg.dl1_ways as u64 * cfg.line_bytes)) as usize;
+        let slots = cfg.rob_entries.next_power_of_two();
         Core {
             id,
             trace,
@@ -263,13 +259,17 @@ impl Core {
             fetched: 0,
             fetched_in_slice: 0,
             rob: VecDeque::with_capacity(cfg.rob_entries),
-            scan_key: VecDeque::with_capacity(cfg.rob_entries),
             head_seq: 0,
             next_seq: 0,
             unissued: 0,
-            first_unissued_seq: 0,
+            slot_mask: slots as u64 - 1,
+            dep_head: vec![NIL; slots],
+            dep_next: vec![NIL; 2 * slots],
+            // Every entry in either queue is unissued, and dispatch keeps
+            // at most `rs_entries` unissued: neither ever reallocates.
+            wakeups: BinaryHeap::with_capacity(cfg.rs_entries),
+            ready: Vec::with_capacity(cfg.rs_entries),
             issue_wake: 0,
-            issue_epoch: 0,
             reg_producer: [None; mps_workloads::uop::NUM_REGS],
             ldq: ReleaseQueue::new(cfg.ldq_entries),
             stq: ReleaseQueue::new(cfg.stq_entries),
@@ -350,10 +350,9 @@ impl Core {
     /// * **commit** — an issued ROB front commits at its recorded
     ///   completion time; an unissued front is the issue bound's problem.
     /// * **issue** — `issue_wake` is already a sound lower bound on the
-    ///   next possible issue (the PR 3 event-driven-skip invariant); a
-    ///   zero-issue scan is a pure no-op. With nothing unissued the scan
-    ///   cannot act until dispatch refills it, and dispatch pulls
-    ///   `issue_wake` down when it does.
+    ///   next possible issue, and a zero-issue select is a pure no-op.
+    ///   With nothing unissued the select cannot act until dispatch
+    ///   refills it, and dispatch pulls `issue_wake` down when it does.
     /// * **dispatch** — needs a fetched µop, a ROB slot and a window
     ///   slot; the full-ROB / full-window cases unblock only via commit /
     ///   issue events, bounded above. A front Load/Store facing a full
@@ -412,7 +411,6 @@ impl Core {
                 break;
             }
             let entry = self.rob.pop_front().expect("checked non-empty");
-            self.scan_key.pop_front();
             self.head_seq = entry.seq + 1;
             self.committed += 1;
             self.stats.committed += 1;
@@ -425,174 +423,103 @@ impl Core {
         }
     }
 
-    /// Earliest cycle the value produced by `seq` can be available:
-    /// `0` once committed, the recorded completion time once issued,
-    /// `u64::MAX` while unissued (it needs a future issue event first).
+    /// Issues the ready entries that fit this cycle's width, memory-port
+    /// and divider limits, oldest first.
     ///
-    /// Reads the dense `scan_key` ring, not the wide `RobEntry`: an
-    /// issued entry's key is `KEY_ISSUED | complete` (written at the one
-    /// place `issued` is set), and every unissued encoding — `0`, a
-    /// finite hint, or a chain stamp — sorts below [`KEY_ISSUED`].
-    fn producer_ready_at(&self, seq: u64) -> u64 {
-        if seq < self.head_seq {
-            return 0; // already committed
-        }
-        let idx = (seq - self.head_seq) as usize;
-        let key = self.scan_key[idx];
-        if key >= KEY_ISSUED {
-            key - KEY_ISSUED
-        } else {
-            u64::MAX
-        }
-    }
-
+    /// Wake-up is event-driven: dispatch and each producer's issue keep
+    /// every entry's `waits` and `ready_at` current, so an entry becomes a
+    /// candidate exactly when its last producer has completed. The result
+    /// is the select a scan of the whole window would make: every latency
+    /// is at least one cycle, so nothing issued here readies a dependent
+    /// for this same cycle, and dispatch holds `unissued ≤ rs_entries`, so
+    /// every unissued entry is inside the scheduling window.
     fn issue_stage<B: MemoryBackend>(&mut self, now: u64, backend: &mut B) {
-        // Event-driven skip: `issue_wake` is a lower bound on the first
-        // cycle the scan below could issue anything (and a zero-issue scan
-        // is a pure no-op — it recomputes the same `first_unissued_seq`),
-        // so returning early is timing-identical to running it.
         if now < self.issue_wake {
             return;
         }
-        let mut issued = 0usize;
-        let mut mem_issued = 0usize;
-        let mut considered = 0usize;
-        // Earliest future cycle any in-window entry could become
-        // issuable, gathered from the wake sources seen during the scan:
-        // producer completion times, the divider freeing, and `now + 1`
-        // whenever structural contention blocked a ready entry.
-        let mut next_wake = u64::MAX;
-        // Every entry older than `first_unissued_seq` is already issued, so
-        // the select scan can skip the (often long) issued prefix outright.
-        // Entries merely continue'd over in the original full scan, so
-        // starting past them is timing-identical.
-        let mut i =
-            (self.first_unissued_seq.saturating_sub(self.head_seq) as usize).min(self.rob.len());
-        // First index (if any) left unissued — including entries we stop
-        // scanning at — becomes next cycle's scan start.
-        let mut new_first: Option<usize> = None;
-        while i < self.rob.len() {
-            if issued >= self.cfg.issue_width {
-                new_first.get_or_insert(i);
-                next_wake = next_wake.min(now + 1);
+        debug_assert!(self.unissued <= self.cfg.rs_entries);
+        while let Some(&Reverse((at, seq))) = self.wakeups.peek() {
+            if at > now {
                 break;
             }
-            // Fast path: one packed word per entry answers "can this
-            // possibly issue now?" without touching the wide `RobEntry`.
-            // The wide entry is only read on the (rare) paths that
-            // recompute readiness or actually issue.
-            let key = self.scan_key[i];
-            if key >= KEY_ISSUED {
-                i += 1;
-                continue;
+            self.wakeups.pop();
+            let pos = self.ready.partition_point(|&s| s < seq);
+            self.ready.insert(pos, seq);
+        }
+        let (mut issued, mut mem_issued) = (0, 0);
+        let mut div_wake = u64::MAX;
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.retain(|&seq| {
+            if issued >= self.cfg.issue_width {
+                return true;
             }
-            considered += 1;
-            if considered > self.cfg.rs_entries {
-                new_first.get_or_insert(i);
-                // Out-of-window entries only enter the window after an
-                // issue, which already forces a `now + 1` rescan.
-                break; // beyond the scheduling window
+            let kind = self.rob[(seq - self.head_seq) as usize].kind;
+            if kind.is_memory() && mem_issued >= self.cfg.mem_ports {
+                return true;
             }
-            // Dependences: earliest cycle every producer is available
-            // (`u64::MAX` = some producer is unissued). A memoized
-            // `scan_key` can stand in for the fold verbatim:
-            //
-            // * a **finite** key still in the future was driven by an
-            //   issued producer whose `complete > now`, so that producer
-            //   cannot have committed and its completion time is fixed —
-            //   recomputing would reproduce the same value;
-            // * a [`KEY_CHAIN`] key means some producer was unissued,
-            //   which can only change at an issue event on this core
-            //   (and producers are always older, i.e. scanned earlier, so
-            //   a mid-scan issue is visible to every later recompute) —
-            //   the key holds while its stamped epoch matches
-            //   `issue_epoch`.
-            //
-            // Either way the fold would return the cached answer, so
-            // skipping it is timing-identical; it only saves the two
-            // random-access producer lookups per blocked entry per scan.
-            if key >= KEY_CHAIN {
-                if key - KEY_CHAIN == self.issue_epoch {
-                    new_first.get_or_insert(i);
-                    i += 1;
-                    continue;
-                }
-            } else if key > now {
-                next_wake = next_wake.min(key);
-                new_first.get_or_insert(i);
-                i += 1;
-                continue;
-            }
-            let entry = self.rob[i];
-            let ready_at = entry
-                .producers
-                .iter()
-                .flatten()
-                .fold(0u64, |t, &p| t.max(self.producer_ready_at(p)));
-            if ready_at > now {
-                new_first.get_or_insert(i);
-                self.scan_key[i] = if ready_at == u64::MAX {
-                    KEY_CHAIN | self.issue_epoch
-                } else {
-                    next_wake = next_wake.min(ready_at);
-                    ready_at
-                };
-                i += 1;
-                continue;
-            }
-            // Structural hazards.
-            let is_mem = entry.kind.is_memory();
-            if is_mem && mem_issued >= self.cfg.mem_ports {
-                new_first.get_or_insert(i);
-                next_wake = next_wake.min(now + 1);
-                i += 1;
-                continue;
-            }
-            let is_div = matches!(entry.kind, UopKind::IntDiv | UopKind::FpDiv);
+            let is_div = matches!(kind, UopKind::IntDiv | UopKind::FpDiv);
             if is_div && self.div_free > now {
-                new_first.get_or_insert(i);
-                next_wake = next_wake.min(self.div_free);
-                i += 1;
-                continue;
+                div_wake = div_wake.min(self.div_free);
+                return true;
             }
-
-            // Execute.
-            let complete = match entry.kind {
-                UopKind::Load => self.execute_load(&entry, now, backend),
-                UopKind::Store => self.execute_store(&entry, now, backend),
-                UopKind::Branch => now + 1,
-                k => now + u64::from(k.latency()),
-            };
-            if is_div {
-                self.div_free = complete;
-            }
-            if entry.kind == UopKind::Branch && entry.mispredicted {
-                // Frontend redirect: fetch resumes after resolve + penalty.
-                self.fetch_stall_until = self
-                    .fetch_stall_until
-                    .max(complete + self.cfg.mispredict_penalty);
-                self.fetch_blocked = false;
-            }
-            let e = &mut self.rob[i];
-            e.issued = true;
-            e.complete = complete;
-            debug_assert!(complete < KEY_CHAIN, "cycle overflows scan_key packing");
-            self.scan_key[i] = KEY_ISSUED | complete;
-            self.unissued -= 1;
+            self.issue(seq, now, backend);
             issued += 1;
-            if is_mem {
-                mem_issued += 1;
+            mem_issued += usize::from(kind.is_memory());
+            false
+        });
+        self.ready = ready;
+        // After an issue, entries the width or port limits held back can
+        // go next cycle; otherwise nothing can issue before the next
+        // wake-up or the divider freeing (dispatch also pulls this down).
+        self.issue_wake = if issued > 0 {
+            now + 1
+        } else {
+            let next = self.wakeups.peek().map_or(u64::MAX, |&Reverse((at, _))| at);
+            next.min(div_wake)
+        };
+    }
+
+    /// Executes entry `seq` at `now` and wakes its dependents.
+    fn issue<B: MemoryBackend>(&mut self, seq: u64, now: u64, backend: &mut B) {
+        let idx = (seq - self.head_seq) as usize;
+        let entry = self.rob[idx];
+        let complete = match entry.kind {
+            UopKind::Load => self.execute_load(&entry, now, backend),
+            UopKind::Store => self.execute_store(&entry, now, backend),
+            UopKind::Branch => now + 1,
+            k => now + u64::from(k.latency()),
+        };
+        debug_assert!(
+            complete > now,
+            "a dependent would wake in its producer's cycle"
+        );
+        if matches!(entry.kind, UopKind::IntDiv | UopKind::FpDiv) {
+            self.div_free = complete;
+        }
+        if entry.kind == UopKind::Branch && entry.mispredicted {
+            // Frontend redirect: fetch resumes after resolve + penalty.
+            self.fetch_stall_until = self
+                .fetch_stall_until
+                .max(complete + self.cfg.mispredict_penalty);
+            self.fetch_blocked = false;
+        }
+        let e = &mut self.rob[idx];
+        e.issued = true;
+        e.complete = complete;
+        self.unissued -= 1;
+        let mut node = self.dep_head[(seq & self.slot_mask) as usize];
+        while node != NIL {
+            // The node's slot holds an in-flight entry, whose distance
+            // from the ROB head is below the slot count.
+            let slot = u64::from(node >> 1);
+            let d = &mut self.rob[(slot.wrapping_sub(self.head_seq) & self.slot_mask) as usize];
+            d.ready_at = d.ready_at.max(complete);
+            d.waits -= 1;
+            if d.waits == 0 {
+                self.wakeups.push(Reverse((d.ready_at, d.seq)));
             }
-            i += 1;
+            node = self.dep_next[node as usize];
         }
-        self.first_unissued_seq = self.head_seq + new_first.unwrap_or(self.rob.len()) as u64;
-        // Anything issued this cycle may wake dependents and shifts the
-        // scheduling window, so rescan next cycle; otherwise sleep until
-        // the earliest gathered wake source (dispatch also wakes us).
-        if issued > 0 {
-            self.issue_epoch += 1;
-        }
-        self.issue_wake = if issued > 0 { now + 1 } else { next_wake };
     }
 
     fn record_request(&mut self, index: u64, addr: u64, write: bool, instruction: bool) {
@@ -729,10 +656,28 @@ impl Core {
             self.fetch_buffer.pop_front();
             let seq = self.next_seq;
             self.next_seq += 1;
-            let mut producers = [None, None];
-            for (slot, src) in producers.iter_mut().zip(fu.uop.srcs) {
-                if let Some(r) = src {
-                    *slot = self.reg_producer[r as usize];
+            let slot = (seq & self.slot_mask) as usize;
+            self.dep_head[slot] = NIL;
+            // Resolve each producer once: a committed one is ignored, an
+            // issued one bounds `ready_at`, and an unissued one gets this
+            // entry linked onto its dependents list.
+            let (mut ready_at, mut waits) = (0, 0);
+            for (k, src) in fu.uop.srcs.into_iter().enumerate() {
+                let Some(p) = src.and_then(|r| self.reg_producer[r as usize]) else {
+                    continue;
+                };
+                if p < self.head_seq {
+                    continue;
+                }
+                let producer = &self.rob[(p - self.head_seq) as usize];
+                if producer.issued {
+                    ready_at = ready_at.max(producer.complete);
+                } else {
+                    let node = 2 * slot + k;
+                    let head = &mut self.dep_head[(p & self.slot_mask) as usize];
+                    self.dep_next[node] = *head;
+                    *head = node as u32;
+                    waits += 1;
                 }
             }
             if let Some(d) = fu.uop.dst {
@@ -741,19 +686,28 @@ impl Core {
             self.rob.push_back(RobEntry {
                 seq,
                 kind: fu.uop.kind,
-                producers,
                 addr: fu.uop.addr,
                 pc: fu.uop.pc,
                 issued: false,
                 complete: 0,
                 mispredicted: fu.mispredicted,
+                ready_at,
+                waits,
             });
-            // 0 = "readiness unknown": the scan recomputes on first look.
-            self.scan_key.push_back(0);
+            if waits == 0 {
+                // The next select runs at `now + 1` at the earliest, and
+                // this entry is the youngest, so appending keeps `ready`
+                // sorted without a round trip through the heap.
+                if ready_at <= now + 1 {
+                    self.ready.push(seq);
+                } else {
+                    self.wakeups.push(Reverse((ready_at, seq)));
+                }
+            }
             self.unissued += 1;
             window_free -= 1;
             // The new entry may be immediately issuable, and dispatch runs
-            // after issue within a tick — make sure next cycle scans it.
+            // after issue within a tick — make sure next cycle selects it.
             self.issue_wake = self.issue_wake.min(now + 1);
         }
     }

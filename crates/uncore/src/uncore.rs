@@ -302,6 +302,10 @@ impl Uncore {
         {
             self.obs.writebacks.incr();
             let freed = self.mem.write_line(done);
+            // Drop departed writebacks so the buffer stays within its
+            // preallocation. Timing-neutral: every later demand issues at
+            // or after `now` and drops the same entries before it looks.
+            self.wb_pending.retain(|&t| t > now);
             self.wb_pending.push(freed);
         }
         self.obs

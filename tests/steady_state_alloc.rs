@@ -1,24 +1,27 @@
 //! Allocation-free steady-state checks for the hot kernels.
 //!
 //! The hot loops — synthetic µop generation, SoA cursor replay, the
-//! cache kernel and the resample loop behind every confidence figure —
-//! preallocate everything up front; any per-µop, per-access or per-draw
-//! heap allocation is a performance regression that no correctness test
-//! would catch. This binary installs the counting allocator from
-//! `mps_obs::alloc` and pins the property. The kernel checks are
-//! `debug_assert`-based and require the `obs` feature; in release or
-//! `--no-default-features` runs they execute the kernels but assert
-//! nothing. The resample check compares two counts, so it also holds in
-//! release builds; without `obs` both counts are zero.
+//! cache kernel, the detailed simulator's tick loop and the resample loop
+//! behind every confidence figure — preallocate everything up front; any
+//! per-µop, per-access, per-cycle or per-draw heap allocation is a
+//! performance regression that no correctness test would catch. This
+//! binary installs the counting allocator from `mps_obs::alloc` and pins
+//! the property. The first three kernel checks are `debug_assert`-based
+//! and require the `obs` feature; in release or `--no-default-features`
+//! runs they execute the kernels but assert nothing. The tick-loop and
+//! resample checks compare two counts, so they also hold in release
+//! builds; without `obs` both counts are zero.
 
+use mps_harness::runner::experiment_uncore;
 use mps_metrics::ThroughputMetric;
 use mps_obs::alloc::{assert_alloc_free, count_allocations, CountingAllocator};
 use mps_sampling::{
     empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, ClusterSampling,
     PairData, Population, RandomSampling, Sampler, WorkloadStratification,
 };
+use mps_sim_cpu::{Core, CoreConfig, UncoreBackend};
 use mps_stats::rng::Rng;
-use mps_uncore::{AccessType, Cache, PolicyKind};
+use mps_uncore::{AccessType, Cache, PolicyKind, Uncore};
 use mps_workloads::{benchmark_by_name, TraceBuffer, TraceSource};
 use std::sync::{Arc, Mutex};
 
@@ -103,6 +106,57 @@ fn cache_kernel_is_alloc_free() {
             }
             hits
         });
+    }
+}
+
+#[test]
+fn detailed_tick_loop_does_not_allocate_per_cycle() {
+    let _guard = SERIAL.lock().unwrap();
+    for policy in [PolicyKind::Lru, PolicyKind::Drrip] {
+        for names in [["cactusADM", "mcf"], ["gcc", "mcf"]] {
+            // Ticks every core on every cycle, as `MulticoreSim::run`
+            // would without its clock skip, and counts only the loop.
+            // `run` itself is not counted: its obs span allocates per
+            // distinct counter the run moved, and a longer run moves more
+            // (gcc+mcf starts merging MSHRs between 4000 and 8000).
+            let run = |n: u64| {
+                // The experiments' capacity-scaled LLC evicts dirty lines
+                // within these lengths, so the write buffer fills.
+                let mut uncore = UncoreBackend(Uncore::new(experiment_uncore(2, policy), 2));
+                let mut cores: Vec<Core> = names
+                    .iter()
+                    .enumerate()
+                    .map(|(id, b)| {
+                        let trace = Box::new(benchmark_by_name(b).unwrap().trace());
+                        Core::new(CoreConfig::ispass2013(), id, trace, n)
+                    })
+                    .collect();
+                count_allocations(|| {
+                    let mut cycle = 0;
+                    while !cores.iter().all(Core::done) {
+                        for core in &mut cores {
+                            core.tick(cycle, &mut uncore);
+                        }
+                        cycle += 1;
+                    }
+                })
+                .1
+            };
+            // Anything that grows with the cycle count fails this. A
+            // noisy window is retried as in `assert_alloc_free_settled`.
+            let (mut short, mut long) = (run(2_000), run(8_000));
+            for _ in 0..3 {
+                if short == long {
+                    break;
+                }
+                (short, long) = (run(2_000), run(8_000));
+            }
+            assert_eq!(
+                short, long,
+                "{policy} {names:?}: 2000 instructions per thread made {short} allocations, \
+                 8000 made {long}"
+            );
+        }
     }
 }
 
