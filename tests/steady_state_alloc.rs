@@ -50,6 +50,24 @@ fn assert_alloc_free_settled<R>(what: &str, mut f: impl FnMut() -> R) -> R {
     assert_alloc_free(what, f)
 }
 
+/// Asserts that `count` reports as many allocations at size `large` as
+/// at size `small`: set-up may allocate, anything that grows with the
+/// size may not. As in [`assert_alloc_free_settled`], a noisy window is
+/// retried.
+fn assert_allocations_flat(what: &str, small: u64, large: u64, mut count: impl FnMut(u64) -> u64) {
+    let (mut a, mut b) = (count(small), count(large));
+    for _ in 0..3 {
+        if a == b {
+            return;
+        }
+        (a, b) = (count(small), count(large));
+    }
+    assert_eq!(
+        a, b,
+        "{what}: {small} made {a} allocations, {large} made {b}"
+    );
+}
+
 #[test]
 fn synthetic_generation_is_alloc_free() {
     let _guard = SERIAL.lock().unwrap();
@@ -142,20 +160,8 @@ fn detailed_tick_loop_does_not_allocate_per_cycle() {
                 })
                 .1
             };
-            // Anything that grows with the cycle count fails this. A
-            // noisy window is retried as in `assert_alloc_free_settled`.
-            let (mut short, mut long) = (run(2_000), run(8_000));
-            for _ in 0..3 {
-                if short == long {
-                    break;
-                }
-                (short, long) = (run(2_000), run(8_000));
-            }
-            assert_eq!(
-                short, long,
-                "{policy} {names:?}: 2000 instructions per thread made {short} allocations, \
-                 8000 made {long}"
-            );
+            let what = format!("{policy} {names:?}, instructions per thread");
+            assert_allocations_flat(&what, 2_000, 8_000, run);
         }
     }
 }
@@ -192,8 +198,9 @@ fn resampling_does_not_allocate_per_draw() {
     // The second size draws with replacement inside every stratum.
     for (name, sampler) in &samplers {
         for w in [20, n + 10] {
-            let run = |samples: usize| {
+            let run = |samples: u64| {
                 count_allocations(|| {
+                    let samples = samples as usize;
                     empirical_confidence_seeded(sampler.as_ref(), &pop, &data, w, samples, 7, 1)
                 })
                 .1
@@ -201,19 +208,8 @@ fn resampling_does_not_allocate_per_draw() {
             // Registers the obs counters and span names once.
             run(10);
             // Per-call set-up (the plan, the verdict vector, the first
-            // draw's buffers) is allowed; anything per draw is not. As
-            // in `assert_alloc_free_settled`, a noisy window is retried.
-            let (mut few, mut many) = (run(100), run(1_000));
-            for _ in 0..3 {
-                if few == many {
-                    break;
-                }
-                (few, many) = (run(100), run(1_000));
-            }
-            assert_eq!(
-                few, many,
-                "{name} w={w}: 100 resamples made {few} allocations, 1000 made {many}"
-            );
+            // draw's buffers) is allowed; anything per draw is not.
+            assert_allocations_flat(&format!("{name} w={w}, resamples"), 100, 1_000, run);
         }
     }
 }
