@@ -308,7 +308,12 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Arc<TraceBuffer>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mps_workloads::suite;
+    use crate::runner::experiment_uncore;
+    use mps_badco::BadcoTiming;
+    use mps_sim_cpu::CoreConfig;
+    use mps_store::fnv1a64;
+    use mps_uncore::PolicyKind;
+    use mps_workloads::{benchmark_by_name, suite};
 
     #[test]
     fn f64s_round_trip() {
@@ -348,6 +353,30 @@ mod tests {
         for i in 0..buf.len() {
             assert_eq!(got.uop(i), buf.uop(i), "µop {i}");
         }
+    }
+
+    /// Three trained models at 500 µops: a pointer chaser, a streamer and
+    /// a compute-bound benchmark, so every record field takes varied values.
+    fn small_model_set() -> Vec<Arc<BadcoModel>> {
+        let timing = BadcoTiming::from_uncore(&experiment_uncore(2, PolicyKind::Lru));
+        ["mcf", "libquantum", "hmmer"]
+            .iter()
+            .map(|name| {
+                let trace = benchmark_by_name(name).unwrap().trace();
+                let core = CoreConfig::ispass2013();
+                Arc::new(BadcoModel::build(name, &core, &trace, 500, timing))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn model_store_format_is_pinned() {
+        // Existing stores hold records in this exact layout: a change to
+        // the in-memory model must not move a byte of them.
+        let bytes = encode_models(&small_model_set());
+        assert_eq!(fnv1a64(&bytes), 0xfefd_6a70_c16d_f8fc);
+        let decoded = decode_models(&bytes).unwrap();
+        assert_eq!(encode_models(&decoded), bytes);
     }
 
     #[test]
