@@ -33,5 +33,5 @@ pub mod model;
 pub mod multicore;
 
 pub use machine::BadcoMachine;
-pub use model::{BadcoModel, BadcoTiming, ModelNode, ModelRequest};
+pub use model::{BadcoModel, BadcoTiming, InvalidModel, ModelNode, ModelParts, ModelRequest};
 pub use multicore::{BadcoMulticoreSim, BadcoSimResult};

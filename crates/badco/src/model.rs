@@ -3,6 +3,7 @@
 use mps_sim_cpu::{record_run, CoreConfig, FixedLatencyBackend, RunRecording};
 use mps_uncore::UncoreConfig;
 use mps_workloads::{TraceSource, UopKind};
+use std::ops::Range;
 
 /// Timing assumptions of the two training runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,46 +26,181 @@ impl BadcoTiming {
     }
 }
 
-/// One uncore request a node re-issues when executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelRequest {
+/// One uncore request of a model, borrowed from its columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModelRequest<'a> {
     /// Global request id within the model (issue order).
     pub id: u32,
     /// Core-local byte address.
     pub addr: u64,
     /// Store / writeback rather than load or instruction fetch.
     pub write: bool,
-    /// Requests whose data this request's *address* depends on
+    /// Earlier reads whose data this request's *address* depends on
     /// (pointer chasing); issue waits for them.
-    pub addr_deps: Vec<u32>,
+    pub addr_deps: &'a [u32],
 }
 
-/// One node: a group of consecutive µops ending at a request-bearing µop.
+/// One node of a model, borrowed from its columns: a group of consecutive
+/// µops ending at a request-bearing µop.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModelNode {
+pub struct ModelNode<'a> {
     /// Number of µops the node retires.
     pub uops: u32,
     /// Execution weight in cycles (from the ideal training run).
     pub weight: u64,
-    /// Requests issued when the node executes.
-    pub requests: Vec<ModelRequest>,
-    /// Earlier requests whose completion this node consumes.
-    pub deps: Vec<u32>,
     /// How much of the wait for `deps` the node actually exposes, in
     /// [0, 1]: calibrated from the pessimal training run. 0 means the
     /// out-of-order window fully hid the upstream misses; 1 means the node
     /// serialized on them.
     pub stall_factor: f64,
+    /// Earlier requests whose completion this node consumes.
+    pub deps: &'a [u32],
+    /// Ids of the requests issued when the node executes (see
+    /// [`BadcoModel::request`]).
+    pub requests: Range<u32>,
 }
 
-/// A behavioral core model for one benchmark.
+/// Compressed sparse rows of request ids: row `i` is
+/// `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Csr {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    fn with_capacity(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            items: Vec::new(),
+        }
+    }
+
+    fn push_row(&mut self, row: &[u32]) {
+        self.items.extend_from_slice(row);
+        self.offsets.push(self.items.len() as u32);
+    }
+
+    fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+
+    /// The transpose over `cols` columns: row `c` lists, in ascending
+    /// order, every row that names `c`.
+    fn transpose(&self, cols: usize) -> Csr {
+        let mut offsets = vec![0u32; cols + 1];
+        for &c in &self.items {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..cols {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets.clone();
+        let mut items = vec![0u32; self.items.len()];
+        for r in 0..self.rows() {
+            for &c in self.row(r) {
+                items[next[c as usize] as usize] = r as u32;
+                next[c as usize] += 1;
+            }
+        }
+        Csr { offsets, items }
+    }
+}
+
+/// A model's columns before validation: nodes and their requests appended
+/// in program order, the input of [`BadcoModel::from_parts`].
+#[derive(Debug, Clone)]
+pub struct ModelParts {
+    node_uops: Vec<u32>,
+    node_weight: Vec<u64>,
+    node_stall_factor: Vec<f64>,
+    node_deps: Csr,
+    /// Index of each node's first request.
+    node_first_request: Vec<u32>,
+    request_id: Vec<u32>,
+    request_addr: Vec<u64>,
+    request_write: Vec<bool>,
+    request_addr_deps: Csr,
+}
+
+impl ModelParts {
+    /// Empty columns with room for `nodes` nodes and `requests` requests.
+    pub fn with_capacity(nodes: usize, requests: usize) -> Self {
+        ModelParts {
+            node_uops: Vec::with_capacity(nodes),
+            node_weight: Vec::with_capacity(nodes),
+            node_stall_factor: Vec::with_capacity(nodes),
+            node_deps: Csr::with_capacity(nodes),
+            node_first_request: Vec::with_capacity(nodes + 1),
+            request_id: Vec::with_capacity(requests),
+            request_addr: Vec::with_capacity(requests),
+            request_write: Vec::with_capacity(requests),
+            request_addr_deps: Csr::with_capacity(requests),
+        }
+    }
+
+    /// Appends a node; the requests pushed after it are its own.
+    pub fn push_node(&mut self, uops: u32, weight: u64, stall_factor: f64, deps: &[u32]) {
+        self.node_uops.push(uops);
+        self.node_weight.push(weight);
+        self.node_stall_factor.push(stall_factor);
+        self.node_deps.push_row(deps);
+        self.node_first_request.push(self.request_id.len() as u32);
+    }
+
+    /// Appends a request to the last pushed node.
+    pub fn push_request(&mut self, id: u32, addr: u64, write: bool, addr_deps: &[u32]) {
+        self.request_id.push(id);
+        self.request_addr.push(addr);
+        self.request_write.push(write);
+        self.request_addr_deps.push_row(addr_deps);
+    }
+}
+
+/// Why [`BadcoModel::from_parts`] refused a set of columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidModel(pub String);
+
+impl std::fmt::Display for InvalidModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for InvalidModel {}
+
+/// A behavioral core model for one benchmark, stored as columns: one
+/// entry per node, one per request, and compressed sparse rows for the
+/// dependence lists, so a model is a dozen allocations however long it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BadcoModel {
     /// Benchmark name the model was trained on.
     pub name: String,
-    nodes: Vec<ModelNode>,
+    node_uops: Vec<u32>,
+    node_weight: Vec<u64>,
+    node_stall_factor: Vec<f64>,
+    node_deps: Csr,
+    /// Node `i` issues requests `node_requests[i]..node_requests[i + 1]`.
+    node_requests: Vec<u32>,
+    request_addr: Vec<u64>,
+    request_write: Vec<bool>,
+    request_addr_deps: Csr,
+    /// The transpose of `request_addr_deps`: each request's address
+    /// dependents, ascending.
+    request_dependents: Csr,
     uops_total: u64,
-    requests_total: u32,
 }
 
 /// Maximum taint/dependence fan-in tracked per register and node.
@@ -133,9 +269,11 @@ impl BadcoModel {
         let mut req_cursor = 0usize;
         let mut next_req_id: u32 = 0;
 
-        // Per-µop: the requests it issues and the earlier requests it reads.
+        // Per-µop: the requests it issues as `(id, addr, write)` and the
+        // earlier requests it reads, which are also its reads' address
+        // dependences.
         struct UopInfo {
-            requests: Vec<ModelRequest>,
+            requests: Vec<(u32, u64, bool)>,
             reads: Vec<u32>,
         }
         let mut uop_infos: Vec<UopInfo> = Vec::with_capacity(n as usize);
@@ -158,16 +296,7 @@ impl BadcoModel {
                 let (_, addr, write) = reqs[req_cursor];
                 let id = next_req_id;
                 next_req_id += 1;
-                requests.push(ModelRequest {
-                    id,
-                    addr,
-                    write,
-                    addr_deps: if write {
-                        Vec::new()
-                    } else {
-                        src_taints.clone()
-                    },
-                });
+                requests.push((id, addr, write));
                 if !write && uop.kind == UopKind::Load {
                     produced = Some(id);
                 }
@@ -196,18 +325,16 @@ impl BadcoModel {
 
         // Cut nodes at request-bearing µops; compute weights from the
         // ideal run and blocking flags from the pessimal run.
-        let mut nodes: Vec<ModelNode> = Vec::new();
         let mut node_start_uop: usize = 0;
         let mut pending_reads: Vec<u32> = Vec::new();
         let mut raw_nodes = Vec::new();
-        for (i, info) in uop_infos.iter_mut().enumerate() {
+        for (i, info) in uop_infos.iter().enumerate() {
             for &r in &info.reads {
                 if !pending_reads.contains(&r) {
                     pending_reads.push(r);
                 }
             }
             if !info.requests.is_empty() || i == n as usize - 1 {
-                let requests = std::mem::take(&mut info.requests);
                 // Node covering µops [node_start_uop, i].
                 let first = node_start_uop;
                 let prev_commit_hit = if first == 0 {
@@ -224,17 +351,18 @@ impl BadcoModel {
                 let delta_miss = miss_rec.commit_cycles[i].saturating_sub(prev_commit_miss);
                 let mut deps = std::mem::take(&mut pending_reads);
                 // Own requests are not dependencies.
-                deps.retain(|d| !requests.iter().any(|r| r.id == *d));
+                deps.retain(|d| !info.requests.iter().any(|r| r.0 == *d));
                 deps.sort_unstable();
                 deps.dedup();
                 truncate_recent(&mut deps);
-                raw_nodes.push((first, i, weight, delta_miss, deps, requests));
+                raw_nodes.push((first, i, weight, delta_miss, deps));
                 node_start_uop = i + 1;
             }
         }
 
         let extra_per_miss = (timing.miss_latency - timing.hit_latency) as f64;
-        for (first, upto, weight, delta_miss, deps, requests) in raw_nodes {
+        let mut parts = ModelParts::with_capacity(raw_nodes.len(), next_req_id as usize);
+        for (first, upto, weight, delta_miss, deps) in raw_nodes {
             let uops = (upto - first + 1) as u32;
             // How much extra time did the node take in the pessimal run
             // relative to the ideal one? Scaling by the injected latency
@@ -246,49 +374,109 @@ impl BadcoModel {
             } else {
                 (observed_extra / extra_per_miss).clamp(0.0, 1.0)
             };
-            nodes.push(ModelNode {
-                uops,
-                weight,
-                requests,
-                deps,
-                stall_factor,
-            });
+            parts.push_node(uops, weight, stall_factor, &deps);
+            let info = &uop_infos[upto];
+            for &(id, addr, write) in &info.requests {
+                let addr_deps: &[u32] = if write { &[] } else { &info.reads };
+                parts.push_request(id, addr, write, addr_deps);
+            }
         }
 
-        BadcoModel {
-            name: name.to_owned(),
-            nodes,
-            uops_total: n,
-            requests_total: next_req_id,
-        }
+        BadcoModel::from_parts(name, parts, n, next_req_id)
+            .expect("a model built from recordings is well-formed")
     }
 
-    /// Reassembles a model from previously trained parts — the
-    /// artifact-store deserialization path (`mps-harness` persists trained
-    /// models across processes). The parts must come from
-    /// [`BadcoModel::nodes`], [`BadcoModel::uops_total`] and
-    /// [`BadcoModel::requests_total`] of a model built by
-    /// [`BadcoModel::build`]; no re-validation is performed beyond cheap
-    /// structural checks.
+    /// Assembles a model from its columns — the artifact-store
+    /// deserialization path (`mps-harness` persists trained models across
+    /// processes) and the last step of [`BadcoModel::build`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the node list is empty or the µop counts disagree.
+    /// [`InvalidModel`] unless the parts describe a model the machine can
+    /// run exactly: at least one node; node µops summing to `uops_total`;
+    /// `requests_total` requests with ids `0, 1, 2, …` in node order; node
+    /// dependences naming only requests of earlier nodes; address
+    /// dependences naming only earlier reads; stall factors finite and in
+    /// `[0, 1]`.
     pub fn from_parts(
         name: &str,
-        nodes: Vec<ModelNode>,
+        parts: ModelParts,
         uops_total: u64,
         requests_total: u32,
-    ) -> BadcoModel {
-        assert!(!nodes.is_empty(), "a model needs at least one node");
-        let node_uops: u64 = nodes.iter().map(|n| u64::from(n.uops)).sum();
-        assert_eq!(node_uops, uops_total, "node µops must sum to the total");
-        BadcoModel {
-            name: name.to_owned(),
-            nodes,
-            uops_total,
-            requests_total,
+    ) -> Result<BadcoModel, InvalidModel> {
+        let bad = |detail: String| Err(InvalidModel(format!("model {name:?}: {detail}")));
+        let ModelParts {
+            mut node_uops,
+            mut node_weight,
+            mut node_stall_factor,
+            mut node_deps,
+            node_first_request: mut node_requests,
+            request_id,
+            mut request_addr,
+            mut request_write,
+            mut request_addr_deps,
+        } = parts;
+        if node_uops.is_empty() {
+            return bad("no nodes".to_owned());
         }
+        let sum: u64 = node_uops.iter().map(|&u| u64::from(u)).sum();
+        if sum != uops_total {
+            return bad(format!("node µops {sum} disagree with total {uops_total}"));
+        }
+        if node_requests[0] != 0 {
+            return bad("requests precede the first node".to_owned());
+        }
+        if request_id.len() != requests_total as usize {
+            return bad(format!(
+                "{} requests, header says {requests_total}",
+                request_id.len()
+            ));
+        }
+        if let Some(k) = request_id.iter().zip(0..).position(|(&id, k)| id != k) {
+            return bad(format!("request {k} has id {}", request_id[k]));
+        }
+        node_requests.push(requests_total);
+        for (i, &sf) in node_stall_factor.iter().enumerate() {
+            if !(0.0..=1.0).contains(&sf) {
+                return bad(format!("node {i} has stall factor {sf}"));
+            }
+            let first = node_requests[i];
+            if let Some(&d) = node_deps.row(i).iter().find(|&&d| d >= first) {
+                return bad(format!(
+                    "node {i} depends on request {d}, not issued before it"
+                ));
+            }
+        }
+        for r in 0..request_addr_deps.rows() {
+            let earlier_read = |p: u32| (p as usize) < r && !request_write[p as usize];
+            if let Some(&p) = request_addr_deps.row(r).iter().find(|&&p| !earlier_read(p)) {
+                return bad(format!(
+                    "request {r} has address parent {p}, not an earlier read"
+                ));
+            }
+        }
+        let request_dependents = request_addr_deps.transpose(request_addr.len());
+        node_uops.shrink_to_fit();
+        node_weight.shrink_to_fit();
+        node_stall_factor.shrink_to_fit();
+        node_deps.shrink_to_fit();
+        node_requests.shrink_to_fit();
+        request_addr.shrink_to_fit();
+        request_write.shrink_to_fit();
+        request_addr_deps.shrink_to_fit();
+        Ok(BadcoModel {
+            name: name.to_owned(),
+            node_uops,
+            node_weight,
+            node_stall_factor,
+            node_deps,
+            node_requests,
+            request_addr,
+            request_write,
+            request_addr_deps,
+            request_dependents,
+            uops_total,
+        })
     }
 
     /// A copy with every trained coefficient scaled by `factor`: node
@@ -309,21 +497,54 @@ impl BadcoModel {
             factor.is_finite() && factor > 0.0,
             "perturbation factor must be finite and positive: {factor}"
         );
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| ModelNode {
-                weight: ((n.weight as f64) * factor).round() as u64,
-                stall_factor: (n.stall_factor * factor).clamp(0.0, 1.0),
-                ..n.clone()
-            })
-            .collect();
-        BadcoModel::from_parts(&self.name, nodes, self.uops_total, self.requests_total)
+        let mut m = self.clone();
+        for w in &mut m.node_weight {
+            *w = ((*w as f64) * factor).round() as u64;
+        }
+        for sf in &mut m.node_stall_factor {
+            *sf = (*sf * factor).clamp(0.0, 1.0);
+        }
+        m
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.node_uops.len()
+    }
+
+    /// Node `i` (in program order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.node_count()`.
+    pub fn node(&self, i: usize) -> ModelNode<'_> {
+        ModelNode {
+            uops: self.node_uops[i],
+            weight: self.node_weight[i],
+            stall_factor: self.node_stall_factor[i],
+            deps: self.node_deps.row(i),
+            requests: self.node_requests(i),
+        }
     }
 
     /// The model's nodes, in program order.
-    pub fn nodes(&self) -> &[ModelNode] {
-        &self.nodes
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = ModelNode<'_>> {
+        (0..self.node_count()).map(|i| self.node(i))
+    }
+
+    /// Request `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.requests_total()`.
+    pub fn request(&self, id: u32) -> ModelRequest<'_> {
+        let r = id as usize;
+        ModelRequest {
+            id,
+            addr: self.request_addr[r],
+            write: self.request_write[r],
+            addr_deps: self.request_addr_deps.row(r),
+        }
     }
 
     /// µops covered by one pass over the model (the trace slice length).
@@ -333,12 +554,66 @@ impl BadcoModel {
 
     /// Total requests issued per pass.
     pub fn requests_total(&self) -> u32 {
-        self.requests_total
+        self.request_addr.len() as u32
     }
 
     /// Sum of node weights: the model's ideal-uncore execution time.
     pub fn ideal_cycles(&self) -> u64 {
-        self.nodes.iter().map(|n| n.weight).sum()
+        self.node_weight.iter().sum()
+    }
+
+    // Column access for the machine's inner loop.
+
+    #[inline]
+    pub(crate) fn node_uops(&self, i: usize) -> u32 {
+        self.node_uops[i]
+    }
+
+    #[inline]
+    pub(crate) fn node_weight(&self, i: usize) -> u64 {
+        self.node_weight[i]
+    }
+
+    #[inline]
+    pub(crate) fn node_stall_factor(&self, i: usize) -> f64 {
+        self.node_stall_factor[i]
+    }
+
+    #[inline]
+    pub(crate) fn node_deps(&self, i: usize) -> &[u32] {
+        self.node_deps.row(i)
+    }
+
+    #[inline]
+    pub(crate) fn node_requests(&self, i: usize) -> Range<u32> {
+        self.first_request(i)..self.first_request(i + 1)
+    }
+
+    /// Id of node `i`'s first request; `requests_total` for
+    /// `i == node_count`.
+    #[inline]
+    pub(crate) fn first_request(&self, i: usize) -> u32 {
+        self.node_requests[i]
+    }
+
+    #[inline]
+    pub(crate) fn request_addr(&self, r: u32) -> u64 {
+        self.request_addr[r as usize]
+    }
+
+    #[inline]
+    pub(crate) fn request_write(&self, r: u32) -> bool {
+        self.request_write[r as usize]
+    }
+
+    #[inline]
+    pub(crate) fn request_addr_deps(&self, r: u32) -> &[u32] {
+        self.request_addr_deps.row(r as usize)
+    }
+
+    #[inline]
+    pub(crate) fn request_dependents(&self, r: u32) -> &[u32] {
+        self.request_dependents.row(r as usize)
     }
 }
 
@@ -370,7 +645,7 @@ mod tests {
     fn model_accounts_for_every_uop() {
         let trace = benchmark_by_name("gcc").unwrap().trace();
         let m = BadcoModel::build("gcc", &CoreConfig::ispass2013(), &trace, 3_000, timing());
-        let uops: u64 = m.nodes().iter().map(|n| u64::from(n.uops)).sum();
+        let uops: u64 = m.nodes().map(|n| u64::from(n.uops)).sum();
         assert_eq!(uops, 3_000);
         assert_eq!(m.uops_total(), 3_000);
         assert!(m.ideal_cycles() > 0);
@@ -382,8 +657,8 @@ mod tests {
         let m = BadcoModel::build("soplex", &CoreConfig::ispass2013(), &trace, 2_000, timing());
         let mut expected = 0u32;
         for node in m.nodes() {
-            for r in &node.requests {
-                assert_eq!(r.id, expected);
+            for id in node.requests {
+                assert_eq!(m.request(id).id, expected);
                 expected += 1;
             }
         }
@@ -397,12 +672,13 @@ mod tests {
         let m = BadcoModel::build("mcf", &CoreConfig::ispass2013(), &trace, 2_000, timing());
         let mut issued = 0u32;
         for node in m.nodes() {
-            for &d in &node.deps {
+            for &d in node.deps {
                 assert!(d < issued, "dep {d} not yet issued at node boundary");
             }
-            for r in &node.requests {
-                for &d in &r.addr_deps {
+            for r in node.requests.clone().map(|id| m.request(id)) {
+                for &d in r.addr_deps {
                     assert!(d < r.id);
+                    assert!(!m.request(d).write, "address parents are reads");
                 }
             }
             issued += node.requests.len() as u32;
@@ -429,10 +705,10 @@ mod tests {
             timing(),
         );
         assert!(
-            low.nodes().len() * 2 < high.nodes().len(),
+            low.node_count() * 2 < high.node_count(),
             "hmmer {} nodes vs libquantum {}",
-            low.nodes().len(),
-            high.nodes().len()
+            low.node_count(),
+            high.node_count()
         );
     }
 
@@ -451,19 +727,16 @@ mod tests {
         };
         let trace = SyntheticTrace::new(params);
         let m = BadcoModel::build("chase", &CoreConfig::ispass2013(), &trace, 3_000, timing());
-        let with_deps = m
-            .nodes()
-            .iter()
-            .flat_map(|n| &n.requests)
-            .filter(|r| !r.addr_deps.is_empty())
+        let with_deps = (0..m.requests_total())
+            .filter(|&id| !m.request(id).addr_deps.is_empty())
             .count();
         assert!(
             with_deps > 10,
             "chase loads depend on one another: {with_deps}"
         );
         // And the chain should make many nodes expose most of their wait.
-        let blocking = m.nodes().iter().filter(|n| n.stall_factor > 0.5).count();
-        assert!(blocking > m.nodes().len() / 4, "blocking nodes: {blocking}");
+        let blocking = m.nodes().filter(|n| n.stall_factor > 0.5).count();
+        assert!(blocking > m.node_count() / 4, "blocking nodes: {blocking}");
     }
 
     #[test]
@@ -485,7 +758,7 @@ mod tests {
         let trace = SyntheticTrace::new(params);
         let m = BadcoModel::build("stream", &CoreConfig::ispass2013(), &trace, 3_000, timing());
         let mean_stall: f64 =
-            m.nodes().iter().map(|n| n.stall_factor).sum::<f64>() / m.nodes().len() as f64;
+            m.nodes().map(|n| n.stall_factor).sum::<f64>() / m.node_count() as f64;
         assert!(
             mean_stall < 0.5,
             "stream should be mostly non-blocking: mean stall {mean_stall}"
@@ -501,11 +774,85 @@ mod tests {
         assert_eq!(half.uops_total(), m.uops_total());
         assert_eq!(half.requests_total(), m.requests_total());
         assert!(half.ideal_cycles() < m.ideal_cycles());
-        for (a, b) in half.nodes().iter().zip(m.nodes()) {
+        for (a, b) in half.nodes().zip(m.nodes()) {
             assert!((0.0..=1.0).contains(&a.stall_factor));
             assert!(a.weight <= b.weight, "halved weights cannot grow");
             assert_eq!(a.requests, b.requests, "only coefficients change");
             assert_eq!(a.deps, b.deps);
+        }
+        for id in 0..m.requests_total() {
+            assert_eq!(half.request(id), m.request(id));
+        }
+    }
+
+    /// Two nodes: node 0 issues read 0 and write 1; node 1 depends on
+    /// request 0 and issues read 2, whose address comes from read 0.
+    fn small_parts() -> ModelParts {
+        let mut p = ModelParts::with_capacity(2, 3);
+        p.push_node(3, 4, 0.0, &[]);
+        p.push_request(0, 0x40, false, &[]);
+        p.push_request(1, 0x80, true, &[]);
+        p.push_node(2, 5, 0.5, &[0]);
+        p.push_request(2, 0xc0, false, &[0]);
+        p
+    }
+
+    #[test]
+    fn from_parts_accepts_a_well_formed_model() {
+        let m = BadcoModel::from_parts("t", small_parts(), 5, 3).unwrap();
+        assert_eq!(m.node_count(), 2);
+        assert_eq!(m.node(1).requests, 2..3);
+        assert_eq!(m.node(1).deps, &[0]);
+        assert_eq!(m.request(2).addr_deps, &[0]);
+        assert_eq!(m.request_dependents(0), &[2]);
+        assert!(m.request_dependents(1).is_empty());
+        assert_eq!(m.ideal_cycles(), 9);
+    }
+
+    #[test]
+    fn from_parts_rejects_broken_invariants() {
+        let reject = |p: ModelParts, uops: u64, reqs: u32, why: &str| {
+            let err = BadcoModel::from_parts("t", p, uops, reqs).unwrap_err();
+            assert!(err.0.contains(why), "{why:?} not in {err}");
+        };
+        reject(ModelParts::with_capacity(0, 0), 0, 0, "no nodes");
+        reject(small_parts(), 6, 3, "disagree with total");
+        reject(small_parts(), 5, 4, "header says 4");
+
+        let mut early = ModelParts::with_capacity(1, 1);
+        early.push_request(0, 0, false, &[]);
+        early.push_node(1, 1, 0.0, &[]);
+        reject(early, 1, 1, "precede the first node");
+
+        let mut ids = small_parts();
+        ids.request_id[2] = 7;
+        reject(ids, 5, 3, "request 2 has id 7");
+
+        for sf in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let mut p = small_parts();
+            p.node_stall_factor[1] = sf;
+            reject(p, 5, 3, "stall factor");
+        }
+
+        // A node may not wait on its own request or a later one.
+        let mut own = ModelParts::with_capacity(2, 3);
+        own.push_node(3, 4, 0.0, &[]);
+        own.push_request(0, 0x40, false, &[]);
+        own.push_request(1, 0x80, true, &[]);
+        own.push_node(2, 5, 0.5, &[2]);
+        own.push_request(2, 0xc0, false, &[0]);
+        reject(own, 5, 3, "depends on request 2");
+
+        // Address parents must be earlier reads: not a write, not itself,
+        // not a later request, not out of range.
+        for parent in [1, 2, 9] {
+            let mut p = ModelParts::with_capacity(2, 3);
+            p.push_node(3, 4, 0.0, &[]);
+            p.push_request(0, 0x40, false, &[]);
+            p.push_request(1, 0x80, true, &[]);
+            p.push_node(2, 5, 0.5, &[0]);
+            p.push_request(2, 0xc0, false, &[parent]);
+            reject(p, 5, 3, "not an earlier read");
         }
     }
 

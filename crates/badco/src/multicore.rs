@@ -15,6 +15,10 @@ use mps_uncore::{Uncore, UncoreStats};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Machine steps after which [`BadcoMulticoreSim::run`] declares a
+/// deadlock: every step executes one node, so no real run comes near it.
+const STEP_GUARD: u64 = 1_000_000_000;
+
 /// Outcome of a multicore BADCO run.
 #[derive(Debug, Clone)]
 pub struct BadcoSimResult {
@@ -97,13 +101,6 @@ impl BadcoMulticoreSim {
         let start = Instant::now();
         let uncore_before = self.uncore.stats();
         let k = self.machines.len();
-        let guard: u64 = self
-            .machines
-            .iter()
-            .map(|m| m.committed().max(1))
-            .sum::<u64>()
-            .saturating_mul(1)
-            .max(1_000_000_000);
         let mut steps: u64 = 0;
         // Advance the earliest machine first; ties resolve round-robin by
         // core index (the arbitration rule).
@@ -119,7 +116,7 @@ impl BadcoMulticoreSim {
             self.machines[next].step(&mut self.uncore);
             steps_counter.incr();
             steps += 1;
-            assert!(steps < guard, "BADCO simulation deadlocked");
+            assert!(steps < STEP_GUARD, "BADCO simulation deadlocked");
         }
         let finish_cycles: Vec<u64> = self
             .machines
@@ -131,7 +128,7 @@ impl BadcoMulticoreSim {
             .iter()
             .zip(&finish_cycles)
             .map(|(m, &f)| {
-                let n = m.committed().min(m_target(m));
+                let n = m.committed().min(m.target());
                 n as f64 / f.max(1) as f64
             })
             .collect();
@@ -158,14 +155,6 @@ fn flush_obs(instructions: u64, before: &UncoreStats, after: &UncoreStats) {
     mps_obs::counter("sim.badco.instructions").add(instructions);
     mps_obs::counter("sim.badco.cache_accesses").add(after.requests - before.requests);
     mps_obs::counter("sim.badco.cache_misses").add(after.llc_misses - before.llc_misses);
-}
-
-/// The measurement target of a machine (its model's µop count).
-fn m_target(m: &BadcoMachine) -> u64 {
-    // committed ≥ target when done; the target equals the model length by
-    // construction in `new`, so derive it back from the finish condition.
-    // (Kept as a helper so the IPC expression stays readable.)
-    m.target()
 }
 
 #[cfg(test)]

@@ -14,10 +14,17 @@
 //! under the paper's restart rule a fast benchmark paired with a slow one
 //! re-runs cache-warm at near-peak IPC, pinning the event horizon at
 //! `now + 1` (see `docs/performance.md`).
+//!
+//! `badco_table_2core` is the kernel floor for the BADCO layer as the
+//! study drives it: the whole 253-workload 2-core population under DRRIP,
+//! one `BadcoMulticoreSim::run` per workload over one shared model set
+//! trained at trace length 1000, which is what one Figure 3 BADCO table
+//! costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mps_badco::BadcoMulticoreSim;
+use mps_badco::{BadcoModel, BadcoMulticoreSim, BadcoTiming};
 use mps_bench::{bench_models, bench_pair, bench_trace_buffers, bench_uncore};
+use mps_sampling::Population;
 use mps_sim_cpu::{CoreConfig, MulticoreSim};
 use mps_uncore::{PolicyKind, Uncore};
 use mps_workloads::{suite, TraceBuffer, TraceSource};
@@ -94,6 +101,43 @@ fn badco_speed(c: &mut Criterion) {
     });
 }
 
+fn badco_table_speed(c: &mut Criterion) {
+    const TABLE_LEN: u64 = 1_000;
+    let timing = BadcoTiming::from_uncore(&bench_uncore(2, PolicyKind::Lru));
+    let models: Vec<Arc<BadcoModel>> = suite()
+        .iter()
+        .map(|s| {
+            let core = CoreConfig::ispass2013();
+            Arc::new(BadcoModel::build(
+                s.name(),
+                &core,
+                &s.trace(),
+                TABLE_LEN,
+                timing,
+            ))
+        })
+        .collect();
+    let pop = Population::full(models.len(), 2);
+    c.bench_function("badco_table_2core", |bench| {
+        bench.iter(|| {
+            let cycles: u64 = pop
+                .workloads()
+                .iter()
+                .map(|w| {
+                    let uncore = Uncore::new(bench_uncore(2, PolicyKind::Drrip), 2);
+                    let bound = w
+                        .benchmarks()
+                        .iter()
+                        .map(|&b| Arc::clone(&models[b as usize]))
+                        .collect();
+                    BadcoMulticoreSim::new(uncore, bound).run().total_cycles
+                })
+                .sum();
+            black_box(cycles)
+        })
+    });
+}
+
 fn badco_model_build(c: &mut Criterion) {
     let (a, _) = bench_pair();
     c.bench_function("badco_model_build_2k_instr", |bench| {
@@ -106,7 +150,7 @@ fn badco_model_build(c: &mut Criterion) {
                 TRACE_LEN,
                 timing,
             );
-            black_box(m.nodes().len())
+            black_box(m.node_count())
         })
     });
 }
@@ -121,6 +165,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = detailed_speed, sweep16_speed, badco_speed, badco_model_build
+    targets = detailed_speed, sweep16_speed, badco_speed, badco_table_speed, badco_model_build
 }
 criterion_main!(benches);

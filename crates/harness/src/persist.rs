@@ -7,7 +7,7 @@
 //! [`Error::Corrupt`], which the store layer answers by quarantining the
 //! file and recomputing.
 
-use mps_badco::{BadcoModel, ModelNode, ModelRequest};
+use mps_badco::{BadcoModel, ModelParts};
 use mps_metrics::{PerfTable, WorkloadPerf};
 use mps_sampling::{Population, Workload};
 use mps_store::{Dec, Enc, Error, Result};
@@ -164,77 +164,77 @@ pub fn encode_models(models: &[Arc<BadcoModel>]) -> Vec<u8> {
         e.str(&m.name);
         e.u64(m.uops_total());
         e.u32(m.requests_total());
-        e.len(m.nodes().len());
+        e.len(m.node_count());
         for n in m.nodes() {
             e.u32(n.uops);
             e.u64(n.weight);
             e.f64(n.stall_factor);
-            e.u32s(&n.deps);
+            e.u32s(n.deps);
             e.len(n.requests.len());
-            for r in &n.requests {
+            for r in n.requests.map(|id| m.request(id)) {
                 e.u32(r.id);
                 e.u64(r.addr);
                 e.bool(r.write);
-                e.u32s(&r.addr_deps);
+                e.u32s(r.addr_deps);
             }
         }
     }
     e.into_bytes()
 }
 
-/// Decodes [`encode_models`] output.
+/// Smallest encoded request: id, address, write flag, empty dependences.
+const MIN_REQUEST_BYTES: usize = 4 + 8 + 1 + 4;
+
+/// Decodes [`encode_models`] output. Records that break a model invariant
+/// (see [`BadcoModel::from_parts`]) are [`Error::Corrupt`].
 pub fn decode_models(bytes: &[u8]) -> Result<Vec<Arc<BadcoModel>>> {
     let mut d = Dec::new(bytes, "badco-models");
     let count = d.len(16)?;
     let mut models = Vec::with_capacity(count);
+    let mut deps = Vec::new();
     for _ in 0..count {
         let name = d.str()?;
         let uops_total = d.u64()?;
         let requests_total = d.u32()?;
         let nnodes = d.len(16)?;
-        let mut nodes = Vec::with_capacity(nnodes);
-        let mut node_uops: u64 = 0;
+        let requests = (requests_total as usize).min(d.remaining() / MIN_REQUEST_BYTES);
+        let mut parts = ModelParts::with_capacity(nnodes, requests);
         for _ in 0..nnodes {
             let uops = d.u32()?;
-            node_uops += u64::from(uops);
             let weight = d.u64()?;
             let stall_factor = d.f64()?;
-            let deps = d.u32s()?;
-            let nreq = d.len(13)?;
-            let mut requests = Vec::with_capacity(nreq);
+            read_u32s(&mut d, &mut deps)?;
+            parts.push_node(uops, weight, stall_factor, &deps);
+            let nreq = d.len(MIN_REQUEST_BYTES)?;
             for _ in 0..nreq {
-                requests.push(ModelRequest {
-                    id: d.u32()?,
-                    addr: d.u64()?,
-                    write: d.bool()?,
-                    addr_deps: d.u32s()?,
-                });
+                let id = d.u32()?;
+                let addr = d.u64()?;
+                let write = d.bool()?;
+                read_u32s(&mut d, &mut deps)?;
+                parts.push_request(id, addr, write, &deps);
             }
-            nodes.push(ModelNode {
-                uops,
-                weight,
-                requests,
-                deps,
-                stall_factor,
-            });
         }
-        if nodes.is_empty() || node_uops != uops_total {
-            return Err(Error::Corrupt {
-                path: "badco-models".to_owned(),
-                detail: format!(
-                    "model {name:?}: node µops {node_uops} disagree with total {uops_total}"
-                ),
-            });
-        }
-        models.push(Arc::new(BadcoModel::from_parts(
-            &name,
-            nodes,
-            uops_total,
-            requests_total,
-        )));
+        let model =
+            BadcoModel::from_parts(&name, parts, uops_total, requests_total).map_err(|e| {
+                Error::Corrupt {
+                    path: "badco-models".to_owned(),
+                    detail: e.to_string(),
+                }
+            })?;
+        models.push(Arc::new(model));
     }
     d.finish()?;
     Ok(models)
+}
+
+/// Reads a length-prefixed `u32` list into `out`, reusing its buffer.
+fn read_u32s(d: &mut Dec<'_>, out: &mut Vec<u32>) -> Result<()> {
+    let n = d.len(4)?;
+    out.clear();
+    for _ in 0..n {
+        out.push(d.u32()?);
+    }
+    Ok(())
 }
 
 /// Replays decoded µops as a [`TraceSource`] so [`TraceBuffer::capture`]
@@ -309,10 +309,10 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Arc<TraceBuffer>> {
 mod tests {
     use super::*;
     use crate::runner::experiment_uncore;
-    use mps_badco::BadcoTiming;
+    use mps_badco::{BadcoMulticoreSim, BadcoTiming};
     use mps_sim_cpu::CoreConfig;
     use mps_store::fnv1a64;
-    use mps_uncore::PolicyKind;
+    use mps_uncore::{PolicyKind, Uncore};
     use mps_workloads::{benchmark_by_name, suite};
 
     #[test]
@@ -377,6 +377,130 @@ mod tests {
         assert_eq!(fnv1a64(&bytes), 0xfefd_6a70_c16d_f8fc);
         let decoded = decode_models(&bytes).unwrap();
         assert_eq!(encode_models(&decoded), bytes);
+    }
+
+    /// A hand-written one-model record: node 0 reads request 0 and writes
+    /// request 1; node 1 depends on request `dep` and reads request `id2`,
+    /// whose address comes from request `addr_dep`.
+    struct Record {
+        requests_total: u32,
+        dep: u32,
+        id2: u32,
+        addr_dep: u32,
+        stall: f64,
+    }
+
+    const GOOD: Record = Record {
+        requests_total: 3,
+        dep: 0,
+        id2: 2,
+        addr_dep: 0,
+        stall: 0.5,
+    };
+
+    fn record(r: &Record) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.len(1);
+        e.str("hand");
+        e.u64(5);
+        e.u32(r.requests_total);
+        e.len(2);
+        for (uops, weight, stall, deps, reqs) in [
+            (
+                3,
+                4,
+                0.0,
+                vec![],
+                vec![(0, false, vec![]), (1, true, vec![])],
+            ),
+            (
+                2,
+                5,
+                r.stall,
+                vec![r.dep],
+                vec![(r.id2, false, vec![r.addr_dep])],
+            ),
+        ] {
+            e.u32(uops);
+            e.u64(weight);
+            e.f64(stall);
+            e.u32s(&deps);
+            e.len(reqs.len());
+            for (id, write, addr_deps) in reqs {
+                e.u32(id);
+                e.u64(0x40 * u64::from(id + 1));
+                e.bool(write);
+                e.u32s(&addr_deps);
+            }
+        }
+        e.into_bytes()
+    }
+
+    #[test]
+    fn hand_written_model_record_decodes_and_runs() {
+        let models = decode_models(&record(&GOOD)).unwrap();
+        assert_eq!(encode_models(&models), record(&GOOD));
+        let uncore = Uncore::new(experiment_uncore(2, PolicyKind::Lru), 1);
+        let r = BadcoMulticoreSim::new(uncore, models).run();
+        assert_eq!(r.instructions, 5);
+    }
+
+    #[test]
+    fn model_records_breaking_invariants_are_corrupt() {
+        let cases = [
+            ("id past the total", Record { id2: 7, ..GOOD }),
+            (
+                "ids not dense",
+                Record {
+                    requests_total: 4,
+                    ..GOOD
+                },
+            ),
+            ("dep past the total", Record { dep: 9, ..GOOD }),
+            ("dep on the node's own request", Record { dep: 2, ..GOOD }),
+            (
+                "address dep past the total",
+                Record {
+                    addr_dep: 9,
+                    ..GOOD
+                },
+            ),
+            (
+                "address dep on itself",
+                Record {
+                    addr_dep: 2,
+                    ..GOOD
+                },
+            ),
+            (
+                "address dep on a write",
+                Record {
+                    addr_dep: 1,
+                    ..GOOD
+                },
+            ),
+            (
+                "NaN stall factor",
+                Record {
+                    stall: f64::NAN,
+                    ..GOOD
+                },
+            ),
+            ("stall factor above 1", Record { stall: 1.5, ..GOOD }),
+            (
+                "negative stall factor",
+                Record {
+                    stall: -0.5,
+                    ..GOOD
+                },
+            ),
+        ];
+        for (what, rec) in cases {
+            match decode_models(&record(&rec)) {
+                Err(Error::Corrupt { path, .. }) => assert_eq!(path, "badco-models", "{what}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -149,13 +149,18 @@ impl<'a> Dec<'a> {
     /// trigger a huge allocation.
     pub fn len(&mut self, min_elem_size: usize) -> Result<usize> {
         let n = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if n.saturating_mul(min_elem_size.max(1)) > remaining {
             return Err(self.corrupt(format!(
                 "length {n} exceeds remaining payload ({remaining} bytes)"
             )));
         }
         Ok(n)
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Reads a length-prefixed UTF-8 string.

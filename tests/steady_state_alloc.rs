@@ -1,17 +1,19 @@
 //! Allocation-free steady-state checks for the hot kernels.
 //!
 //! The hot loops — synthetic µop generation, SoA cursor replay, the
-//! cache kernel, the detailed simulator's tick loop and the resample loop
-//! behind every confidence figure — preallocate everything up front; any
-//! per-µop, per-access, per-cycle or per-draw heap allocation is a
-//! performance regression that no correctness test would catch. This
-//! binary installs the counting allocator from `mps_obs::alloc` and pins
-//! the property. The first three kernel checks are `debug_assert`-based
-//! and require the `obs` feature; in release or `--no-default-features`
-//! runs they execute the kernels but assert nothing. The tick-loop and
-//! resample checks compare two counts, so they also hold in release
-//! builds; without `obs` both counts are zero.
+//! cache kernel, the detailed simulator's tick loop, the BADCO machines
+//! and the resample loop behind every confidence figure — preallocate
+//! everything up front; any per-µop, per-access, per-cycle, per-node or
+//! per-draw heap allocation is a performance regression that no
+//! correctness test would catch. This binary installs the counting
+//! allocator from `mps_obs::alloc` and pins the property. The first three
+//! kernel checks are `debug_assert`-based and require the `obs` feature;
+//! in release or `--no-default-features` runs they execute the kernels
+//! but assert nothing. The tick-loop, BADCO and resample checks compare
+//! two counts, so they also hold in release builds; without `obs` both
+//! counts are zero.
 
+use mps_badco::{BadcoModel, BadcoMulticoreSim, BadcoTiming};
 use mps_harness::runner::experiment_uncore;
 use mps_metrics::ThroughputMetric;
 use mps_obs::alloc::{assert_alloc_free, count_allocations, CountingAllocator};
@@ -161,6 +163,41 @@ fn detailed_tick_loop_does_not_allocate_per_cycle() {
                 .1
             };
             let what = format!("{policy} {names:?}, instructions per thread");
+            assert_allocations_flat(&what, 2_000, 8_000, run);
+        }
+    }
+}
+
+#[test]
+fn badco_run_does_not_allocate_per_node() {
+    let _guard = SERIAL.lock().unwrap();
+    let timing = BadcoTiming::from_uncore(&experiment_uncore(2, PolicyKind::Lru));
+    let model = |name: &str, n: u64| {
+        let trace = benchmark_by_name(name).unwrap().trace();
+        Arc::new(BadcoModel::build(
+            name,
+            &CoreConfig::ispass2013(),
+            &trace,
+            n,
+            timing,
+        ))
+    };
+    for names in [["mcf", "omnetpp"], ["gcc", "libquantum"]] {
+        let models: Vec<(u64, Vec<Arc<BadcoModel>>)> = [2_000, 8_000]
+            .into_iter()
+            .map(|n| (n, names.iter().map(|b| model(b, n)).collect()))
+            .collect();
+        for policy in [PolicyKind::Lru, PolicyKind::Drrip] {
+            // The whole run is counted, construction included: its machines
+            // size their wake-up structures once, from the model.
+            let run = |n: u64| {
+                let (_, bound) = models.iter().find(|(len, _)| *len == n).unwrap();
+                let uncore = Uncore::new(experiment_uncore(2, policy), 2);
+                count_allocations(|| BadcoMulticoreSim::new(uncore, bound.clone()).run()).1
+            };
+            // Registers the obs counters and span names once.
+            run(2_000);
+            let what = format!("{policy} {names:?}, µops per thread");
             assert_allocations_flat(&what, 2_000, 8_000, run);
         }
     }
