@@ -97,7 +97,6 @@ impl BadcoMulticoreSim {
     /// Panics if the simulation exceeds a generous step guard (deadlock).
     pub fn run(mut self) -> BadcoSimResult {
         let span = mps_obs::span("sim.badco.run");
-        let steps_counter = mps_obs::counter("sim.badco.machine_steps");
         let start = Instant::now();
         let uncore_before = self.uncore.stats();
         let k = self.machines.len();
@@ -114,7 +113,6 @@ impl BadcoMulticoreSim {
                 .map(|(c, _)| c)
                 .expect("at least one unfinished machine");
             self.machines[next].step(&mut self.uncore);
-            steps_counter.incr();
             steps += 1;
             assert!(steps < STEP_GUARD, "BADCO simulation deadlocked");
         }
@@ -133,7 +131,8 @@ impl BadcoMulticoreSim {
             })
             .collect();
         let instructions: u64 = self.machines.iter().map(BadcoMachine::committed).sum();
-        flush_obs(instructions, &uncore_before, &self.uncore.stats());
+        flush_obs(steps, instructions, &uncore_before, &self.uncore.stats());
+        self.uncore.flush_obs();
         span.finish();
         BadcoSimResult {
             ipc,
@@ -150,8 +149,9 @@ impl BadcoMulticoreSim {
 /// Flushes one finished BADCO run into the process-global `sim.badco.*`
 /// observability counters. The uncore may be handed in pre-warmed, so
 /// cache figures are deltas over this run, not the uncore's lifetime.
-fn flush_obs(instructions: u64, before: &UncoreStats, after: &UncoreStats) {
+fn flush_obs(steps: u64, instructions: u64, before: &UncoreStats, after: &UncoreStats) {
     mps_obs::counter("sim.badco.runs").incr();
+    mps_obs::counter("sim.badco.machine_steps").add(steps);
     mps_obs::counter("sim.badco.instructions").add(instructions);
     mps_obs::counter("sim.badco.cache_accesses").add(after.requests - before.requests);
     mps_obs::counter("sim.badco.cache_misses").add(after.llc_misses - before.llc_misses);

@@ -133,6 +133,31 @@ mod enabled {
     }
 
     #[test]
+    fn llc_writeback_counter_matches_memory_writes() {
+        let _g = guard();
+        mps_obs::reset();
+        // A small LLC with stream prefetching on: a sequential store
+        // stream trains the prefetcher, whose fills then evict dirty lines
+        // just as demand misses do.
+        let cfg = mps_uncore::UncoreConfig {
+            llc_size: 16 << 10,
+            llc_ways: 4,
+            ..mps_uncore::UncoreConfig::ispass2013(2, PolicyKind::Lru)
+        };
+        assert!(cfg.stream_prefetch);
+        let mut u = mps_uncore::Uncore::new(cfg, 1);
+        let before = counter_value("uncore.llc.writebacks");
+        let mut t = 0;
+        for i in 0..4_096u64 {
+            t = u.access(0, i * 64, true, t);
+        }
+        u.flush_obs();
+        let (_, writes) = u.memory_traffic();
+        assert!(writes > 0, "the stream must evict dirty lines");
+        assert_eq!(counter_value("uncore.llc.writebacks") - before, writes);
+    }
+
+    #[test]
     fn trace_sink_round_trips_through_the_parser() {
         let _g = guard();
         mps_obs::reset();

@@ -228,13 +228,14 @@ impl MulticoreSim {
     /// Assembles the measured result of a finished run and flushes its
     /// statistics into the observability counters.
     fn result(
-        self,
+        mut self,
         n: u64,
         cores: &[Core],
         slices: Slices,
         total_cycles: u64,
         start: Instant,
     ) -> SimResult {
+        self.uncore.0.flush_obs();
         let uncore = &self.uncore.0;
         let k = cores.len();
         let finish_cycles: Vec<u64> = cores

@@ -91,26 +91,28 @@ pub struct Cache {
     set_mask: u64,
     /// `tags[set * ways + way]`: line number currently cached.
     tags: Vec<u64>,
-    /// Packed per-line metadata: [`META_VALID`] | [`META_DIRTY`]. One byte
-    /// per line keeps a whole 16-way set's state in two cache words.
-    meta: Vec<u8>,
+    /// `dirty[set * ways + way]`: the line needs a writeback on eviction.
+    dirty: Vec<bool>,
+    /// Valid ways per set. Lines are never invalidated and a miss fills
+    /// the first invalid way, so a set's valid ways are always the prefix
+    /// `0..filled[set]`.
+    filled: Vec<u32>,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
 }
-
-/// `meta` bit: the way holds a valid line.
-const META_VALID: u8 = 1 << 0;
-/// `meta` bit: the line is dirty (needs writeback on eviction).
-const META_DIRTY: u8 = 1 << 1;
 
 impl Cache {
     /// Creates a cache of `sets × ways` lines with the given policy.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or `ways` exceeds `u32::MAX`.
     pub fn new(sets: usize, ways: usize, policy: PolicyKind) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
+        assert!(
+            u32::try_from(ways).is_ok(),
+            "associativity {ways} too large"
+        );
         let set_mask = if sets.is_power_of_two() {
             sets as u64 - 1
         } else {
@@ -121,7 +123,8 @@ impl Cache {
             ways,
             set_mask,
             tags: vec![0; sets * ways],
-            meta: vec![0; sets * ways],
+            dirty: vec![false; sets * ways],
+            filled: vec![0; sets],
             policy: policy.build(sets, ways),
             stats: CacheStats::default(),
         }
@@ -172,14 +175,16 @@ impl Cache {
         }
     }
 
+    /// The valid tags of `set`.
+    #[inline]
+    fn valid_tags(&self, set: usize) -> &[u64] {
+        let base = set * self.ways;
+        &self.tags[base..base + self.filled[set] as usize]
+    }
+
     /// Checks presence without disturbing replacement state or stats.
     pub fn probe(&self, line: u64) -> bool {
-        let base = self.set_of(line) * self.ways;
-        let tags = &self.tags[base..base + self.ways];
-        let meta = &self.meta[base..base + self.ways];
-        tags.iter()
-            .zip(meta)
-            .any(|(&t, &m)| m & META_VALID != 0 && t == line)
+        self.valid_tags(self.set_of(line)).contains(&line)
     }
 
     /// Accesses `line`, installing it on a miss (write-allocate).
@@ -190,36 +195,29 @@ impl Cache {
             AccessType::Prefetch => self.stats.prefetch_accesses += 1,
             _ => self.stats.demand_accesses += 1,
         }
-        // Lookup over the packed set slices. The invalid-way scan for the
-        // miss path rides along so the hot loop touches each way once.
-        let tags = &self.tags[base..base + self.ways];
-        let meta = &self.meta[base..base + self.ways];
-        let mut invalid_way = usize::MAX;
-        for (w, (&t, &m)) in tags.iter().zip(meta).enumerate() {
-            if m & META_VALID == 0 {
-                if invalid_way == usize::MAX {
-                    invalid_way = w;
-                }
-            } else if t == line {
-                self.policy.on_hit(set, w);
-                if kind == AccessType::Write {
-                    self.meta[base + w] |= META_DIRTY;
-                }
-                return AccessOutcome::Hit;
+        // A line is resident at most once per set, so the first match in
+        // the valid prefix is the only one.
+        if let Some(w) = self.valid_tags(set).iter().position(|&t| t == line) {
+            self.policy.on_hit(set, w);
+            if kind == AccessType::Write {
+                self.dirty[base + w] = true;
             }
+            return AccessOutcome::Hit;
         }
         // Miss: fill the first invalid way, else ask the policy for a victim.
         match kind {
             AccessType::Prefetch => self.stats.prefetch_misses += 1,
             _ => self.stats.demand_misses += 1,
         }
-        let (way, writeback) = if invalid_way != usize::MAX {
-            (invalid_way, None)
+        let filled = self.filled[set] as usize;
+        let (way, writeback) = if filled < self.ways {
+            self.filled[set] += 1;
+            (filled, None)
         } else {
             let w = self.policy.victim(set);
             assert!(w < self.ways, "policy returned way {w} of {}", self.ways);
             self.stats.evictions += 1;
-            let wb = if self.meta[base + w] & META_DIRTY != 0 {
+            let wb = if self.dirty[base + w] {
                 self.stats.writebacks += 1;
                 Some(self.tags[base + w])
             } else {
@@ -228,18 +226,14 @@ impl Cache {
             (w, wb)
         };
         self.tags[base + way] = line;
-        self.meta[base + way] = if kind == AccessType::Write {
-            META_VALID | META_DIRTY
-        } else {
-            META_VALID
-        };
+        self.dirty[base + way] = kind == AccessType::Write;
         self.policy.on_fill(set, way);
         AccessOutcome::Miss { writeback }
     }
 
     /// Number of valid lines currently resident (for tests/invariants).
     pub fn occupancy(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
+        self.filled.iter().map(|&f| f as usize).sum()
     }
 
     /// The replacement policy's display name.

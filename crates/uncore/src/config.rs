@@ -150,6 +150,39 @@ impl UncoreConfig {
     pub fn llc_sets(&self) -> usize {
         (self.llc_size / (self.llc_ways as u64 * self.line_bytes)) as usize
     }
+
+    /// Checks the structural constraints the uncore relies on: at least
+    /// one MSHR and one write-buffer entry, a power-of-two line size, and
+    /// a non-empty power-of-two set count.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mshrs == 0 {
+            return Err("need at least one MSHR".into());
+        }
+        if self.write_buffer == 0 {
+            return Err("need at least one write-buffer entry".into());
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!(
+                "line size {} is not a power of two",
+                self.line_bytes
+            ));
+        }
+        if self.llc_ways == 0 {
+            return Err("LLC needs at least one way".into());
+        }
+        let sets = self.llc_sets();
+        if !sets.is_power_of_two() {
+            return Err(format!(
+                "LLC of {} bytes with {} ways gives {sets} sets, not a positive power of two",
+                self.llc_size, self.llc_ways
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -188,6 +221,56 @@ mod tests {
             UncoreConfig::ispass2013(4, PolicyKind::Lru).llc_sets(),
             2048
         );
+    }
+
+    #[test]
+    fn table_ii_configurations_validate() {
+        for cores in [1, 2, 4, 8] {
+            assert_eq!(
+                UncoreConfig::ispass2013(cores, PolicyKind::Lru).validate(),
+                Ok(())
+            );
+        }
+        assert_eq!(
+            UncoreConfig::tiny_for_tests(PolicyKind::Lru).validate(),
+            Ok(())
+        );
+    }
+
+    fn rejection(edit: impl FnOnce(&mut UncoreConfig)) -> String {
+        let mut cfg = UncoreConfig::ispass2013(2, PolicyKind::Lru);
+        edit(&mut cfg);
+        cfg.validate().expect_err("configuration must be rejected")
+    }
+
+    #[test]
+    fn validate_rejects_zero_mshrs() {
+        assert!(rejection(|c| c.mshrs = 0).contains("MSHR"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_write_buffer() {
+        assert!(rejection(|c| c.write_buffer = 0).contains("write-buffer"));
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_line() {
+        assert!(rejection(|c| c.line_bytes = 48).contains("line size 48"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_ways() {
+        assert!(rejection(|c| c.llc_ways = 0).contains("at least one way"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_sets() {
+        assert!(rejection(|c| c.llc_size = 512).contains("gives 0 sets"));
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_sets() {
+        assert!(rejection(|c| c.llc_size = 3 << 20).contains("gives 3072 sets"));
     }
 
     #[test]

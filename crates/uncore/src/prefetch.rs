@@ -156,37 +156,45 @@ impl StreamPrefetcher {
     pub fn on_miss(&mut self, line: u64) -> [Option<u64>; 2] {
         self.clock += 1;
         let mut out = [None, None];
-        // Find a stream this miss extends.
-        for s in &mut self.streams {
-            if !s.valid {
-                continue;
-            }
-            let delta = line as i64 - s.last_line as i64;
-            let matches = (s.direction >= 0 && delta > 0 && delta <= Self::WINDOW as i64)
-                || (s.direction <= 0 && delta < 0 && -delta <= Self::WINDOW as i64);
-            if matches {
-                s.direction = if delta > 0 { 1 } else { -1 };
-                s.last_line = line;
-                s.hits = (s.hits + 1).min(Self::TRAIN + 1);
-                s.lru = self.clock;
-                if s.hits >= Self::TRAIN {
-                    for (d, slot) in out.iter_mut().take(self.degree).enumerate() {
-                        let target = line as i64 + s.direction * (d as i64 + 1);
-                        if target >= 0 {
-                            *slot = Some(target as u64);
-                        }
+        // One pass over the table finds both the first valid stream this
+        // miss extends and the LRU victim (invalid streams keep `lru == 0`,
+        // valid ones have `lru ≥ 1`, so the first minimum is the old
+        // "invalid first, else least recent" choice). A stream matches
+        // when 0 < |Δ| ≤ WINDOW and `direction·Δ ≥ 0`: for direction ∈
+        // {−1, 0, 1} that is "ascending streams take Δ > 0, descending ones
+        // Δ < 0, untrained ones either". Nothing in the pass branches.
+        let (mut hit, mut victim, mut oldest) = (usize::MAX, 0, u64::MAX);
+        for (i, s) in self.streams.iter().enumerate() {
+            let delta = line.wrapping_sub(s.last_line) as i64;
+            let matches = s.valid
+                & (delta.unsigned_abs().wrapping_sub(1) < Self::WINDOW)
+                & (s.direction.wrapping_mul(delta) >= 0);
+            hit = if matches & (hit == usize::MAX) {
+                i
+            } else {
+                hit
+            };
+            let older = s.lru < oldest;
+            victim = if older { i } else { victim };
+            oldest = oldest.min(s.lru);
+        }
+        if let Some(s) = self.streams.get_mut(hit) {
+            s.direction = (line.wrapping_sub(s.last_line) as i64).signum();
+            s.last_line = line;
+            s.hits = (s.hits + 1).min(Self::TRAIN + 1);
+            s.lru = self.clock;
+            if s.hits >= Self::TRAIN {
+                for (d, slot) in out.iter_mut().take(self.degree).enumerate() {
+                    let target = line as i64 + s.direction * (d as i64 + 1);
+                    if target >= 0 {
+                        *slot = Some(target as u64);
                     }
                 }
-                return out;
             }
+            return out;
         }
-        // Allocate a new stream (LRU victim).
-        let victim = self
-            .streams
-            .iter_mut()
-            .min_by_key(|s| if s.valid { s.lru } else { 0 })
-            .expect("at least one stream");
-        *victim = Stream {
+        // Allocate a new stream in the LRU victim's slot.
+        self.streams[victim] = Stream {
             last_line: line,
             direction: 0,
             hits: 0,

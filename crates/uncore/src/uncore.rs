@@ -46,34 +46,6 @@ pub struct UncoreStats {
     pub prefetches: u64,
 }
 
-/// Process-global observability counters for uncore events, resolved once
-/// per [`Uncore`] so the per-access cost is one relaxed atomic add (zero
-/// with the `obs` feature off).
-#[derive(Debug, Clone, Copy)]
-struct ObsCounters {
-    accesses: mps_obs::Counter,
-    hits: mps_obs::Counter,
-    misses: mps_obs::Counter,
-    mshr_merges: mps_obs::Counter,
-    prefetches: mps_obs::Counter,
-    evictions: mps_obs::Counter,
-    writebacks: mps_obs::Counter,
-}
-
-impl ObsCounters {
-    fn new() -> Self {
-        ObsCounters {
-            accesses: mps_obs::counter("uncore.llc.accesses"),
-            hits: mps_obs::counter("uncore.llc.hits"),
-            misses: mps_obs::counter("uncore.llc.misses"),
-            mshr_merges: mps_obs::counter("uncore.mshr.merges"),
-            prefetches: mps_obs::counter("uncore.prefetches"),
-            evictions: mps_obs::counter("uncore.llc.evictions"),
-            writebacks: mps_obs::counter("uncore.llc.writebacks"),
-        }
-    }
-}
-
 /// The shared uncore. See the module docs.
 #[derive(Debug)]
 pub struct Uncore {
@@ -91,6 +63,11 @@ pub struct Uncore {
     /// steady state performs no allocation. Order is never observed —
     /// lookups are by line and retirement is by completion time.
     pending: Vec<(u64, u64)>,
+    /// Earliest completion cycle in `pending` (`u64::MAX` when empty), so
+    /// [`Uncore::drain`] can skip the scan while nothing has completed.
+    pending_min: u64,
+    /// `log2(cfg.line_bytes)`.
+    line_shift: u32,
     /// Single request port: next cycle a new request can be accepted.
     port_free: u64,
     /// Bus-departure times of in-flight writebacks (the write buffer).
@@ -103,7 +80,8 @@ pub struct Uncore {
     core_accesses: Vec<u64>,
     /// Per-core prefetch lines fetched from memory on the core's behalf.
     core_prefetches: Vec<u64>,
-    obs: ObsCounters,
+    /// Statistics already published by [`Uncore::flush_obs`].
+    published: (UncoreStats, CacheStats),
 }
 
 impl Uncore {
@@ -111,14 +89,19 @@ impl Uncore {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero.
+    /// Panics if `cores` is zero or `cfg` fails [`UncoreConfig::validate`].
     pub fn new(cfg: UncoreConfig, cores: usize) -> Self {
         assert!(cores > 0, "need at least one core");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid UncoreConfig: {e}");
+        }
         Uncore {
             llc: Cache::new(cfg.llc_sets(), cfg.llc_ways, cfg.policy),
             cores,
             mem: MemoryModel::new(cfg.memory),
             pending: Vec::with_capacity(cfg.mshrs),
+            pending_min: u64::MAX,
+            line_shift: cfg.line_bytes.trailing_zeros(),
             port_free: 0,
             wb_pending: Vec::with_capacity(cfg.write_buffer + 1),
             prefetchers: (0..cores).map(|_| StreamPrefetcher::new(8, 2)).collect(),
@@ -126,7 +109,7 @@ impl Uncore {
             core_misses: vec![0; cores],
             core_accesses: vec![0; cores],
             core_prefetches: vec![0; cores],
-            obs: ObsCounters::new(),
+            published: Default::default(),
             cfg,
         }
     }
@@ -141,9 +124,27 @@ impl Uncore {
         self.cores
     }
 
-    /// Retires MSHRs whose miss has completed by `now`.
+    /// Retires MSHRs whose miss has completed by `now`. Before the
+    /// earliest completion nothing can retire, so the scan is skipped.
+    #[inline]
     fn drain(&mut self, now: u64) {
+        if now < self.pending_min {
+            return;
+        }
         self.pending.retain(|&(_, done)| done > now);
+        self.pending_min = self
+            .pending
+            .iter()
+            .map(|&(_, done)| done)
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
+    /// Records a new in-flight miss for `line` completing at `done`.
+    #[inline]
+    fn push_pending(&mut self, line: u64, done: u64) {
+        self.pending.push((line, done));
+        self.pending_min = self.pending_min.min(done);
     }
 
     /// Completion cycle of the in-flight miss covering `line`, if any.
@@ -160,7 +161,7 @@ impl Uncore {
     #[inline]
     fn phys_line(&self, core: usize, addr: u64) -> u64 {
         debug_assert!(core < self.cores, "core {core} out of range");
-        ((core as u64) << 40 | (addr & ((1 << 40) - 1))) / self.cfg.line_bytes
+        ((core as u64) << 40 | (addr & ((1 << 40) - 1))) >> self.line_shift
     }
 
     /// Issues a demand access from `core` for byte address `addr` at core
@@ -176,7 +177,6 @@ impl Uncore {
         let line = self.phys_line(core, addr);
         self.stats.requests += 1;
         self.core_accesses[core] += 1;
-        self.obs.accesses.incr();
 
         // Port arbitration: one request enters per cycle.
         let start = now.max(self.port_free);
@@ -188,7 +188,6 @@ impl Uncore {
         // MSHR merge: a miss to an in-flight line piggybacks on it.
         if let Some(done) = self.pending_done(line) {
             self.stats.mshr_merges += 1;
-            self.obs.mshr_merges.incr();
             return done.max(t_hit);
         }
 
@@ -197,27 +196,21 @@ impl Uncore {
         } else {
             AccessType::Read
         };
-        let evictions_before = self.llc.stats().evictions;
         match self.llc.access(line, kind) {
             AccessOutcome::Hit => {
                 self.stats.llc_hits += 1;
-                self.obs.hits.incr();
                 t_hit
             }
             AccessOutcome::Miss { writeback } => {
                 self.stats.llc_misses += 1;
                 self.core_misses[core] += 1;
-                self.obs.misses.incr();
 
                 // MSHR occupancy: wait until one frees if all are busy.
+                // `validate` guarantees at least one MSHR, so a full file
+                // is non-empty and `pending_min` is its earliest completion.
                 let mut issue = t_hit;
                 if self.pending.len() >= self.cfg.mshrs {
-                    let earliest = self
-                        .pending
-                        .iter()
-                        .map(|&(_, done)| done)
-                        .min()
-                        .expect("pending non-empty when full");
+                    let earliest = self.pending_min;
                     if earliest > issue {
                         self.stats.mshr_stall_cycles += earliest - issue;
                         issue = earliest;
@@ -226,7 +219,6 @@ impl Uncore {
                 }
 
                 if writeback.is_some() {
-                    self.obs.writebacks.incr();
                     // Dirty victim: its writeback occupies a write-buffer
                     // entry until the bus carries it out; a full buffer
                     // stalls the miss (Table II: 8 entries).
@@ -244,7 +236,7 @@ impl Uncore {
                     let freed = self.mem.write_line(issue);
                     self.wb_pending.push(freed);
                 }
-                self.pending.push((line, done));
+                self.push_pending(line, done);
 
                 // Train the core's stream prefetcher on the demand miss.
                 if self.cfg.stream_prefetch {
@@ -253,7 +245,6 @@ impl Uncore {
                         if !self.llc.probe(pf_line) && self.pending_done(pf_line).is_none() {
                             self.stats.prefetches += 1;
                             self.core_prefetches[core] += 1;
-                            self.obs.prefetches.incr();
                             // Prefetch fills consume memory bandwidth but
                             // nobody waits on them.
                             let pf_done = self.mem.read_line(issue);
@@ -265,9 +256,6 @@ impl Uncore {
                         }
                     }
                 }
-                self.obs
-                    .evictions
-                    .add(self.llc.stats().evictions - evictions_before);
                 done
             }
         }
@@ -294,13 +282,10 @@ impl Uncore {
         }
         self.stats.prefetches += 1;
         self.core_prefetches[core] += 1;
-        self.obs.prefetches.incr();
         let done = self.mem.read_line(now);
-        let evictions_before = self.llc.stats().evictions;
         if let AccessOutcome::Miss { writeback: Some(_) } =
             self.llc.access(line, AccessType::Prefetch)
         {
-            self.obs.writebacks.incr();
             let freed = self.mem.write_line(done);
             // Drop departed writebacks so the buffer stays within its
             // preallocation. Timing-neutral: every later demand issues at
@@ -308,11 +293,26 @@ impl Uncore {
             self.wb_pending.retain(|&t| t > now);
             self.wb_pending.push(freed);
         }
-        self.obs
-            .evictions
-            .add(self.llc.stats().evictions - evictions_before);
-        self.pending.push((line, done));
+        self.push_pending(line, done);
         Some(done)
+    }
+
+    /// Publishes the statistics gathered since the last flush into the
+    /// process-global `uncore.*` observability counters.
+    ///
+    /// The simulation drivers own their uncore and call this once per run,
+    /// inside their run span, so the hot path makes no atomic updates and
+    /// the counter totals equal the sum of every uncore's statistics.
+    pub fn flush_obs(&mut self) {
+        let (u, c) = (self.stats, self.llc.stats());
+        let (pu, pc) = std::mem::replace(&mut self.published, (u, c));
+        mps_obs::counter("uncore.llc.accesses").add(u.requests - pu.requests);
+        mps_obs::counter("uncore.llc.hits").add(u.llc_hits - pu.llc_hits);
+        mps_obs::counter("uncore.llc.misses").add(u.llc_misses - pu.llc_misses);
+        mps_obs::counter("uncore.mshr.merges").add(u.mshr_merges - pu.mshr_merges);
+        mps_obs::counter("uncore.prefetches").add(u.prefetches - pu.prefetches);
+        mps_obs::counter("uncore.llc.evictions").add(c.evictions - pc.evictions);
+        mps_obs::counter("uncore.llc.writebacks").add(c.writebacks - pc.writebacks);
     }
 
     /// LLC statistics.
@@ -514,6 +514,16 @@ mod tests {
             "single-entry write buffer must stall: {:?}",
             u.stats()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid UncoreConfig: need at least one MSHR")]
+    fn new_rejects_an_invalid_config() {
+        let cfg = UncoreConfig {
+            mshrs: 0,
+            ..UncoreConfig::ispass2013(2, PolicyKind::Lru)
+        };
+        Uncore::new(cfg, 1);
     }
 
     #[test]
