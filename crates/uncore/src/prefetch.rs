@@ -115,7 +115,8 @@ struct Stream {
     /// +1 ascending, −1 descending, 0 untrained.
     direction: i64,
     hits: u8,
-    valid: bool,
+    /// Miss-clock value of the last allocation or match; 0 while the slot
+    /// has never held a stream (the clock is at least 1 when one does).
     lru: u64,
 }
 
@@ -157,16 +158,16 @@ impl StreamPrefetcher {
         self.clock += 1;
         let mut out = [None, None];
         // One pass over the table finds both the first valid stream this
-        // miss extends and the LRU victim (invalid streams keep `lru == 0`,
-        // valid ones have `lru ≥ 1`, so the first minimum is the old
-        // "invalid first, else least recent" choice). A stream matches
-        // when 0 < |Δ| ≤ WINDOW and `direction·Δ ≥ 0`: for direction ∈
-        // {−1, 0, 1} that is "ascending streams take Δ > 0, descending ones
-        // Δ < 0, untrained ones either". Nothing in the pass branches.
+        // miss extends and the LRU victim: empty slots have `lru == 0`, so
+        // the first minimum is "first empty slot, else least recent". A
+        // stream matches when 0 < |Δ| ≤ WINDOW and `direction·Δ ≥ 0`: for
+        // direction ∈ {−1, 0, 1} that is "ascending streams take Δ > 0,
+        // descending ones Δ < 0, untrained ones either". Nothing in the
+        // pass branches.
         let (mut hit, mut victim, mut oldest) = (usize::MAX, 0, u64::MAX);
         for (i, s) in self.streams.iter().enumerate() {
             let delta = line.wrapping_sub(s.last_line) as i64;
-            let matches = s.valid
+            let matches = (s.lru != 0)
                 & (delta.unsigned_abs().wrapping_sub(1) < Self::WINDOW)
                 & (s.direction.wrapping_mul(delta) >= 0);
             hit = if matches & (hit == usize::MAX) {
@@ -198,7 +199,6 @@ impl StreamPrefetcher {
             last_line: line,
             direction: 0,
             hits: 0,
-            valid: true,
             lru: self.clock,
         };
         out
