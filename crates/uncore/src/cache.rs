@@ -106,13 +106,9 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or `ways` exceeds `u32::MAX`.
+    /// Panics if `sets` or `ways` is zero.
     pub fn new(sets: usize, ways: usize, policy: PolicyKind) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
-        assert!(
-            u32::try_from(ways).is_ok(),
-            "associativity {ways} too large"
-        );
         let set_mask = if sets.is_power_of_two() {
             sets as u64 - 1
         } else {
