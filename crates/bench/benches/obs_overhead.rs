@@ -7,7 +7,11 @@
 //! * `baseline`         — the bare loop, no instrumentation calls at all;
 //! * `counters`         — the loop plus two `Counter::add` calls per
 //!   iteration, the density of the simulator core-step loop;
-//! * `counters+span`    — the same, wrapped in one span per batch;
+//! * `counters+span`    — the same, wrapped in one span per batch; with
+//!   no sink or tap installed the span is inert, so this must track
+//!   `counters`;
+//! * `counters+span/tap` — the same with the span tap installed and
+//!   drained each iteration, pricing a recorded span;
 //! * `histogram`        — the loop plus one `Histogram::record` per
 //!   iteration (bucket math + one relaxed atomic add);
 //! * `gauge`            — the loop plus one `Gauge::set` per iteration;
@@ -80,6 +84,23 @@ fn bench_overhead(c: &mut Criterion) {
             black_box(acc)
         })
     });
+
+    mps_obs::install_span_tap();
+    group.bench_function("counters+span/tap", |b| {
+        b.iter(|| {
+            let span = mps_obs::span("bench.overhead.batch");
+            let mut acc = 0u64;
+            for i in 0..ITERS {
+                acc = acc.wrapping_add(mix(i));
+                instructions.incr();
+                misses.add(acc & 1);
+            }
+            span.finish();
+            black_box(mps_obs::drain_span_tap());
+            black_box(acc)
+        })
+    });
+    mps_obs::remove_span_tap();
 
     let latency = mps_obs::histogram("bench.overhead.latency");
     group.bench_function("histogram", |b| {

@@ -11,7 +11,6 @@ pub mod cv;
 pub mod distribution;
 pub mod guideline;
 pub mod overhead;
-pub mod profile;
 pub mod tables;
 
 pub use ablation::{ablation, AblationReport};
@@ -21,5 +20,4 @@ pub use cv::{fig4, fig5, InvCvReport};
 pub use distribution::{dw, DistributionReport};
 pub use guideline::{guideline, GuidelineReport};
 pub use overhead::{overhead, OverheadReport};
-pub use profile::{profile, ProfileReport};
 pub use tables::{table1, table2, table4, MpkiReport};

@@ -5,9 +5,8 @@
 //! they learn how many cells a figure will evaluate, then
 //! [`cell_finished`] / [`cell_replayed`] per cell. The accounting lives
 //! in ordinary `mps-obs` gauges, counters and the
-//! `grid.cell.latency_us` histogram, so it shows up in `/metrics` and
-//! the profile report for free; with the `obs` feature off everything
-//! here is inert.
+//! `grid.cell.latency_us` histogram, so it shows up in `/metrics` for
+//! free; with the `obs` feature off everything here is inert.
 //!
 //! [`start`] spawns one detached thread that, every period:
 //!

@@ -3,14 +3,14 @@
 //! ```text
 //! mps-harness [run] <experiment...> [--scale test|small|full] [--out DIR]
 //!                   [--jobs N] [--store DIR] [--no-store]
-//!                   [--timeout SECS] [--retries N] [--profile] [--trace FILE]
+//!                   [--timeout SECS] [--retries N] [--trace FILE]
 //!                   [--metrics-addr HOST:PORT]
 //! mps-harness trace <FILE> [--folded] [--worker ID]
 //! mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]
 //! mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]
 //! mps-harness report [--ledger FILE] [--store DIR] [--out FILE]
 //! mps-harness validate [--scale test|small|full] [--jobs N] [--store DIR]
-//!                      [--no-store] [--out DIR]
+//!                      [--no-store] [--out DIR] [--trace FILE]
 //!                      [--fail-on THRESHOLDS] [--baseline FILE]
 //!                      [--write-baseline FILE] [--perturb FACTOR]
 //!                      [--metrics-addr HOST:PORT]
@@ -22,8 +22,6 @@
 //!   guideline  — §VII decisions for every policy pair
 //!   ablation   — stratification parameter / allocation / clustering sweep
 //!   dw         — d(w) distribution histograms (the stratification input)
-//!   profile    — run the representative pipeline and print the per-phase
-//!                profile report (see docs/observability.md)
 //!   all        — every experiment, in paper order
 //!
 //! --out DIR writes each report as DIR/<name>.txt plus DIR/<name>.csv
@@ -42,10 +40,9 @@
 //! --timeout SECS bounds each experiment's wall-clock; --retries N
 //! re-attempts an experiment that panicked. A failing experiment is
 //! reported and skipped; the exit code is nonzero if any failed.
-//! --profile appends the profile pipeline + report after the experiments.
-//! --trace FILE streams structured JSONL span/event records to FILE
-//! (equivalent to MPS_OBS_OUT=FILE). Both need the `obs` feature (on by
-//! default).
+//! --trace FILE (run and validate) streams structured JSONL span/event
+//! records to FILE; spans are recorded only while it is installed. It
+//! needs the `obs` feature (on by default).
 //! --metrics-addr HOST:PORT (or MPS_METRICS_ADDR) serves live
 //! OpenMetrics-style text — counters, gauges, histogram quantiles, run
 //! metadata — on a background thread for the run's lifetime; port 0
@@ -117,120 +114,107 @@ fn load_trace(path: &str, worker: Option<&str>) -> Result<mps_obs::analyze::Trac
     Ok(mps_obs::analyze::summarize(&records))
 }
 
+const TRACE_USAGE: &str = "usage: mps-harness trace <FILE> [--folded] [--worker ID]\n\
+                           \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]";
+
+/// The `trace diff` regression threshold, in percent, when
+/// `--fail-on-regress` gives none or is absent.
+const DEFAULT_REGRESS_PCT: f64 = 10.0;
+
+/// A parsed `trace` or `trace diff` command line.
+#[derive(Debug, Default)]
+struct TraceArgs {
+    files: Vec<String>,
+    folded: bool,
+    json: bool,
+    /// `--fail-on-regress` and its PCT ([`DEFAULT_REGRESS_PCT`] when the
+    /// flag is bare).
+    fail_on_regress: Option<f64>,
+    worker: Option<String>,
+}
+
+/// Parses the arguments after `trace` (`diff` says they followed
+/// `trace diff`): `--worker` for both, `--folded` for a summary, `--json`
+/// and `--fail-on-regress` for a diff, and one trace file (two for a
+/// diff).
+fn parse_trace(args: &[String], diff: bool) -> Result<TraceArgs, CliError> {
+    let mut t = TraceArgs::default();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--worker" => t.worker = Some(flag_value(flag, args.next(), "a worker id", |_| true)?),
+            "--folded" if !diff => t.folded = true,
+            "--json" if diff => t.json = true,
+            "--fail-on-regress" if diff => {
+                // PCT is optional: a bare flag keeps the default.
+                t.fail_on_regress = Some(match args.next_if(|v| v.parse::<f64>().is_ok()) {
+                    None => DEFAULT_REGRESS_PCT,
+                    pct => flag_value(flag, pct, "a finite non-negative PCT", |p: &f64| {
+                        p.is_finite() && *p >= 0.0
+                    })?,
+                });
+            }
+            _ if flag.starts_with('-') => {
+                return Err(CliError::Usage(format!("unknown trace flag '{flag}'")))
+            }
+            file => t.files.push(file.to_owned()),
+        }
+    }
+    match (diff, t.files.len()) {
+        (false, 1) | (true, 2) => Ok(t),
+        (false, _) => Err(CliError::Usage("trace needs one trace file".to_owned())),
+        (true, _) => Err(CliError::Usage(
+            "trace diff needs exactly two trace files".to_owned(),
+        )),
+    }
+}
+
 /// The `trace` subcommand: offline analysis of `--trace` output. Returns
 /// the process exit code (0 ok, 2 usage, 1 unreadable input, 3 when
 /// `--fail-on-regress` found regressions).
 fn trace_cli(args: &[String]) -> i32 {
-    const USAGE: &str = "usage: mps-harness trace <FILE> [--folded] [--worker ID]\n\
-                         \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]";
-    match args.first().map(String::as_str) {
-        Some("diff") => {
-            let mut files: Vec<&str> = Vec::new();
-            let mut threshold = 10.0f64;
-            let mut fail_on_regress = false;
-            let mut json = false;
-            let mut worker: Option<String> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--fail-on-regress" => {
-                        fail_on_regress = true;
-                        // PCT is optional: a bare flag keeps the default.
-                        if let Some(p) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                            threshold = p;
-                            i += 1;
-                        }
-                    }
-                    "--json" => json = true,
-                    "--worker" => {
-                        i += 1;
-                        match args.get(i) {
-                            Some(w) => worker = Some(w.clone()),
-                            None => {
-                                eprintln!("--worker needs a worker id\n{USAGE}");
-                                return 2;
-                            }
-                        }
-                    }
-                    flag if flag.starts_with('-') => {
-                        eprintln!("unknown trace diff flag '{flag}'\n{USAGE}");
-                        return 2;
-                    }
-                    file => files.push(file),
-                }
-                i += 1;
+    let diff = args.first().is_some_and(|a| a == "diff");
+    let t = match parse_trace(&args[usize::from(diff)..], diff) {
+        Ok(t) => t,
+        Err(e) => return e.report(TRACE_USAGE),
+    };
+    let mut summaries = Vec::with_capacity(t.files.len());
+    for file in &t.files {
+        match load_trace(file, t.worker.as_deref()) {
+            Ok(s) => summaries.push(s),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return 1;
             }
-            let &[a, b] = files.as_slice() else {
-                eprintln!("trace diff needs exactly two trace files\n{USAGE}");
-                return 2;
-            };
-            let want = worker.as_deref();
-            let (before, after) = match (load_trace(a, want), load_trace(b, want)) {
-                (Ok(x), Ok(y)) => (x, y),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            let d = mps_obs::analyze::diff(&before, &after, threshold);
-            if json {
-                println!("{}", d.to_json());
-            } else {
-                print!("{}", d.render());
-            }
-            if fail_on_regress && !d.regressions().is_empty() {
-                eprintln!(
-                    "trace diff: failing on {} regression(s)",
-                    d.regressions().len()
-                );
-                return 3;
-            }
-            0
-        }
-        Some(file) if !file.starts_with('-') => {
-            let mut folded = false;
-            let mut worker: Option<String> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--folded" => folded = true,
-                    "--worker" => {
-                        i += 1;
-                        match args.get(i) {
-                            Some(w) => worker = Some(w.clone()),
-                            None => {
-                                eprintln!("--worker needs a worker id\n{USAGE}");
-                                return 2;
-                            }
-                        }
-                    }
-                    flag => {
-                        eprintln!("unknown trace flag '{flag}'\n{USAGE}");
-                        return 2;
-                    }
-                }
-                i += 1;
-            }
-            match load_trace(file, worker.as_deref()) {
-                Ok(s) => {
-                    if folded {
-                        print!("{}", s.folded());
-                    } else {
-                        print!("{}", s.render());
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
-            }
-        }
-        _ => {
-            eprintln!("{USAGE}");
-            2
         }
     }
+    let (before, after) = match summaries.as_slice() {
+        [s] => {
+            print!("{}", if t.folded { s.folded() } else { s.render() });
+            return 0;
+        }
+        [before, after] => (before, after),
+        _ => unreachable!("parse_trace checks the file count"),
+    };
+    let d = mps_obs::analyze::diff(
+        before,
+        after,
+        t.fail_on_regress.unwrap_or(DEFAULT_REGRESS_PCT),
+    );
+    if t.json {
+        println!("{}", d.to_json());
+    } else {
+        print!("{}", d.render());
+    }
+    if t.fail_on_regress.is_some() && !d.regressions().is_empty() {
+        eprintln!(
+            "trace diff: failing on {} regression(s)",
+            d.regressions().len()
+        );
+        return 3;
+    }
+    0
 }
 
 /// Resolves the run-ledger path from `--ledger FILE`, else `--store DIR`
@@ -411,6 +395,8 @@ struct Options {
     dist_addr: Option<String>,
     lease_ttl: Option<Duration>,
     metrics_addr: Option<String>,
+    /// `--trace FILE`: the JSONL sink for span and event records.
+    trace: Option<String>,
 }
 
 /// The environment variables the shared options fall back to.
@@ -501,6 +487,7 @@ fn parse_options(
         dist_addr: None,
         lease_ttl: None,
         metrics_addr: env.metrics_addr,
+        trace: None,
     };
     let mut no_store = false;
     let mut own = Vec::new();
@@ -551,6 +538,7 @@ fn parse_options(
                     |_| true,
                 )?);
             }
+            "--trace" => o.trace = Some(flag_value(flag, args.next(), "a file path", |_| true)?),
             "--help" | "-h" => return Err(CliError::Help),
             _ if valued.contains(&flag) => own.push((arg.clone(), args.next().cloned())),
             _ => own.push((arg.clone(), None)),
@@ -563,6 +551,22 @@ fn parse_options(
 }
 
 impl Options {
+    /// Installs the `--trace` sink, if one was asked for. Returns false,
+    /// having said why on stderr, when the file cannot be opened.
+    fn start_trace(&self) -> bool {
+        let Some(file) = &self.trace else {
+            return true;
+        };
+        if !mps_obs::enabled() {
+            eprintln!("note: built without the `obs` feature; --trace will record nothing");
+        }
+        if let Err(e) = mps_obs::set_sink_path(file) {
+            eprintln!("cannot open trace file {file}: {e}");
+            return false;
+        }
+        true
+    }
+
     /// Builds the study context these options describe (`extra` adds a
     /// subcommand's own builder settings), records the run metadata of
     /// the /metrics `mps_run_info` line, and serves /metrics when asked.
@@ -601,7 +605,7 @@ impl Options {
 }
 
 const VALIDATE_USAGE: &str = "usage: mps-harness validate [--scale test|small|full] [--jobs N] \
-                              [--store DIR] [--no-store] [--out DIR] \
+                              [--store DIR] [--no-store] [--out DIR] [--trace FILE] \
                               [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
                               [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
                               [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] \
@@ -676,6 +680,9 @@ fn validate_cli(args: &[String]) -> i32 {
         Ok(v) => v,
         Err(e) => return e.report(VALIDATE_USAGE),
     };
+    if !cli.start_trace() {
+        return 1;
+    }
     let ctx = match cli.open(|b| b) {
         Ok(ctx) => ctx,
         Err(e) => {
@@ -779,7 +786,6 @@ fn validate_cli(args: &[String]) -> i32 {
             eprintln!("warning: could not append run ledger: {e}");
         }
     }
-    mps_obs::flush();
 
     let Some(gate) = fail_on else { return 0 };
     let baseline = match &baseline_file {
@@ -909,16 +915,17 @@ fn worker_cli(args: &[String]) -> i32 {
     }
 }
 
-const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|dw|profile|all> \
+const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|dw|all> \
      [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] \
      [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
-     [--lease-ttl SECS] [--profile] [--trace FILE] [--metrics-addr HOST:PORT]\n\
+     [--lease-ttl SECS] [--trace FILE] [--metrics-addr HOST:PORT]\n\
      \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
      \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]\n\
      \x20      mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]\n\
      \x20      mps-harness report [--ledger FILE] [--store DIR] [--out FILE]\n\
      \x20      mps-harness validate [--fail-on mean-abs-err=5%,rank-inversions=3] \
-     [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] (see validate --help)\n\
+     [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] [--trace FILE] \
+     (see validate --help)\n\
      \x20      mps-harness worker --connect HOST:PORT [--id NAME]\n\
      --metrics-addr (or MPS_METRICS_ADDR) serves live /metrics; \
      MPS_HEARTBEAT_SECS tunes progress heartbeats (0 = off)\n\
@@ -930,7 +937,7 @@ const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|ove
      byte-identical to a single-process run (see docs/distributed.md)";
 
 /// Every experiment `run` knows, in paper order (what `all` runs). The
-/// names are static so each can also name a `phase.<experiment>` span.
+/// names are static so each can also name the experiment's span.
 const EXPERIMENTS: [&str; 15] = [
     "table1",
     "table2",
@@ -954,38 +961,31 @@ const EXPERIMENTS: [&str; 15] = [
 struct RunArgs {
     opts: Options,
     experiments: Vec<&'static str>,
-    profile: bool,
     timeout: Option<Duration>,
     retries: u32,
-    trace: Option<String>,
 }
 
 /// Parses a `run` command line (the `run` word itself is optional).
-/// Naming no experiment means `all`; `profile` as an experiment name asks
-/// for the profile report alone.
+/// Naming no experiment means `all`.
 fn parse_run(args: &[String], env: Env) -> Result<RunArgs, CliError> {
-    let valued = ["--timeout", "--retries", "--trace"];
+    let valued = ["--timeout", "--retries"];
     let (opts, own) = parse_options(args, Scale::small(), &valued, env)?;
     let mut r = RunArgs {
         opts,
         experiments: Vec::new(),
-        profile: false,
         timeout: None,
         retries: 0,
-        trace: None,
     };
     let (mut all, mut named) = (false, false);
     for (arg, value) in own {
         let value = value.as_ref();
         named |= !arg.starts_with('-') && arg != "run";
         match arg.as_str() {
-            "--profile" | "profile" => r.profile = true,
             "--timeout" => {
                 let secs = flag_value(&arg, value, "a positive number of seconds", |&s| s > 0)?;
                 r.timeout = Some(Duration::from_secs(secs));
             }
             "--retries" => r.retries = flag_value(&arg, value, "a non-negative integer", |_| true)?,
-            "--trace" => r.trace = Some(flag_value(&arg, value, "a file path", |_| true)?),
             "run" => {}
             "all" => all = true,
             flag if flag.starts_with('-') => {
@@ -1007,18 +1007,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("trace") => trace_cli(&args[1..]),
-        Some("validate") => {
-            mps_obs::init_from_env();
-            validate_cli(&args[1..])
-        }
+        Some("validate") => validate_cli(&args[1..]),
         Some("runs") => runs_cli(&args[1..]),
         Some("report") => report_cli(&args[1..]),
         Some("worker") => worker_cli(&args[1..]),
-        _ => {
-            mps_obs::init_from_env();
-            run_cli(&args)
-        }
+        _ => run_cli(&args),
     };
+    // `exit` skips destructors: write out whatever the sink still buffers.
+    mps_obs::flush();
     std::process::exit(code);
 }
 
@@ -1029,22 +1025,14 @@ fn run_cli(args: &[String]) -> i32 {
     let RunArgs {
         opts: cli,
         experiments: selected,
-        profile,
         timeout,
         retries,
-        trace,
     } = match parse_run(args, Env::read()) {
         Ok(r) => r,
         Err(e) => return e.report(RUN_USAGE),
     };
-    if let Some(file) = &trace {
-        if !mps_obs::enabled() {
-            eprintln!("note: built without the `obs` feature; --trace will record nothing");
-        }
-        if let Err(e) = mps_obs::set_sink_path(file) {
-            eprintln!("cannot open trace file {file}: {e}");
-            return 1;
-        }
+    if !cli.start_trace() {
+        return 1;
     }
     if let Some(dir) = &cli.out {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -1227,24 +1215,6 @@ fn run_cli(args: &[String]) -> i32 {
         println!();
     }
 
-    if profile {
-        match exp::profile(&ctx) {
-            Ok(report) => {
-                let text = report.to_string();
-                print!("{text}");
-                if let Some(dir) = &cli.out {
-                    if let Err(e) = std::fs::write(dir.join("profile.txt"), &text) {
-                        eprintln!("write failed: {e}");
-                        return 1;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("error: profile failed: {e}");
-                failures.push(("profile", e));
-            }
-        }
-    }
     // Terminate the `\r` progress line (with a final summary) before any
     // closing stderr output lands mid-line.
     mps_harness::heartbeat::finish();
@@ -1347,7 +1317,6 @@ fn run_cli(args: &[String]) -> i32 {
             Err(e) => eprintln!("warning: could not append run ledger: {e}"),
         }
     }
-    mps_obs::flush();
     if !failures.is_empty() {
         eprintln!("{} experiment(s) failed:", failures.len());
         for (name, e) in &failures {
@@ -1384,7 +1353,8 @@ mod tests {
     #[test]
     fn shared_flags_parse_the_same_under_run_and_validate() {
         let shared = "--scale full --jobs 3 --store st --out o --workers 2 \
-                      --dist-addr 0.0.0.0:7000 --lease-ttl 9 --metrics-addr 127.0.0.1:0";
+                      --dist-addr 0.0.0.0:7000 --lease-ttl 9 --metrics-addr 127.0.0.1:0 \
+                      --trace t.jsonl";
         let want = Options {
             scale: Scale::full(),
             jobs: Some(3),
@@ -1394,6 +1364,7 @@ mod tests {
             dist_addr: Some("0.0.0.0:7000".to_owned()),
             lease_ttl: Some(Duration::from_secs(9)),
             metrics_addr: Some("127.0.0.1:0".to_owned()),
+            trace: Some("t.jsonl".to_owned()),
         };
         assert_eq!(run(&format!("fig3 {shared}")).unwrap().opts, want);
         assert_eq!(validate(shared).unwrap().opts, want);
@@ -1408,6 +1379,7 @@ mod tests {
             ("--dist-addr", "h:1"),
             ("--lease-ttl", "1"),
             ("--metrics-addr", "h:2"),
+            ("--trace", "t.jsonl"),
         ] {
             let line = format!("{flag} {value}");
             assert_eq!(
@@ -1429,6 +1401,7 @@ mod tests {
             "--dist-addr",
             "--lease-ttl",
             "--metrics-addr",
+            "--trace",
         ] {
             assert!(usage_error(run(&format!("fig3 {flag}"))).starts_with(flag));
             assert!(usage_error(validate(flag)).starts_with(flag));
@@ -1444,11 +1417,7 @@ mod tests {
             assert!(msg.starts_with(flag) && msg.contains(bad), "{msg}");
             assert_eq!(usage_error(validate(&line)), msg);
         }
-        for (line, flag) in [
-            ("--timeout 0", "--timeout"),
-            ("--retries", "--retries"),
-            ("--trace", "--trace"),
-        ] {
+        for (line, flag) in [("--timeout 0", "--timeout"), ("--retries", "--retries")] {
             assert!(usage_error(run(line)).starts_with(flag), "{line}");
         }
         for (line, flag) in [
@@ -1492,21 +1461,76 @@ mod tests {
 
     #[test]
     fn run_selects_experiments_and_its_own_flags() {
-        let r = run("run fig3 fig6 --timeout 5 --retries 2 --trace t.jsonl --profile").unwrap();
+        let r = run("run fig3 fig6 --timeout 5 --retries 2 --trace t.jsonl").unwrap();
         assert_eq!(r.experiments, ["fig3", "fig6"]);
-        assert!(r.profile);
         assert_eq!(r.timeout, Some(Duration::from_secs(5)));
-        assert_eq!((r.retries, r.trace.as_deref()), (2, Some("t.jsonl")));
-        // A subcommand flag's value is never read as a shared flag.
+        assert_eq!((r.retries, r.opts.trace.as_deref()), (2, Some("t.jsonl")));
+        // A flag's value is never read as another flag.
         assert_eq!(
-            run("fig1 --trace --jobs").unwrap().trace.as_deref(),
+            run("fig1 --retries --jobs").map(|r| r.retries),
+            Err(CliError::Usage(
+                "--retries needs a non-negative integer (got '--jobs')".to_owned()
+            ))
+        );
+        assert_eq!(
+            run("fig1 --trace --jobs").unwrap().opts.trace.as_deref(),
             Some("--jobs")
         );
         assert_eq!(run("").unwrap().experiments, EXPERIMENTS);
-        assert_eq!(run("--profile").unwrap().experiments, EXPERIMENTS);
-        let profile_only = run("profile").unwrap();
-        assert!(profile_only.profile && profile_only.experiments.is_empty());
         assert!(usage_error(run("fig9")).contains("unknown experiment 'fig9'"));
         assert_eq!(run("fig3 --help").unwrap_err(), CliError::Help);
+    }
+
+    #[test]
+    fn profile_is_gone() {
+        let msg = usage_error(run("profile"));
+        assert!(msg.contains("unknown experiment 'profile'"), "{msg}");
+        let msg = usage_error(run("fig3 --profile"));
+        assert!(msg.contains("unknown argument '--profile'"), "{msg}");
+        assert!(!RUN_USAGE.contains("profile"));
+    }
+
+    fn trace(line: &str) -> Result<TraceArgs, CliError> {
+        let a = args(line);
+        let diff = a.first().is_some_and(|a| a == "diff");
+        parse_trace(&a[usize::from(diff)..], diff)
+    }
+
+    #[test]
+    fn trace_flags_parse_in_one_loop() {
+        let t = trace("t.jsonl --folded --worker w1").unwrap();
+        assert_eq!(t.files, ["t.jsonl"]);
+        assert!(t.folded && !t.json && t.fail_on_regress.is_none());
+        assert_eq!(t.worker.as_deref(), Some("w1"));
+        let d = trace("diff a b --json --worker local").unwrap();
+        assert_eq!(d.files, ["a", "b"]);
+        assert!(d.json && !d.folded);
+        assert_eq!(d.worker.as_deref(), Some("local"));
+        for line in ["--worker", "t.jsonl --worker", "diff a b --worker"] {
+            assert!(usage_error(trace(line)).starts_with("--worker"), "{line}");
+        }
+        assert!(usage_error(trace("t.jsonl --json")).contains("'--json'"));
+        assert!(usage_error(trace("diff a b --folded")).contains("'--folded'"));
+        assert!(usage_error(trace("a b")).contains("one trace file"));
+        assert!(usage_error(trace("diff a")).contains("two trace files"));
+    }
+
+    #[test]
+    fn fail_on_regress_takes_a_finite_non_negative_pct() {
+        let pct = |line: &str| trace(line).map(|t| t.fail_on_regress);
+        assert_eq!(pct("diff a b --fail-on-regress"), Ok(Some(10.0)));
+        assert_eq!(pct("diff a b --fail-on-regress --json"), Ok(Some(10.0)));
+        assert_eq!(pct("diff --fail-on-regress a b"), Ok(Some(10.0)));
+        assert_eq!(pct("diff a b --fail-on-regress 5"), Ok(Some(5.0)));
+        assert_eq!(pct("diff a b --fail-on-regress 0"), Ok(Some(0.0)));
+        assert_eq!(pct("diff a b"), Ok(None));
+        for bad in ["nan", "NaN", "inf", "-inf", "-5"] {
+            let msg = usage_error(pct(&format!("diff a b --fail-on-regress {bad}")));
+            assert!(
+                msg.starts_with("--fail-on-regress") && msg.contains(bad),
+                "{msg}"
+            );
+            assert_eq!(CliError::Usage(msg).report(TRACE_USAGE), 2);
+        }
     }
 }

@@ -65,8 +65,7 @@ pub fn experiment_uncore(cores: usize, policy: PolicyKind) -> UncoreConfig {
 /// first access to a key, exactly one miss is recorded (the thread that
 /// built) and every other thread records a hit, so `hits + misses` always
 /// equals the number of accesses. The same figures are mirrored into the
-/// `ctx.*` observability counters so they appear in `--profile` reports
-/// and `--trace` files; disk-level traffic is accounted separately under
+/// `ctx.*` observability counters so they appear in `--trace` files; disk-level traffic is accounted separately under
 /// `store.*` (see [`StudyContext::store_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StudyCacheStats {

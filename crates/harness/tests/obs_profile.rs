@@ -1,6 +1,7 @@
 //! Integration tests for the observability layer across the pipeline:
-//! profile report contents, StudyContext cache accounting, counter
-//! determinism across identical runs, and the JSONL trace round-trip.
+//! span records of a traced pipeline, StudyContext cache accounting,
+//! counter determinism across identical runs, and the JSONL trace
+//! round-trip.
 //!
 //! The obs counters are process-global, so every test here takes one
 //! static mutex and starts with `mps_obs::reset()`; the suite stays
@@ -20,7 +21,13 @@ fn guard() -> MutexGuard<'static, ()> {
 #[cfg(feature = "obs")]
 mod enabled {
     use super::*;
-    use mps_harness::experiments as exp;
+    use mps_metrics::ThroughputMetric;
+    use mps_obs::jsonl::Record;
+    use mps_sampling::{
+        analytic_confidence, empirical_confidence_jobs, PairData, RandomSampling,
+        WorkloadStratification,
+    };
+    use mps_workloads::TraceSource;
 
     /// Reads one global counter by name (0 when absent).
     fn counter_value(name: &str) -> u64 {
@@ -31,12 +38,61 @@ mod enabled {
             .unwrap_or(0)
     }
 
+    /// Parses span-tap lines back into records.
+    fn records(lines: &[String]) -> Vec<Record> {
+        mps_obs::jsonl::parse_all(&lines.join("\n")).expect("tap lines parse")
+    }
+
+    /// Drives every stage a study uses — trace synthesis, model building,
+    /// population enumeration, BADCO and detailed runs, throughput tables,
+    /// stratification and estimation — with the span tap installed.
     #[test]
-    fn profile_pipeline_reports_both_backends_and_cache_stats() {
+    fn traced_pipeline_records_both_backends_and_cache_stats() {
         let _g = guard();
         mps_obs::reset();
+        mps_obs::install_span_tap();
+        let mut lines = Vec::new();
         let ctx = StudyContext::new(Scale::test());
-        let report = exp::profile(&ctx).unwrap();
+        let cores = 2;
+
+        let n = ctx.scale.trace_len;
+        for spec in ctx.suite().to_vec() {
+            let mut t = spec.trace();
+            for _ in 0..n {
+                std::hint::black_box(t.next_uop());
+            }
+        }
+        ctx.models(cores).unwrap();
+        let pop = ctx.population(cores).unwrap();
+        let picks: Vec<_> = pop.workloads().iter().take(2).cloned().collect();
+        for w in &picks {
+            ctx.badco_run(cores, PolicyKind::Lru, w).unwrap();
+        }
+        for w in &picks {
+            ctx.detailed_run(cores, PolicyKind::Lru, w).unwrap();
+        }
+        lines.extend(mps_obs::drain_span_tap());
+        let tx = ctx.badco_table(cores, PolicyKind::Lru).unwrap();
+        let ty = ctx.badco_table(cores, PolicyKind::Random).unwrap();
+        let data = PairData::new(
+            ThroughputMetric::WeightedSpeedup,
+            tx.throughputs(ThroughputMetric::WeightedSpeedup),
+            ty.throughputs(ThroughputMetric::WeightedSpeedup),
+        );
+        lines.extend(mps_obs::drain_span_tap());
+        let strat = WorkloadStratification::build(
+            &data.differences(),
+            WorkloadStratification::DEFAULT_SD_THRESHOLD,
+            WorkloadStratification::DEFAULT_MIN_SIZE.min(pop.len().max(1)),
+        );
+        let samples = ctx.scale.confidence_samples.min(200);
+        let mut rng = ctx.rng(97);
+        let jobs = ctx.jobs();
+        let _ =
+            empirical_confidence_jobs(&RandomSampling, &pop, &data, 10, samples, &mut rng, jobs);
+        let _ = empirical_confidence_jobs(&strat, &pop, &data, 10, samples, &mut rng, jobs);
+        let _ = analytic_confidence(&data, 10);
+        lines.extend(mps_obs::drain_span_tap());
 
         // Both simulator backends must have simulated instructions and
         // touched the memory hierarchy.
@@ -66,7 +122,6 @@ mod enabled {
             "one SoA capture per benchmark: {cache:?}"
         );
         assert!(cache.trace_hits > 0, "{cache:?}");
-        assert_eq!(report.cache, cache, "report must carry the same stats");
         assert_eq!(
             cache.hits(),
             cache.model_hits
@@ -83,29 +138,35 @@ mod enabled {
         assert_eq!(counter_value("ctx.badco_table.misses"), cache.table_misses);
         assert_eq!(counter_value("ctx.traces.misses"), cache.trace_misses);
 
-        // And the rendered report mentions every section.
-        let text = report.to_string();
-        for needle in [
-            "phase.trace_gen",
-            "phase.model_build",
-            "phase.sim.badco",
-            "phase.sim.detailed",
-            "phase.sampling",
-            "phase.estimation",
-            "-- simulator speed --",
-            "-- study-context caches (hits / rebuilds) --",
-            "sim.badco.instructions",
-        ] {
-            assert!(
-                text.contains(needle),
-                "report must contain {needle:?}:\n{text}"
-            );
+        // And the records show both simulator backends at work.
+        let summary = mps_obs::analyze::summarize(&records(&lines));
+        mps_obs::reset();
+        for name in ["sim.badco.run", "sim.detailed.run"] {
+            let calls = summary.by_name.get(name).map_or(0, |&(calls, _, _)| calls);
+            assert!(calls > 0, "{name} must be recorded: {:?}", summary.by_name);
         }
-        assert!(
-            report.mips.0 > 0.0 && report.mips.1 > 0.0,
-            "{:?}",
-            report.mips
-        );
+    }
+
+    #[test]
+    fn a_span_opened_unrecorded_stays_unrecorded() {
+        let _g = guard();
+        mps_obs::reset();
+        let c = mps_obs::counter("test.inert.work");
+        let outer = mps_obs::span("test.inert.outer");
+        c.add(5);
+        mps_obs::install_span_tap();
+        let inner = mps_obs::span("test.inert.inner");
+        c.add(2);
+        inner.finish();
+        outer.finish();
+        let recs = records(&mps_obs::drain_span_tap());
+        assert_eq!(c.get(), 7, "counters count without a sink or tap");
+        mps_obs::reset();
+        let [Record::Span { name, parent, .. }] = recs.as_slice() else {
+            panic!("only the span opened under the tap is recorded: {recs:?}");
+        };
+        assert_eq!(name, "test.inert.inner");
+        assert_eq!(*parent, None, "an inert span is nobody's parent");
     }
 
     #[test]
@@ -223,8 +284,6 @@ mod disabled {
         let w = ctx.population(2).unwrap().workloads()[0].clone();
         let _ = ctx.badco_run(2, PolicyKind::Lru, &w).unwrap();
         assert!(mps_obs::counters_snapshot().is_empty());
-        assert!(mps_obs::span_stats().is_empty());
-        assert!(mps_obs::profile_report().contains("disabled"));
         // Cache accounting is plain struct state and works regardless.
         assert_eq!(ctx.cache_stats().model_misses, 1);
     }

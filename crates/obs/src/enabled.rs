@@ -171,33 +171,12 @@ impl Estimator {
     }
 }
 
-/// Aggregated statistics for one span name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Span name.
-    pub name: String,
-    /// Number of finished spans with this name.
-    pub calls: u64,
-    /// Summed inclusive wall time over all calls.
-    pub total: Duration,
-    /// Summed counter deltas over all calls (nonzero entries only).
-    pub deltas: BTreeMap<String, u64>,
-}
-
-#[derive(Debug, Default)]
-struct SpanAgg {
-    calls: u64,
-    total_ns: u128,
-    deltas: BTreeMap<&'static str, u64>,
-}
-
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static AtomicU64>>,
     gauges: Mutex<BTreeMap<&'static str, &'static AtomicI64>>,
     histograms: Mutex<BTreeMap<&'static str, &'static [AtomicU64; BUCKETS]>>,
     estimators: Mutex<BTreeMap<&'static str, &'static Mutex<Moments>>>,
     meta: Mutex<BTreeMap<&'static str, String>>,
-    spans: Mutex<BTreeMap<&'static str, SpanAgg>>,
     sink: Mutex<Option<BufWriter<File>>>,
     /// Bounded buffer of encoded span lines for telemetry shipping
     /// (`None` = tap not installed). See [`install_span_tap`].
@@ -219,7 +198,6 @@ fn registry() -> &'static Registry {
         histograms: Mutex::new(BTreeMap::new()),
         estimators: Mutex::new(BTreeMap::new()),
         meta: Mutex::new(BTreeMap::new()),
-        spans: Mutex::new(BTreeMap::new()),
         sink: Mutex::new(None),
         span_tap: Mutex::new(None),
         epoch: Instant::now(),
@@ -279,8 +257,8 @@ pub fn estimator(name: &'static str) -> Estimator {
 }
 
 /// Attaches a piece of run metadata (schema revision, job count, scale
-/// name, …) exposed verbatim by the `/metrics` endpoint and the profile
-/// report. Later values overwrite earlier ones for the same key.
+/// name, …) exposed verbatim by the `/metrics` endpoint. Later values
+/// overwrite earlier ones for the same key.
 pub fn set_meta(key: &'static str, value: impl Into<String>) {
     lock(&registry().meta).insert(key, value.into());
 }
@@ -296,8 +274,11 @@ pub fn meta_snapshot() -> Vec<(String, String)> {
 }
 
 /// An open timed region. Finish it explicitly with [`Span::finish`] or let
-/// it drop; either way its duration and counter deltas are aggregated and,
-/// if a sink is installed, one JSONL record is appended.
+/// it drop; either way, if a sink or the span tap is installed, one JSONL
+/// record with its duration and counter deltas is written to each.
+///
+/// A span opened while neither is installed is inert: it takes no id, no
+/// counter snapshot and no stack entry, and closing it does nothing.
 #[derive(Debug)]
 pub struct Span {
     inner: Option<SpanInner>,
@@ -313,10 +294,14 @@ struct SpanInner {
     entry_counters: BTreeMap<&'static str, u64>,
 }
 
-/// Opens a span named `name`, nested under the innermost span already open
-/// on this thread.
+/// Opens a span named `name`, nested under the innermost recorded span
+/// already open on this thread. Inert when neither a sink nor the span
+/// tap is installed.
 pub fn span(name: &'static str) -> Span {
     let reg = registry();
+    if lock(&reg.sink).is_none() && lock(&reg.span_tap).is_none() {
+        return Span { inner: None };
+    }
     let id = reg.next_span_id.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
@@ -342,13 +327,15 @@ pub fn span(name: &'static str) -> Span {
 }
 
 impl Span {
-    /// Closes the span, returning its wall-clock duration.
-    pub fn finish(mut self) -> Duration {
-        self.close().expect("span closed twice")
+    /// Closes the span.
+    pub fn finish(mut self) {
+        self.close();
     }
 
-    fn close(&mut self) -> Option<Duration> {
-        let inner = self.inner.take()?;
+    fn close(&mut self) {
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
         let dur = inner.start.elapsed();
         let reg = registry();
 
@@ -361,53 +348,39 @@ impl Span {
             }
         });
 
-        let mut deltas: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut deltas: BTreeMap<String, u64> = BTreeMap::new();
         for (&name, cell) in lock(&reg.counters).iter() {
             let before = inner.entry_counters.get(name).copied().unwrap_or(0);
             let delta = cell.load(Ordering::Relaxed).saturating_sub(before);
             if delta > 0 {
-                deltas.insert(name, delta);
+                deltas.insert(name.to_string(), delta);
             }
         }
 
-        {
-            let mut spans = lock(&reg.spans);
-            let agg = spans.entry(inner.name).or_default();
-            agg.calls += 1;
-            agg.total_ns += dur.as_nanos();
-            for (&k, &v) in &deltas {
-                *agg.deltas.entry(k).or_insert(0) += v;
-            }
-        }
-
+        // The sink or tap may have been removed since the span opened.
         let mut sink = lock(&reg.sink);
         let mut tap = lock(&reg.span_tap);
-        if sink.is_some() || tap.is_some() {
-            let counters = deltas
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect::<BTreeMap<_, _>>();
-            let line = jsonl::encode_span(
-                inner.id,
-                inner.parent,
-                inner.name,
-                inner.start_us,
-                dur.as_micros() as u64,
-                &counters,
-            );
-            if let Some(w) = sink.as_mut() {
-                let _ = writeln!(w, "{line}");
-            }
-            if let Some(buf) = tap.as_mut() {
-                // Over the cap the oldest spans win: they are the big
-                // phase spans a fleet trace actually needs.
-                if buf.len() < SPAN_TAP_CAP {
-                    buf.push(line);
-                }
+        if sink.is_none() && tap.is_none() {
+            return;
+        }
+        let line = jsonl::encode_span(
+            inner.id,
+            inner.parent,
+            inner.name,
+            inner.start_us,
+            dur.as_micros() as u64,
+            &deltas,
+        );
+        if let Some(w) = sink.as_mut() {
+            let _ = writeln!(w, "{line}");
+        }
+        if let Some(buf) = tap.as_mut() {
+            // Over the cap the oldest spans win: they are the big
+            // top-level spans a fleet trace actually needs.
+            if buf.len() < SPAN_TAP_CAP {
+                buf.push(line);
             }
         }
-
-        Some(dur)
     }
 }
 
@@ -436,19 +409,6 @@ pub fn set_sink_path(path: &str) -> io::Result<()> {
     let file = File::create(path)?;
     *lock(&registry().sink) = Some(BufWriter::new(file));
     Ok(())
-}
-
-/// Installs a sink from the `MPS_OBS_OUT` environment variable, if set.
-/// Errors opening the file are reported to stderr rather than propagated —
-/// tracing must never take down the run it observes.
-pub fn init_from_env() {
-    if let Ok(path) = std::env::var("MPS_OBS_OUT") {
-        if !path.is_empty() {
-            if let Err(e) = set_sink_path(&path) {
-                eprintln!("mps-obs: cannot open MPS_OBS_OUT={path}: {e}");
-            }
-        }
-    }
 }
 
 /// Flushes the sink, if one is installed.
@@ -519,8 +479,8 @@ pub fn telemetry_snapshot() -> crate::federation::InstrumentSnapshot {
 }
 
 /// Resets all observable state: counters, gauges and histograms back to
-/// zero, span aggregates and metadata cleared, the sink flushed and
-/// removed. Registered handles stay valid. Intended for tests comparing
+/// zero, estimators emptied, metadata cleared, the sink flushed and
+/// removed, the span tap removed. Registered handles stay valid. Intended for tests comparing
 /// two runs in one process.
 pub fn reset() {
     let reg = registry();
@@ -539,7 +499,6 @@ pub fn reset() {
         *lock(cell) = Moments::new();
     }
     lock(&reg.meta).clear();
-    lock(&reg.spans).clear();
     if let Some(mut w) = lock(&reg.sink).take() {
         let _ = w.flush();
     }
@@ -600,23 +559,6 @@ pub fn estimators_snapshot() -> Vec<EstimatorSnapshot> {
     out
 }
 
-/// Aggregated statistics for every span name seen so far, sorted by name.
-pub fn span_stats() -> Vec<SpanStats> {
-    lock(&registry().spans)
-        .iter()
-        .map(|(&name, agg)| SpanStats {
-            name: name.to_string(),
-            calls: agg.calls,
-            total: Duration::from_nanos(agg.total_ns.min(u128::from(u64::MAX)) as u64),
-            deltas: agg
-                .deltas
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-        })
-        .collect()
-}
-
 /// Serializes unit tests that touch the process-global registry (this
 /// module's and `serve`'s): the test harness is multithreaded and
 /// [`reset`] from one test must not zero another's counters mid-assert.
@@ -652,6 +594,7 @@ mod tests {
     fn spans_aggregate_deltas_and_nesting() {
         let _g = guard();
         reset();
+        install_span_tap();
         let c = counter("test.enabled.span_delta");
         let outer = span("test.outer");
         {
@@ -660,22 +603,31 @@ mod tests {
             inner.finish();
         }
         c.add(4);
-        let dur = outer.finish();
-        assert!(dur >= Duration::ZERO);
+        outer.finish();
 
-        let stats = span_stats();
-        let outer = stats
+        let records = jsonl::parse_all(&drain_span_tap().join("\n")).expect("tap lines parse");
+        reset();
+        let spans: Vec<_> = records
             .iter()
-            .find(|s| s.name == "test.outer")
-            .expect("outer recorded");
-        let inner = stats
-            .iter()
-            .find(|s| s.name == "test.inner")
-            .expect("inner recorded");
-        assert_eq!(outer.calls, 1);
-        assert_eq!(inner.deltas["test.enabled.span_delta"], 3);
+            .filter_map(|r| match r {
+                jsonl::Record::Span {
+                    id,
+                    parent,
+                    name,
+                    counters,
+                    ..
+                } => Some((*id, *parent, name.as_str(), counters)),
+                jsonl::Record::Event { .. } => None,
+            })
+            .collect();
+        let calls = |name: &str| spans.iter().filter(|s| s.2 == name).count();
+        assert_eq!((calls("test.outer"), calls("test.inner")), (1, 1));
+        let of = |name: &str| spans.iter().find(|s| s.2 == name).unwrap();
+        let (outer, inner) = (of("test.outer"), of("test.inner"));
+        assert_eq!(inner.1, Some(outer.0), "inner nests under outer");
+        assert_eq!(inner.3["test.enabled.span_delta"], 3);
         assert_eq!(
-            outer.deltas["test.enabled.span_delta"], 7,
+            outer.3["test.enabled.span_delta"], 7,
             "outer sees inner's work"
         );
     }

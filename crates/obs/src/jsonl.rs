@@ -26,7 +26,7 @@ pub enum Record {
         id: u64,
         /// Id of the enclosing span on the same thread, if any.
         parent: Option<u64>,
-        /// Span name, e.g. `phase.model_build`.
+        /// Span name, e.g. `sim.badco.run`.
         name: String,
         /// Start offset from process epoch, microseconds.
         start_us: u64,

@@ -1,6 +1,6 @@
 //! `mps-obs` — observability for the whole workspace: cheap monotonic
-//! counters, span timers, a structured JSONL event sink and a profile
-//! report, all compiled to no-ops unless the `obs` cargo feature is on.
+//! counters, span timers and a structured JSONL event sink, all compiled
+//! to no-ops unless the `obs` cargo feature is on.
 //!
 //! # Model
 //!
@@ -8,12 +8,13 @@
 //!   `u64` (one relaxed atomic add per update). Handles are `Copy` and can
 //!   be stored in hot structs; looking one up by name takes a lock, so do
 //!   it once at construction time, not per event.
-//! * A **span** measures a named region of wall time. On finish it records
-//!   (into a process-global aggregate) its duration and the *delta of every
-//!   counter* over its lifetime, and — when a sink is installed — appends a
-//!   JSONL event carrying name, parent span, start offset, duration and the
-//!   nonzero counter deltas. Nested spans attribute time and deltas
-//!   *inclusively* to every open ancestor.
+//! * A **span** measures a named region of wall time. On finish it writes
+//!   one JSONL record carrying name, parent span, start offset, duration
+//!   and the nonzero *delta of every counter* over its lifetime. Nested
+//!   spans attribute time and deltas *inclusively* to every open ancestor.
+//!   The record is the only thing a span leaves, so a span is recorded
+//!   only while a sink or the span tap is installed; otherwise it is inert
+//!   and costs two uncontended lock checks.
 //! * An **event** is a point-in-time JSONL record with free-form string
 //!   fields; it replaces ad-hoc `println!` diagnostics.
 //! * An **estimator** is a named streaming Welford accumulation whose
@@ -32,12 +33,12 @@
 //!
 //! # Sinks
 //!
-//! `init_from_env()` installs a JSONL sink when `MPS_OBS_OUT=<path>` is
-//! set; `set_sink_path` does so explicitly (the harness `--trace FILE`
-//! flag). Without a sink, spans still aggregate in memory for
-//! [`profile_report`].
+//! `set_sink_path` installs a JSONL sink (the harness `--trace FILE`
+//! flag); `install_span_tap` buffers span records in memory for a
+//! distributed worker to ship. [`analyze`] turns the records back into a
+//! span tree with inclusive and exclusive times and counter totals.
 //!
-//! See `docs/observability.md` for naming conventions and the report
+//! See `docs/observability.md` for naming conventions and the trace
 //! format.
 
 pub mod alloc;
@@ -50,32 +51,26 @@ pub mod jsonl;
 #[cfg(feature = "obs")]
 pub(crate) mod enabled;
 #[cfg(feature = "obs")]
-mod report;
-#[cfg(feature = "obs")]
 mod serve;
 #[cfg(feature = "obs")]
 pub use enabled::{
     counter, counters_snapshot, drain_span_tap, estimator, estimators_moments, estimators_snapshot,
-    event, flush, gauge, gauges_snapshot, histogram, histograms_snapshot, init_from_env,
-    install_span_tap, meta_snapshot, remove_span_tap, reset, set_meta, set_sink_path, sink_line,
-    span, span_stats, telemetry_snapshot, Counter, Estimator, Gauge, Histogram, Span, SpanStats,
+    event, flush, gauge, gauges_snapshot, histogram, histograms_snapshot, install_span_tap,
+    meta_snapshot, remove_span_tap, reset, set_meta, set_sink_path, sink_line, span,
+    telemetry_snapshot, Counter, Estimator, Gauge, Histogram, Span,
 };
-#[cfg(feature = "obs")]
-pub use report::profile_report;
 #[cfg(feature = "obs")]
 pub use serve::{render_metrics, serve_metrics, shutdown_metrics};
 
 #[cfg(not(feature = "obs"))]
 mod noop;
 #[cfg(not(feature = "obs"))]
-pub use noop::profile_report;
-#[cfg(not(feature = "obs"))]
 pub use noop::{
     counter, counters_snapshot, drain_span_tap, estimator, estimators_moments, estimators_snapshot,
-    event, flush, gauge, gauges_snapshot, histogram, histograms_snapshot, init_from_env,
-    install_span_tap, meta_snapshot, remove_span_tap, render_metrics, reset, serve_metrics,
-    set_meta, set_sink_path, shutdown_metrics, sink_line, span, span_stats, telemetry_snapshot,
-    Counter, Estimator, Gauge, Histogram, Span, SpanStats,
+    event, flush, gauge, gauges_snapshot, histogram, histograms_snapshot, install_span_tap,
+    meta_snapshot, remove_span_tap, render_metrics, reset, serve_metrics, set_meta, set_sink_path,
+    shutdown_metrics, sink_line, span, telemetry_snapshot, Counter, Estimator, Gauge, Histogram,
+    Span,
 };
 
 /// Whether instrumentation is compiled in.

@@ -8,7 +8,6 @@
 use crate::estimator::EstimatorSnapshot;
 use mps_stats::estimator::Convergence;
 use mps_stats::Moments;
-use std::collections::BTreeMap;
 use std::io;
 use std::time::Duration;
 
@@ -111,29 +110,14 @@ impl Estimator {
     }
 }
 
-/// Aggregated statistics for one span name (never produced when disabled).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Span name.
-    pub name: String,
-    /// Number of finished spans with this name.
-    pub calls: u64,
-    /// Summed inclusive wall time over all calls.
-    pub total: Duration,
-    /// Summed counter deltas over all calls (nonzero entries only).
-    pub deltas: BTreeMap<String, u64>,
-}
-
 /// Disabled span handle: zero-sized, finishing it measures nothing.
 #[derive(Debug)]
 pub struct Span;
 
 impl Span {
-    /// Does nothing; always returns a zero duration.
+    /// Does nothing.
     #[inline(always)]
-    pub fn finish(self) -> Duration {
-        Duration::ZERO
-    }
+    pub fn finish(self) {}
 }
 
 /// Returns the zero-sized disabled counter handle.
@@ -192,10 +176,6 @@ pub fn set_sink_path(_path: &str) -> io::Result<()> {
 
 /// Does nothing.
 #[inline(always)]
-pub fn init_from_env() {}
-
-/// Does nothing.
-#[inline(always)]
 pub fn flush() {}
 
 /// Does nothing.
@@ -217,12 +197,6 @@ pub fn gauges_snapshot() -> Vec<(String, i64)> {
 /// Always empty.
 #[inline(always)]
 pub fn histograms_snapshot() -> Vec<HistogramSnapshot> {
-    Vec::new()
-}
-
-/// Always empty.
-#[inline(always)]
-pub fn span_stats() -> Vec<SpanStats> {
     Vec::new()
 }
 
@@ -285,13 +259,6 @@ pub fn render_metrics() -> String {
 #[inline(always)]
 pub fn shutdown_metrics() {}
 
-/// Explains that instrumentation is compiled out.
-pub fn profile_report() -> String {
-    "mps-obs: instrumentation disabled (build with the `obs` cargo feature \
-     to collect counters and spans)\n"
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,18 +279,15 @@ mod tests {
         h.record_duration(Duration::from_millis(5));
         assert_eq!(h.snapshot_counts(), [0; crate::hist::BUCKETS]);
         set_meta("noop", "v");
-        let s = span("noop");
-        assert_eq!(s.finish(), Duration::ZERO);
+        span("noop").finish();
         event("noop", &[("k", "v".to_string())]);
         assert!(set_sink_path("/definitely/not/writable/ever").is_ok());
-        init_from_env();
         flush();
         reset();
         assert!(counters_snapshot().is_empty());
         assert!(gauges_snapshot().is_empty());
         assert!(histograms_snapshot().is_empty());
         assert!(meta_snapshot().is_empty());
-        assert!(span_stats().is_empty());
         let e = estimator("noop");
         e.record(1.0);
         e.record_many(&[2.0, 3.0]);

@@ -64,6 +64,7 @@ mod enabled {
     fn nested_spans_aggregate_exactly_across_threads() {
         let _g = guard();
         mps_obs::reset();
+        mps_obs::install_span_tap();
         let c = mps_obs::counter("conc.test.work");
         const INNER_PER_THREAD: u64 = 50;
         std::thread::scope(|s| {
@@ -79,14 +80,27 @@ mod enabled {
                 });
             }
         });
-        let stats = mps_obs::span_stats();
-        let of = |name: &str| stats.iter().find(|s| s.name == name).unwrap();
-        let outer = of("conc.outer");
-        let inner = of("conc.inner");
-        assert_eq!(outer.calls, THREADS as u64);
-        assert_eq!(inner.calls, THREADS as u64 * INNER_PER_THREAD);
+        let lines = mps_obs::drain_span_tap();
+        mps_obs::reset();
+        let records = mps_obs::jsonl::parse_all(&lines.join("\n")).expect("tap lines parse");
+        // (calls, summed conc.test.work delta) over the records named `want`.
+        let of = |want: &str| {
+            records
+                .iter()
+                .fold((0u64, 0u64), |(calls, delta), r| match r {
+                    Record::Span { name, counters, .. } if name == want => (
+                        calls + 1,
+                        delta + counters.get("conc.test.work").copied().unwrap_or(0),
+                    ),
+                    _ => (calls, delta),
+                })
+        };
+        let (outer_calls, outer_delta) = of("conc.outer");
+        let (inner_calls, inner_delta) = of("conc.inner");
+        assert_eq!(outer_calls, THREADS as u64);
+        assert_eq!(inner_calls, THREADS as u64 * INNER_PER_THREAD);
         // Every increment happened inside one inner and one outer span on
-        // its own thread, so the aggregated deltas can never undercount
+        // its own thread, so the summed deltas can never undercount
         // the true total. They *can* overcount: deltas diff the shared
         // global counter at span start/finish, so a span whose window
         // overlaps other threads' work observes those increments too —
@@ -94,14 +108,12 @@ mod enabled {
         // exactly why the trace analyzer sums counters over non-contained
         // root spans only.)
         let total = THREADS as u64 * INNER_PER_THREAD;
-        let inner_delta = *inner.deltas.get("conc.test.work").unwrap();
-        let outer_delta = *outer.deltas.get("conc.test.work").unwrap();
         assert!(
             inner_delta >= total,
             "undercounted: {inner_delta} < {total}"
         );
         assert!(
-            inner_delta <= inner.calls * total,
+            inner_delta <= inner_calls * total,
             "impossible overlap: {inner_delta}"
         );
         assert!(
@@ -109,7 +121,7 @@ mod enabled {
             "undercounted: {outer_delta} < {total}"
         );
         assert!(
-            outer_delta <= outer.calls * total,
+            outer_delta <= outer_calls * total,
             "impossible overlap: {outer_delta}"
         );
     }
@@ -198,5 +210,6 @@ fn noop_api_is_thread_safe_and_observes_nothing() {
     });
     assert_eq!(c.get(), 0);
     assert!(mps_obs::counters_snapshot().is_empty());
-    assert!(mps_obs::span_stats().is_empty());
+    mps_obs::install_span_tap();
+    assert!(mps_obs::drain_span_tap().is_empty());
 }

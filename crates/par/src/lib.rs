@@ -43,9 +43,9 @@
 //! `par.imbalance_permille`), records every steal's size into the
 //! `par.steal.size` histogram, and tracks the pool-wide remaining-item
 //! count in the `par.queue.depth` gauge (updated at call start/end and at
-//! every steal — the natural rebalancing points) so `mps-harness
-//! --profile` and the live `/metrics` endpoint can show parallel
-//! efficiency; see `docs/observability.md`.
+//! every steal — the natural rebalancing points) so `--trace` files and
+//! the live `/metrics` endpoint can show parallel efficiency; see
+//! `docs/observability.md`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
