@@ -74,6 +74,13 @@ impl Tage {
         folded
     }
 
+    /// Table `table`'s history folded to width `FOLD_WIDTHS[w]`.
+    #[cfg(test)]
+    fn fold(&self, table: usize, w: usize) -> u64 {
+        let width = [TAGGED_BITS, TAG_BITS as usize, TAG_BITS as usize - 1][w];
+        self.folded_hist(HIST_LENGTHS[table], width)
+    }
+
     fn index(&self, table: usize, pc: u64) -> usize {
         let h = self.folded_hist(HIST_LENGTHS[table], TAGGED_BITS);
         (((pc >> 2) ^ (pc >> (2 + TAGGED_BITS)) ^ h) as usize) & ((1 << TAGGED_BITS) - 1)
@@ -295,6 +302,31 @@ mod tests {
         });
         let acc = accuracy(stream, 8000);
         assert!(acc > 0.99, "acc={acc}");
+    }
+
+    /// Widths the history is folded to: the index, the tag and the
+    /// tag's second hash.
+    const FOLD_WIDTHS: [usize; 3] = [TAGGED_BITS, TAG_BITS as usize, TAG_BITS as usize - 1];
+
+    #[test]
+    fn incremental_folds_match_reference() {
+        let mut rng = mps_stats::rng::Rng::new(7);
+        let mut t = Tage::new();
+        for i in 0..12_000u64 {
+            // A few hundred sites with mixed bias keep allocation busy.
+            let pc = 0x40_0000 + (rng.index(300) as u64) * 4;
+            let taken = rng.chance(if pc % 8 == 0 { 0.9 } else { 0.4 });
+            t.resolve(pc, taken);
+            for (table, &len) in HIST_LENGTHS.iter().enumerate() {
+                for (w, &width) in FOLD_WIDTHS.iter().enumerate() {
+                    assert_eq!(
+                        t.fold(table, w),
+                        t.folded_hist(len, width),
+                        "branch {i}, table {table}, width {width}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

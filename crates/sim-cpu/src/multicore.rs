@@ -566,6 +566,53 @@ mod tests {
         assert!(r1.requests.iter().all(|r| r.uop_index < 2_000));
     }
 
+    /// The reference `record_run` is checked against: the core ticks on
+    /// every cycle.
+    fn record_run_ungated<B: MemoryBackend>(
+        trace: Box<dyn TraceSource>,
+        n: u64,
+        backend: &mut B,
+    ) -> (RunRecording, CoreStats) {
+        let mut core = Core::new(CoreConfig::ispass2013(), 0, trace, n);
+        core.enable_recording();
+        let mut cycle = 0u64;
+        while !core.done() {
+            core.tick(cycle, backend);
+            cycle += 1;
+            assert!(cycle < n.saturating_mul(10_000), "recording run deadlocked");
+        }
+        let mut rec = core.take_recording().expect("recording was enabled");
+        rec.commit_cycles.truncate(n as usize);
+        rec.requests.retain(|r| r.uop_index < n);
+        (rec, core.stats())
+    }
+
+    #[test]
+    fn record_run_matches_ungated_reference() {
+        use crate::backend::FixedLatencyBackend;
+        for b in suite() {
+            for backend in [
+                FixedLatencyBackend::ideal(6),
+                FixedLatencyBackend::pessimal(6, 30, 200),
+            ] {
+                let tag = format!("{} at latency {}", b.name(), backend.latency());
+                let (mut gated, mut ungated) = (backend.clone(), backend);
+                let (got, got_stats) = record_run(
+                    CoreConfig::ispass2013(),
+                    Box::new(b.trace()),
+                    1_000,
+                    &mut gated,
+                );
+                let (want, want_stats) =
+                    record_run_ungated(Box::new(b.trace()), 1_000, &mut ungated);
+                assert_eq!(got.commit_cycles, want.commit_cycles, "{tag}: commits");
+                assert_eq!(got.requests, want.requests, "{tag}: requests");
+                assert_eq!(got_stats, want_stats, "{tag}: stats");
+                assert_eq!(gated.requests(), ungated.requests(), "{tag}: backend");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one trace per uncore port")]
     fn mismatched_core_count_panics() {

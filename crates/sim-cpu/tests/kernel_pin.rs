@@ -225,6 +225,30 @@ fn training_recording_is_pinned() {
 }
 
 #[test]
+fn far_future_wakeups_are_pinned() {
+    // A 5000-cycle memory latency puts a miss's dependents further ahead
+    // than any wake-up structure sized for DRAM latencies looks.
+    let mut backend = FixedLatencyBackend::new(5000);
+    let (rec, stats) = record_run(CoreConfig::ispass2013(), trace("mcf"), N, &mut backend);
+    let mut d = Digest::new();
+    d.words(rec.commit_cycles.iter().copied());
+    d.words(rec.requests.iter().flat_map(|r| {
+        [
+            r.uop_index,
+            r.addr,
+            u64::from(r.write),
+            u64::from(r.instruction),
+        ]
+    }));
+    d.core_stats(&stats);
+    d.words([backend.requests()]);
+    check(
+        &[("mcf at latency 5000".to_owned(), d.0)],
+        &[0xdefcf9197c6fc011],
+    );
+}
+
+#[test]
 fn non_default_core_geometries_are_pinned() {
     // Narrow issue with one memory port, a ROB that is not a power of
     // two, and a window larger than the ROB: each exercises a different
