@@ -14,6 +14,9 @@ const TAGGED_BITS: usize = 9;
 const BASE_BITS: usize = 12;
 /// Tag width.
 const TAG_BITS: u64 = 9;
+/// Widths each table's history is folded to: the index, the tag and the
+/// tag's second hash.
+const FOLD_WIDTHS: [usize; 3] = [TAGGED_BITS, TAG_BITS as usize, TAG_BITS as usize - 1];
 
 #[derive(Debug, Clone, Copy, Default)]
 struct TaggedEntry {
@@ -31,6 +34,9 @@ pub struct Tage {
     tables: Vec<Vec<TaggedEntry>>,
     /// Global history (most recent outcome in bit 0).
     ghist: u128,
+    /// `folds[t][w]`: the last `HIST_LENGTHS[t]` outcomes of `ghist`
+    /// XOR-folded to `FOLD_WIDTHS[w]` bits, kept current by `apply`.
+    folds: [[u64; FOLD_WIDTHS.len()]; HIST_LENGTHS.len()],
     /// Allocation tie-breaker / useful-reset clock.
     clock: u64,
 }
@@ -60,10 +66,13 @@ impl Tage {
                 .map(|_| vec![TaggedEntry::default(); 1 << TAGGED_BITS])
                 .collect(),
             ghist: 0,
+            folds: [[0; FOLD_WIDTHS.len()]; HIST_LENGTHS.len()],
             clock: 0,
         }
     }
 
+    /// The reference fold the incremental `folds` must equal.
+    #[cfg(test)]
     fn folded_hist(&self, bits: usize, out_bits: usize) -> u64 {
         let mut h = self.ghist & ((1u128 << bits) - 1);
         let mut folded: u64 = 0;
@@ -77,19 +86,17 @@ impl Tage {
     /// Table `table`'s history folded to width `FOLD_WIDTHS[w]`.
     #[cfg(test)]
     fn fold(&self, table: usize, w: usize) -> u64 {
-        let width = [TAGGED_BITS, TAG_BITS as usize, TAG_BITS as usize - 1][w];
-        self.folded_hist(HIST_LENGTHS[table], width)
+        self.folds[table][w]
     }
 
     fn index(&self, table: usize, pc: u64) -> usize {
-        let h = self.folded_hist(HIST_LENGTHS[table], TAGGED_BITS);
+        let h = self.folds[table][0];
         (((pc >> 2) ^ (pc >> (2 + TAGGED_BITS)) ^ h) as usize) & ((1 << TAGGED_BITS) - 1)
     }
 
     fn tag(&self, table: usize, pc: u64) -> u16 {
-        let h = self.folded_hist(HIST_LENGTHS[table], TAG_BITS as usize);
-        let h2 = self.folded_hist(HIST_LENGTHS[table], TAG_BITS as usize - 1) << 1;
-        (((pc >> 2) ^ h ^ h2) & ((1 << TAG_BITS) - 1)) as u16
+        let [_, h, h2] = self.folds[table];
+        (((pc >> 2) ^ h ^ (h2 << 1)) & ((1 << TAG_BITS) - 1)) as u16
     }
 
     fn base_index(&self, pc: u64) -> usize {
@@ -117,9 +124,6 @@ impl Tage {
                 }
             }
         }
-        if provider.is_some() && altpred == pred {
-            // altpred defaults to base when only one component hits.
-        }
         Lookup {
             provider,
             provider_idx,
@@ -140,8 +144,8 @@ impl Tage {
     /// Predicts and immediately trains on the resolved outcome, returning
     /// the prediction. Equivalent to [`Tage::predict`] followed by
     /// [`Tage::update`] (prediction is pure, so the tables are unchanged
-    /// between the two), but performs the tagged-table lookup — a dozen
-    /// folded-history computations — once instead of twice.
+    /// between the two), but performs the tagged-table lookup once
+    /// instead of twice.
     pub fn resolve(&mut self, pc: u64, taken: bool) -> bool {
         let l = self.lookup(pc);
         self.apply(l, pc, taken);
@@ -217,6 +221,19 @@ impl Tage {
             }
         }
 
+        // Folding is linear, so each fold follows the history: rotate it
+        // left by one, shift the new outcome in, and XOR out the outcome
+        // leaving the window, which the rotation carried to bit
+        // `len % width`.
+        for (folds, &len) in self.folds.iter_mut().zip(&HIST_LENGTHS) {
+            let leaving = (self.ghist >> (len - 1)) as u64 & 1;
+            for (f, &width) in folds.iter_mut().zip(&FOLD_WIDTHS) {
+                let mut x = (*f << 1) | u64::from(taken);
+                x ^= leaving << (len % width);
+                x ^= x >> width;
+                *f = x & ((1 << width) - 1);
+            }
+        }
         self.ghist = (self.ghist << 1) | u128::from(taken);
     }
 }
@@ -304,10 +321,6 @@ mod tests {
         assert!(acc > 0.99, "acc={acc}");
     }
 
-    /// Widths the history is folded to: the index, the tag and the
-    /// tag's second hash.
-    const FOLD_WIDTHS: [usize; 3] = [TAGGED_BITS, TAG_BITS as usize, TAG_BITS as usize - 1];
-
     #[test]
     fn incremental_folds_match_reference() {
         let mut rng = mps_stats::rng::Rng::new(7);
@@ -315,7 +328,7 @@ mod tests {
         for i in 0..12_000u64 {
             // A few hundred sites with mixed bias keep allocation busy.
             let pc = 0x40_0000 + (rng.index(300) as u64) * 4;
-            let taken = rng.chance(if pc % 8 == 0 { 0.9 } else { 0.4 });
+            let taken = rng.chance(if pc.is_multiple_of(8) { 0.9 } else { 0.4 });
             t.resolve(pc, taken);
             for (table, &len) in HIST_LENGTHS.iter().enumerate() {
                 for (w, &width) in FOLD_WIDTHS.iter().enumerate() {

@@ -55,6 +55,8 @@ pub struct CoreStats {
 /// One in-flight µop.
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
+    /// Dynamic µop index: sequence numbers are assigned in fetch order,
+    /// which equals commit order on the correct path.
     seq: u64,
     kind: UopKind,
     addr: u64,
@@ -68,8 +70,137 @@ struct RobEntry {
     waits: u8,
 }
 
-/// End of a dependents list (see `Core::dep_head`).
+impl RobEntry {
+    /// The contents of a ROB slot no µop has used yet.
+    const EMPTY: RobEntry = RobEntry {
+        seq: 0,
+        kind: UopKind::IntAlu,
+        addr: 0,
+        pc: 0,
+        issued: false,
+        complete: 0,
+        mispredicted: false,
+        ready_at: 0,
+        waits: 0,
+    };
+}
+
+/// End of an intrusive list (dependents, calendar buckets).
 const NIL: u32 = u32::MAX;
+
+/// Cycles the wake-up calendar's buckets span (a power of two).
+const WINDOW: usize = 512;
+
+/// Entries waiting for their operands, keyed by the cycle the last of them
+/// completes: a calendar of intrusive per-ROB-slot lists, one bucket per
+/// cycle over a window of [`WINDOW`] cycles, with an occupancy bitmap.
+/// Cycles beyond the window wait in a small `overflow` heap.
+///
+/// Every pending cycle is later than the last drain, and the bucketed
+/// ones lie in `[base, base + WINDOW)`, so bucket `t % WINDOW` holds
+/// exactly the entries waking at `t`, and the first occupied bucket
+/// from `base` onwards is the earliest wake-up in the window.
+#[derive(Debug)]
+struct WakeCalendar {
+    /// Per bucket, the first ROB slot of its list.
+    head: Vec<u32>,
+    /// Per ROB slot, the next slot of the same bucket.
+    next: Vec<u32>,
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` is non-empty.
+    occupied: [u64; WINDOW / 64],
+    /// No bucketed entry wakes before this cycle.
+    base: u64,
+    /// `(cycle, slot)` of the entries waking at or after `base + WINDOW`
+    /// when they were pushed.
+    overflow: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl WakeCalendar {
+    fn new(slots: usize, cap: usize) -> Self {
+        WakeCalendar {
+            head: vec![NIL; WINDOW],
+            next: vec![NIL; slots],
+            occupied: [0; WINDOW / 64],
+            base: 0,
+            // At most `cap` entries wait at once: no reallocation.
+            overflow: BinaryHeap::with_capacity(cap),
+        }
+    }
+
+    /// Schedules ROB slot `slot` to wake at cycle `at`. Called at `now`
+    /// with every pending entry, this one included, waking after `now`.
+    fn push(&mut self, now: u64, at: u64, slot: usize) {
+        debug_assert!(at > now);
+        // Nothing pending wakes at or before `now`, so the window can
+        // start at `now + 1`.
+        self.base = self.base.max(now + 1);
+        if at - self.base >= WINDOW as u64 {
+            self.overflow.push(Reverse((at, slot as u32)));
+            return;
+        }
+        let b = at as usize % WINDOW;
+        self.next[slot] = self.head[b];
+        self.head[b] = slot as u32;
+        self.occupied[b / 64] |= 1 << (b % 64);
+    }
+
+    /// Hands every slot waking at or before `now` to `wake`, in no
+    /// particular order.
+    fn drain(&mut self, now: u64, mut wake: impl FnMut(usize)) {
+        let last = now.min(self.base + WINDOW as u64 - 1);
+        let mut t = self.base;
+        while t <= last {
+            let b = t as usize % WINDOW;
+            let bits = self.occupied[b / 64] >> (b % 64);
+            if bits == 0 {
+                t += 64 - (b % 64) as u64;
+                continue;
+            }
+            t += u64::from(bits.trailing_zeros());
+            if t > last {
+                break;
+            }
+            let b = t as usize % WINDOW;
+            let mut slot = std::mem::replace(&mut self.head[b], NIL);
+            self.occupied[b / 64] &= !(1 << (b % 64));
+            while slot != NIL {
+                wake(slot as usize);
+                slot = self.next[slot as usize];
+            }
+            t += 1;
+        }
+        self.base = self.base.max(now + 1);
+        while let Some(&Reverse((at, slot))) = self.overflow.peek() {
+            if at > now {
+                break;
+            }
+            self.overflow.pop();
+            wake(slot as usize);
+        }
+    }
+
+    /// The earliest pending wake-up cycle; `u64::MAX` if none.
+    fn earliest(&self) -> u64 {
+        let mut best = self.overflow.peek().map_or(u64::MAX, |r| r.0 .0);
+        let start = self.base as usize % WINDOW;
+        // Scan the words cyclically from `base`'s; the first word is
+        // visited again at the end for the buckets before `base`'s.
+        for i in 0..=WINDOW / 64 {
+            let word = (start / 64 + i) % (WINDOW / 64);
+            let mut bits = self.occupied[word];
+            if i == 0 {
+                bits &= u64::MAX << (start % 64);
+            }
+            if bits != 0 {
+                let b = word * 64 + bits.trailing_zeros() as usize;
+                let t = self.base + ((b + WINDOW - start) % WINDOW) as u64;
+                best = best.min(t);
+                break;
+            }
+        }
+        best
+    }
+}
 
 /// A capacity-limited queue whose entries free at scheduled cycles
 /// (models LDQ/STQ occupancy).
@@ -166,14 +297,17 @@ pub struct Core {
     fetched_in_slice: u64,
 
     // Backend.
-    rob: VecDeque<RobEntry>,
+    /// The ROB as a ring: in-flight entry `seq` lives in slot
+    /// `seq & slot_mask`, and the in-flight entries are
+    /// `head_seq..next_seq`.
+    rob: Vec<RobEntry>,
     head_seq: u64,
     next_seq: u64,
     /// Entries in the ROB not yet issued (the RS occupancy), maintained
     /// incrementally so dispatch does not rescan the ROB every cycle.
     unissued: usize,
-    /// `seq & slot_mask` is an in-flight entry's ROB slot, the index into
-    /// `dep_head`; the mask spans at least `rob_entries` slots.
+    /// The mask spans at least `rob_entries` slots, so in-flight entries
+    /// never share a slot.
     slot_mask: u64,
     /// Per ROB slot, the first link node of the entry's dependents list.
     /// Node `2 * slot + k` links the entry in `slot` through its source
@@ -183,14 +317,14 @@ pub struct Core {
     /// Per link node, the next node of the same dependents list.
     dep_next: Vec<u32>,
     /// Entries whose producers have all issued, keyed by the cycle the
-    /// last of them completes, then by age.
-    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+    /// last of them completes.
+    wakeups: WakeCalendar,
     /// Sequence numbers of the entries whose operands are available by
     /// the next select, oldest first: the candidates `issue_stage`
     /// selects from.
     ready: Vec<u64>,
     /// Earliest cycle `issue_stage` can issue anything: `now + 1` after
-    /// any issue or dispatch, otherwise the earlier of the top of
+    /// any issue or dispatch, otherwise the earlier of the first of
     /// `wakeups` and the divider freeing for a ready divide. Until then
     /// `issue_stage` returns at once.
     issue_wake: u64,
@@ -258,7 +392,7 @@ impl Core {
             il1_next_pf: mps_uncore::NextLinePrefetcher::new(),
             fetched: 0,
             fetched_in_slice: 0,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
+            rob: vec![RobEntry::EMPTY; slots],
             head_seq: 0,
             next_seq: 0,
             unissued: 0,
@@ -267,7 +401,7 @@ impl Core {
             dep_next: vec![NIL; 2 * slots],
             // Every entry in either queue is unissued, and dispatch keeps
             // at most `rs_entries` unissued: neither ever reallocates.
-            wakeups: BinaryHeap::with_capacity(cfg.rs_entries),
+            wakeups: WakeCalendar::new(slots, cfg.rs_entries),
             ready: Vec::with_capacity(cfg.rs_entries),
             issue_wake: 0,
             reg_producer: [None; mps_workloads::uop::NUM_REGS],
@@ -368,7 +502,8 @@ impl Core {
     pub fn next_event_bound(&mut self, now: u64) -> u64 {
         let mut bound = u64::MAX;
 
-        if let Some(front) = self.rob.front() {
+        if self.head_seq < self.next_seq {
+            let front = &self.rob[(self.head_seq & self.slot_mask) as usize];
             if front.issued {
                 bound = bound.min(front.complete.max(now + 1));
             }
@@ -379,7 +514,7 @@ impl Core {
         }
 
         if !self.fetch_buffer.is_empty()
-            && self.rob.len() < self.cfg.rob_entries
+            && self.rob_len() < self.cfg.rob_entries
             && self.unissued < self.cfg.rs_entries
         {
             let front_kind = self.fetch_buffer.front().map(|fu| fu.uop.kind);
@@ -404,14 +539,21 @@ impl Core {
         bound
     }
 
+    /// µops in flight between dispatch and commit.
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
     fn commit_stage(&mut self, now: u64) {
         for _ in 0..self.cfg.commit_width {
-            let Some(front) = self.rob.front() else { break };
+            if self.head_seq == self.next_seq {
+                break;
+            }
+            let front = &self.rob[(self.head_seq & self.slot_mask) as usize];
             if !front.issued || front.complete > now {
                 break;
             }
-            let entry = self.rob.pop_front().expect("checked non-empty");
-            self.head_seq = entry.seq + 1;
+            self.head_seq += 1;
             self.committed += 1;
             self.stats.committed += 1;
             if let Some(rec) = &mut self.recorder {
@@ -438,51 +580,56 @@ impl Core {
             return;
         }
         debug_assert!(self.unissued <= self.cfg.rs_entries);
-        while let Some(&Reverse((at, seq))) = self.wakeups.peek() {
-            if at > now {
-                break;
-            }
-            self.wakeups.pop();
-            let pos = self.ready.partition_point(|&s| s < seq);
-            self.ready.insert(pos, seq);
-        }
+        let (rob, ready) = (&self.rob, &mut self.ready);
+        self.wakeups.drain(now, |slot| {
+            // `ready` stays sorted by age whatever order entries wake in.
+            let seq = rob[slot].seq;
+            let pos = ready.partition_point(|&s| s < seq);
+            ready.insert(pos, seq);
+        });
         let (mut issued, mut mem_issued) = (0, 0);
         let mut div_wake = u64::MAX;
         let mut ready = std::mem::take(&mut self.ready);
-        ready.retain(|&seq| {
-            if issued >= self.cfg.issue_width {
-                return true;
-            }
-            let kind = self.rob[(seq - self.head_seq) as usize].kind;
-            if kind.is_memory() && mem_issued >= self.cfg.mem_ports {
-                return true;
-            }
+        // Compact the entries left waiting to the front; the select stops
+        // at the issue width, and the unvisited tail keeps its order.
+        let (mut read, mut kept) = (0, 0);
+        while read < ready.len() && issued < self.cfg.issue_width {
+            let seq = ready[read];
+            read += 1;
+            let kind = self.rob[(seq & self.slot_mask) as usize].kind;
+            let port_busy = kind.is_memory() && mem_issued >= self.cfg.mem_ports;
             let is_div = matches!(kind, UopKind::IntDiv | UopKind::FpDiv);
-            if is_div && self.div_free > now {
-                div_wake = div_wake.min(self.div_free);
-                return true;
+            if port_busy || (is_div && self.div_free > now) {
+                if !port_busy {
+                    div_wake = div_wake.min(self.div_free);
+                }
+                ready[kept] = seq;
+                kept += 1;
+                continue;
             }
             self.issue(seq, now, backend);
             issued += 1;
             mem_issued += usize::from(kind.is_memory());
-            false
-        });
+        }
+        ready.copy_within(read.., kept);
+        ready.truncate(kept + ready.len() - read);
         self.ready = ready;
         // After an issue, entries the width or port limits held back can
         // go next cycle; otherwise nothing can issue before the next
         // wake-up or the divider freeing (dispatch also pulls this down).
+        // A select that issued nothing visited every ready entry, so
+        // `div_wake` covers every waiting divide.
         self.issue_wake = if issued > 0 {
             now + 1
         } else {
-            let next = self.wakeups.peek().map_or(u64::MAX, |&Reverse((at, _))| at);
-            next.min(div_wake)
+            self.wakeups.earliest().min(div_wake)
         };
     }
 
     /// Executes entry `seq` at `now` and wakes its dependents.
     fn issue<B: MemoryBackend>(&mut self, seq: u64, now: u64, backend: &mut B) {
-        let idx = (seq - self.head_seq) as usize;
-        let entry = self.rob[idx];
+        let slot = (seq & self.slot_mask) as usize;
+        let entry = self.rob[slot];
         let complete = match entry.kind {
             UopKind::Load => self.execute_load(&entry, now, backend),
             UopKind::Store => self.execute_store(&entry, now, backend),
@@ -503,20 +650,18 @@ impl Core {
                 .max(complete + self.cfg.mispredict_penalty);
             self.fetch_blocked = false;
         }
-        let e = &mut self.rob[idx];
+        let e = &mut self.rob[slot];
         e.issued = true;
         e.complete = complete;
         self.unissued -= 1;
-        let mut node = self.dep_head[(seq & self.slot_mask) as usize];
+        let mut node = self.dep_head[slot];
         while node != NIL {
-            // The node's slot holds an in-flight entry, whose distance
-            // from the ROB head is below the slot count.
-            let slot = u64::from(node >> 1);
-            let d = &mut self.rob[(slot.wrapping_sub(self.head_seq) & self.slot_mask) as usize];
+            let dep = (node >> 1) as usize;
+            let d = &mut self.rob[dep];
             d.ready_at = d.ready_at.max(complete);
             d.waits -= 1;
             if d.waits == 0 {
-                self.wakeups.push(Reverse((d.ready_at, d.seq)));
+                self.wakeups.push(now, d.ready_at, dep);
             }
             node = self.dep_next[node as usize];
         }
@@ -548,7 +693,7 @@ impl Core {
                 // The line is fetched from the uncore either way (demand
                 // or prefetch): it is part of the core's visible request
                 // stream and must be in the BADCO training recording.
-                self.record_request(e.seq_index(), e.addr, false, false);
+                self.record_request(e.seq, e.addr, false, false);
                 if let Some(victim) = writeback {
                     // Posted dirty writeback to the LLC.
                     let _ = backend.demand(self.id, victim * self.cfg.line_bytes, true, t0);
@@ -580,7 +725,7 @@ impl Core {
             mps_uncore::AccessOutcome::Hit => t0,
             mps_uncore::AccessOutcome::Miss { writeback } => {
                 self.stats.dl1_misses += 1;
-                self.record_request(e.seq_index(), e.addr, true, false);
+                self.record_request(e.seq, e.addr, true, false);
                 if let Some(victim) = writeback {
                     let _ = backend.demand(self.id, victim * self.cfg.line_bytes, true, t0);
                 }
@@ -637,7 +782,7 @@ impl Core {
         // computed, without the per-cycle O(rob_entries) walk.
         let mut window_free = self.cfg.rs_entries.saturating_sub(self.unissued);
         for _ in 0..self.cfg.decode_width {
-            if self.rob.len() >= self.cfg.rob_entries || window_free == 0 {
+            if self.rob_len() >= self.cfg.rob_entries || window_free == 0 {
                 break;
             }
             let Some(&fu) = self.fetch_buffer.front() else {
@@ -669,7 +814,7 @@ impl Core {
                 if p < self.head_seq {
                     continue;
                 }
-                let producer = &self.rob[(p - self.head_seq) as usize];
+                let producer = &self.rob[(p & self.slot_mask) as usize];
                 if producer.issued {
                     ready_at = ready_at.max(producer.complete);
                 } else {
@@ -683,7 +828,7 @@ impl Core {
             if let Some(d) = fu.uop.dst {
                 self.reg_producer[d as usize] = Some(seq);
             }
-            self.rob.push_back(RobEntry {
+            self.rob[slot] = RobEntry {
                 seq,
                 kind: fu.uop.kind,
                 addr: fu.uop.addr,
@@ -693,15 +838,15 @@ impl Core {
                 mispredicted: fu.mispredicted,
                 ready_at,
                 waits,
-            });
+            };
             if waits == 0 {
                 // The next select runs at `now + 1` at the earliest, and
                 // this entry is the youngest, so appending keeps `ready`
-                // sorted without a round trip through the heap.
+                // sorted without a round trip through the calendar.
                 if ready_at <= now + 1 {
                     self.ready.push(seq);
                 } else {
-                    self.wakeups.push(Reverse((ready_at, seq)));
+                    self.wakeups.push(now, ready_at, slot);
                 }
             }
             self.unissued += 1;
@@ -786,14 +931,6 @@ impl Core {
                 break;
             }
         }
-    }
-}
-
-impl RobEntry {
-    /// Dynamic µop index for recording (sequence numbers are assigned in
-    /// fetch order which equals commit order on the correct path).
-    fn seq_index(&self) -> u64 {
-        self.seq
     }
 }
 

@@ -319,6 +319,11 @@ fn flush_obs(instructions: u64, cycles: u64, cores: &[Core], uncore: &UncoreStat
 /// Runs one benchmark alone on core 0 of the given backend, recording
 /// commit times and backend requests — one BADCO training run.
 ///
+/// Like [`MulticoreSim::run`], the core ticks only at its
+/// [`Core::next_event_bound`]: the cycles in between change no state and
+/// make no backend request, so every commit cycle, request and statistic
+/// is the one a tick on every cycle records.
+///
 /// Returns the recording and the core statistics.
 ///
 /// # Panics
@@ -333,12 +338,15 @@ pub fn record_run<B: MemoryBackend>(
     let _span = mps_obs::span("sim.detailed.record_run");
     let mut core = Core::new(cfg, 0, trace, n);
     core.enable_recording();
-    let mut cycle = 0u64;
     let guard = n.saturating_mul(10_000);
-    while !core.done() {
-        core.tick(cycle, backend);
-        cycle += 1;
-        assert!(cycle < guard, "recording run deadlocked");
+    let mut now = 0u64;
+    loop {
+        core.tick(now, backend);
+        if core.done() {
+            break;
+        }
+        now = core.next_event_bound(now);
+        assert!(now < guard, "recording run deadlocked");
     }
     let mut rec = core.take_recording().expect("recording was enabled");
     // Trim to exactly the measured slice.
@@ -379,15 +387,7 @@ mod tests {
 
     fn sim(policy: PolicyKind, names: &[&str]) -> MulticoreSim {
         let cores = names.len();
-        let uncore_cores = match cores {
-            1 | 2 => 2.min(cores.max(1)),
-            _ => cores,
-        };
-        let uncore = Uncore::new(
-            UncoreConfig::ispass2013(if cores == 1 { 2 } else { cores }, policy),
-            cores,
-        );
-        let _ = uncore_cores;
+        let uncore = Uncore::new(UncoreConfig::ispass2013(cores.max(2), policy), cores);
         let traces: Vec<Box<dyn mps_workloads::TraceSource>> = names
             .iter()
             .map(|n| {

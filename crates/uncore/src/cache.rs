@@ -6,7 +6,7 @@
 //! write-back / write-allocate and reports victim writebacks so the caller
 //! can account for their bandwidth.
 
-use crate::replacement::{PolicyKind, ReplacementPolicy};
+use crate::replacement::{Policy, PolicyKind, ReplacementPolicy};
 
 /// Who caused an access, for statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +97,7 @@ pub struct Cache {
     /// the first invalid way, so a set's valid ways are always the prefix
     /// `0..filled[set]`.
     filled: Vec<u32>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Policy,
     stats: CacheStats,
 }
 

@@ -44,5 +44,5 @@ pub use cache::{AccessOutcome, AccessType, Cache, CacheStats};
 pub use config::UncoreConfig;
 pub use memory::{MemoryConfig, MemoryModel};
 pub use prefetch::{IpStridePrefetcher, NextLinePrefetcher, StreamPrefetcher};
-pub use replacement::{PolicyKind, ReplacementPolicy};
+pub use replacement::{Policy, PolicyKind, ReplacementPolicy};
 pub use uncore::{Uncore, UncoreStats};

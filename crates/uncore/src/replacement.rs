@@ -15,6 +15,9 @@
 //! cache calls [`ReplacementPolicy::on_hit`] on hits,
 //! [`ReplacementPolicy::victim`] when it must evict from a full set, and
 //! [`ReplacementPolicy::on_fill`] when a new line lands in a way.
+//! [`PolicyKind::build`] returns a [`Policy`], which dispatches to the
+//! concrete policy with a `match`, so a cache hit is a direct call that
+//! can be inlined rather than a virtual one.
 
 use mps_stats::rng::Rng;
 
@@ -86,18 +89,18 @@ impl PolicyKind {
     }
 
     /// Instantiates the policy for a cache of `sets × ways`.
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
+    pub fn build(self, sets: usize, ways: usize) -> Policy {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
-        match self {
-            PolicyKind::Lru => Box::new(LruPolicy::new(sets, ways, InsertionMode::Mru)),
-            PolicyKind::Random => Box::new(RandomPolicy::new(ways)),
-            PolicyKind::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            PolicyKind::Bip => Box::new(LruPolicy::new(sets, ways, InsertionMode::Bimodal)),
-            PolicyKind::Dip => Box::new(DipPolicy::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(RripPolicy::new(sets, ways, RripMode::Static)),
-            PolicyKind::Brrip => Box::new(RripPolicy::new(sets, ways, RripMode::Bimodal)),
-            PolicyKind::Drrip => Box::new(DrripPolicy::new(sets, ways)),
-        }
+        Policy(match self {
+            PolicyKind::Lru => Built::Lru(LruPolicy::new(sets, ways, InsertionMode::Mru)),
+            PolicyKind::Random => Built::Random(RandomPolicy::new(ways)),
+            PolicyKind::Fifo => Built::Fifo(FifoPolicy::new(sets, ways)),
+            PolicyKind::Bip => Built::Lru(LruPolicy::new(sets, ways, InsertionMode::Bimodal)),
+            PolicyKind::Dip => Built::Dip(DipPolicy::new(sets, ways)),
+            PolicyKind::Srrip => Built::Rrip(RripPolicy::new(sets, ways, RripMode::Static)),
+            PolicyKind::Brrip => Built::Rrip(RripPolicy::new(sets, ways, RripMode::Bimodal)),
+            PolicyKind::Drrip => Built::Drrip(DrripPolicy::new(sets, ways)),
+        })
     }
 
     /// Display name as used in the paper ("LRU", "RND", "FIFO", ...).
@@ -118,6 +121,56 @@ impl PolicyKind {
 impl core::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.short_name())
+    }
+}
+
+/// A built policy: [`PolicyKind::build`]'s result.
+#[derive(Debug)]
+pub struct Policy(Built);
+
+/// The concrete policy behind a [`Policy`].
+#[derive(Debug)]
+enum Built {
+    Lru(LruPolicy),
+    Random(RandomPolicy),
+    Fifo(FifoPolicy),
+    Dip(DipPolicy),
+    Rrip(RripPolicy),
+    Drrip(DrripPolicy),
+}
+
+/// Forwards one [`ReplacementPolicy`] call to the concrete policy.
+macro_rules! dispatch {
+    ($self:expr, $p:ident => $call:expr) => {
+        match $self {
+            Built::Lru($p) => $call,
+            Built::Random($p) => $call,
+            Built::Fifo($p) => $call,
+            Built::Dip($p) => $call,
+            Built::Rrip($p) => $call,
+            Built::Drrip($p) => $call,
+        }
+    };
+}
+
+impl ReplacementPolicy for Policy {
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize) {
+        dispatch!(&mut self.0, p => p.on_hit(set, way))
+    }
+
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize) {
+        dispatch!(&mut self.0, p => p.on_fill(set, way))
+    }
+
+    #[inline]
+    fn victim(&mut self, set: usize) -> usize {
+        dispatch!(&mut self.0, p => p.victim(set))
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(&self.0, p => p.name())
     }
 }
 

@@ -34,7 +34,7 @@ impl RefCache {
             tags: vec![0; sets * ways],
             valid: vec![false; sets * ways],
             dirty: vec![false; sets * ways],
-            policy: policy.build(sets, ways),
+            policy: Box::new(policy.build(sets, ways)),
             stats: CacheStats::default(),
         }
     }
