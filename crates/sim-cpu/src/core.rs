@@ -204,11 +204,19 @@ impl WakeCalendar {
 
 /// A capacity-limited queue whose entries free at scheduled cycles
 /// (models LDQ/STQ occupancy).
+///
+/// Releases are collected only when the queue looks full: until then a
+/// reservation succeeds whether or not some are due, so `used` may count
+/// entries already released, but never when it is compared with `cap`.
 #[derive(Debug, Default)]
 struct ReleaseQueue {
     cap: usize,
+    /// Reservations not yet seen released.
     used: usize,
-    releases: BinaryHeap<Reverse<u64>>,
+    /// Scheduled release cycles, in no particular order.
+    releases: Vec<u64>,
+    /// The earliest of `releases`; `u64::MAX` when there are none.
+    earliest: u64,
 }
 
 impl ReleaseQueue {
@@ -218,48 +226,40 @@ impl ReleaseQueue {
             used: 0,
             // At most `cap` entries are ever queued: no reallocation in
             // the steady state.
-            releases: BinaryHeap::with_capacity(cap),
+            releases: Vec::with_capacity(cap),
+            earliest: u64::MAX,
         }
-    }
-
-    fn drain(&mut self, now: u64) {
-        while let Some(&Reverse(t)) = self.releases.peek() {
-            if t <= now {
-                self.releases.pop();
-                self.used -= 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn try_reserve(&mut self, now: u64) -> bool {
-        self.drain(now);
-        if self.used < self.cap {
-            self.used += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn schedule_release(&mut self, t: u64) {
-        self.releases.push(Reverse(t));
     }
 
     /// Whether a reservation at `now` would succeed, without reserving.
-    /// Drains entries whose release time has passed — the same lazy,
-    /// timing-neutral cleanup `try_reserve` performs.
+    /// A full-looking queue first drops the releases due by `now`.
     fn has_room(&mut self, now: u64) -> bool {
-        self.drain(now);
+        if self.used >= self.cap && now >= self.earliest {
+            let before = self.releases.len();
+            self.releases.retain(|&t| t > now);
+            self.used -= before - self.releases.len();
+            self.earliest = self.releases.iter().copied().min().unwrap_or(u64::MAX);
+        }
         self.used < self.cap
     }
 
-    /// Earliest scheduled (future) release, if any. Entries reserved but
-    /// not yet scheduled (dispatched µops that have not issued) are not
-    /// visible here — their release is created by a future issue event.
+    fn try_reserve(&mut self, now: u64) -> bool {
+        let room = self.has_room(now);
+        self.used += usize::from(room);
+        room
+    }
+
+    fn schedule_release(&mut self, t: u64) {
+        self.releases.push(t);
+        self.earliest = self.earliest.min(t);
+    }
+
+    /// Earliest scheduled (future) release, if any, once `has_room` has
+    /// reported a full queue at `now`. Entries reserved but not yet
+    /// scheduled (dispatched µops that have not issued) are not visible
+    /// here — their release is created by a future issue event.
     fn earliest_release(&self) -> Option<u64> {
-        self.releases.peek().map(|&Reverse(t)| t)
+        (self.earliest != u64::MAX).then_some(self.earliest)
     }
 }
 
@@ -319,9 +319,10 @@ pub struct Core {
     /// Entries whose producers have all issued, keyed by the cycle the
     /// last of them completes.
     wakeups: WakeCalendar,
-    /// Sequence numbers of the entries whose operands are available by
-    /// the next select, oldest first: the candidates `issue_stage`
-    /// selects from.
+    /// The entries whose operands are available by the next select: the
+    /// candidates `issue_stage` selects from, as a bitmap over ROB slots
+    /// (bit `s % 64` of word `s / 64`; a power of two of words). Walking
+    /// the slots cyclically from the head's visits them oldest first.
     ready: Vec<u64>,
     /// Earliest cycle `issue_stage` can issue anything: `now + 1` after
     /// any issue or dispatch, otherwise the earlier of the first of
@@ -402,7 +403,7 @@ impl Core {
             // Every entry in either queue is unissued, and dispatch keeps
             // at most `rs_entries` unissued: neither ever reallocates.
             wakeups: WakeCalendar::new(slots, cfg.rs_entries),
-            ready: Vec::with_capacity(cfg.rs_entries),
+            ready: vec![0; slots.div_ceil(64)],
             issue_wake: 0,
             reg_producer: [None; mps_workloads::uop::NUM_REGS],
             ldq: ReleaseQueue::new(cfg.ldq_entries),
@@ -580,40 +581,46 @@ impl Core {
             return;
         }
         debug_assert!(self.unissued <= self.cfg.rs_entries);
-        let (rob, ready) = (&self.rob, &mut self.ready);
-        self.wakeups.drain(now, |slot| {
-            // `ready` stays sorted by age whatever order entries wake in.
-            let seq = rob[slot].seq;
-            let pos = ready.partition_point(|&s| s < seq);
-            ready.insert(pos, seq);
-        });
+        let ready = &mut self.ready;
+        self.wakeups
+            .drain(now, |slot| ready[slot / 64] |= 1 << (slot % 64));
         let (mut issued, mut mem_issued) = (0, 0);
         let mut div_wake = u64::MAX;
-        let mut ready = std::mem::take(&mut self.ready);
-        // Compact the entries left waiting to the front; the select stops
-        // at the issue width, and the unvisited tail keeps its order.
-        let (mut read, mut kept) = (0, 0);
-        while read < ready.len() && issued < self.cfg.issue_width {
-            let seq = ready[read];
-            read += 1;
-            let kind = self.rob[(seq & self.slot_mask) as usize].kind;
-            let port_busy = kind.is_memory() && mem_issued >= self.cfg.mem_ports;
-            let is_div = matches!(kind, UopKind::IntDiv | UopKind::FpDiv);
-            if port_busy || (is_div && self.div_free > now) {
-                if !port_busy {
-                    div_wake = div_wake.min(self.div_free);
-                }
-                ready[kept] = seq;
-                kept += 1;
-                continue;
+        // Visit the ready slots oldest first: from the head's slot to the
+        // end of its word and on through the other words, then the head
+        // word's slots before the head's. The select stops at the issue
+        // width; entries it holds back keep their bit.
+        let words = self.ready.len();
+        let head = (self.head_seq & self.slot_mask) as usize;
+        'select: for k in 0..=words {
+            let w = (head / 64 + k) & (words - 1);
+            let mut bits = self.ready[w];
+            if k == 0 {
+                bits &= u64::MAX << (head % 64);
+            } else if k == words {
+                bits &= !(u64::MAX << (head % 64));
             }
-            self.issue(seq, now, backend);
-            issued += 1;
-            mem_issued += usize::from(kind.is_memory());
+            while bits != 0 {
+                if issued >= self.cfg.issue_width {
+                    break 'select;
+                }
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = w * 64 + bit;
+                let kind = self.rob[slot].kind;
+                if kind.is_memory() && mem_issued >= self.cfg.mem_ports {
+                    continue;
+                }
+                if matches!(kind, UopKind::IntDiv | UopKind::FpDiv) && self.div_free > now {
+                    div_wake = div_wake.min(self.div_free);
+                    continue;
+                }
+                self.ready[w] &= !(1 << bit);
+                self.issue(slot, now, backend);
+                issued += 1;
+                mem_issued += usize::from(kind.is_memory());
+            }
         }
-        ready.copy_within(read.., kept);
-        ready.truncate(kept + ready.len() - read);
-        self.ready = ready;
         // After an issue, entries the width or port limits held back can
         // go next cycle; otherwise nothing can issue before the next
         // wake-up or the divider freeing (dispatch also pulls this down).
@@ -626,9 +633,9 @@ impl Core {
         };
     }
 
-    /// Executes entry `seq` at `now` and wakes its dependents.
-    fn issue<B: MemoryBackend>(&mut self, seq: u64, now: u64, backend: &mut B) {
-        let slot = (seq & self.slot_mask) as usize;
+    /// Executes the entry in ROB slot `slot` at `now` and wakes its
+    /// dependents.
+    fn issue<B: MemoryBackend>(&mut self, slot: usize, now: u64, backend: &mut B) {
         let entry = self.rob[slot];
         let complete = match entry.kind {
             UopKind::Load => self.execute_load(&entry, now, backend),
@@ -840,11 +847,10 @@ impl Core {
                 waits,
             };
             if waits == 0 {
-                // The next select runs at `now + 1` at the earliest, and
-                // this entry is the youngest, so appending keeps `ready`
-                // sorted without a round trip through the calendar.
+                // The next select runs at `now + 1` at the earliest: an
+                // entry ready by then skips the calendar.
                 if ready_at <= now + 1 {
-                    self.ready.push(seq);
+                    self.ready[slot / 64] |= 1 << (slot % 64);
                 } else {
                     self.wakeups.push(now, ready_at, slot);
                 }
