@@ -15,6 +15,15 @@
 //! re-runs cache-warm at near-peak IPC, pinning the event horizon at
 //! `now + 1` (see `docs/performance.md`).
 //!
+//! `restart_mix_2core` is the kernel floor for the opposite regime, the
+//! one most of the study's detailed µops now run in: 8 fixed 2-core
+//! pairs of a fast and a slow benchmark (povray+mcf, gcc+libquantum,
+//! ...). Under the restart rule the fast thread replays its slice,
+//! cache-warm and near peak IPC, until the slow one finishes, so most
+//! simulated µops are restarted ones and the event horizon sits at
+//! `now + 1`. What it measures is the core's cost per µop. The leg prints
+//! its µops per run and their restarted share before timing.
+//!
 //! `badco_table_2core` is the kernel floor for the BADCO layer as the
 //! study drives it: the whole 253-workload 2-core population under DRRIP,
 //! one `BadcoMulticoreSim::run` per workload over one shared model set
@@ -87,6 +96,54 @@ fn sweep16_speed(c: &mut Criterion) {
             black_box(cycles)
         })
     });
+}
+
+/// The fast/slow pairs of `restart_mix_2core`.
+const RESTART_MIX: [(&str, &str); 8] = [
+    ("povray", "mcf"),
+    ("gcc", "libquantum"),
+    ("hmmer", "omnetpp"),
+    ("namd", "soplex"),
+    ("h264ref", "bwaves"),
+    ("sjeng", "leslie3d"),
+    ("calculix", "astar"),
+    ("perlbench", "cactusADM"),
+];
+
+fn restart_mix_speed(c: &mut Criterion) {
+    let buf = |name: &str| {
+        let spec =
+            mps_workloads::benchmark_by_name(name).unwrap_or_else(|| panic!("{name} not in suite"));
+        Arc::new(TraceBuffer::capture(&mut spec.trace(), TRACE_LEN))
+    };
+    let pairs: Vec<[Arc<TraceBuffer>; 2]> = RESTART_MIX
+        .iter()
+        .map(|&(fast, slow)| [buf(fast), buf(slow)])
+        .collect();
+    // Committed µops over all pairs; each thread's first TRACE_LEN are
+    // measured and the rest are restarts.
+    let run = || -> u64 {
+        pairs
+            .iter()
+            .map(|pair| {
+                let uncore = Uncore::new(bench_uncore(2, PolicyKind::Lru), 2);
+                let traces: Vec<Box<dyn TraceSource>> = pair
+                    .iter()
+                    .map(|b| Box::new(b.cursor()) as Box<dyn TraceSource>)
+                    .collect();
+                MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces)
+                    .run(TRACE_LEN)
+                    .instructions
+            })
+            .sum()
+    };
+    let uops = run();
+    let restarted = uops - 2 * TRACE_LEN * pairs.len() as u64;
+    println!(
+        "restart_mix_2core: {uops} µops per run, {restarted} restarted ({:.1} %)",
+        100.0 * restarted as f64 / uops as f64
+    );
+    c.bench_function("restart_mix_2core", |bench| bench.iter(|| black_box(run())));
 }
 
 fn badco_speed(c: &mut Criterion) {
@@ -165,6 +222,7 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = detailed_speed, sweep16_speed, badco_speed, badco_table_speed, badco_model_build
+    targets = detailed_speed, sweep16_speed, restart_mix_speed, badco_speed, badco_table_speed,
+        badco_model_build
 }
 criterion_main!(benches);

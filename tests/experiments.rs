@@ -15,9 +15,9 @@ fn static_tables_render() {
 fn all_simulation_experiments_run_at_test_scale() {
     let ctx = StudyContext::new(Scale::test());
 
-    // Table III: BADCO must be faster than the detailed simulator at
-    // every core count, with the gap the paper's headline (its Table III
-    // shows the speedup growing with core count).
+    // Table III: BADCO is faster than the detailed simulator (speedup
+    // > 1) at every core count. The paper's speedup also grows with core
+    // count; that claim is not asserted here (ROADMAP item 6).
     let speeds = exp::table3(&ctx).unwrap();
     assert_eq!(speeds.rows.len(), 4);
     for row in &speeds.rows {
