@@ -25,7 +25,7 @@ use crate::config::CoreConfig;
 use crate::record::{ReqEvent, RunRecording};
 use crate::tlb::Tlb;
 use mps_uncore::{AccessType, Cache, PolicyKind};
-use mps_workloads::{TraceSource, Uop, UopKind};
+use mps_workloads::{Reg, TraceSource, UopKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -263,11 +263,17 @@ impl ReleaseQueue {
     }
 }
 
-/// A fetched µop waiting to dispatch.
+/// A fetched µop waiting to dispatch: the fields of its
+/// [`Uop`](mps_workloads::Uop) that
+/// dispatch reads, and its prediction outcome.
 #[derive(Debug, Clone, Copy)]
 struct FetchedUop {
-    uop: Uop,
+    kind: UopKind,
+    srcs: [Option<Reg>; 2],
+    dst: Option<Reg>,
     mispredicted: bool,
+    addr: u64,
+    pc: u64,
 }
 
 /// Capacity of the in-flight data-prefetch table (`pf_pending`).
@@ -289,6 +295,9 @@ pub struct Core {
     /// Fetch is blocked on an unresolved mispredicted branch.
     fetch_blocked: bool,
     last_fetch_line: Option<u64>,
+    /// `log2(line_bytes)` (`CoreConfig::validate` requires a power of
+    /// two): a line number is the address shifted right.
+    line_shift: u32,
     bp: Tage,
     il1: Cache,
     itlb: Tlb,
@@ -382,6 +391,7 @@ impl Core {
             fetch_stall_until: 0,
             fetch_blocked: false,
             last_fetch_line: None,
+            line_shift: cfg.line_bytes.trailing_zeros(),
             bp: Tage::new(),
             il1: Cache::new(il1_sets, cfg.il1_ways, PolicyKind::Lru),
             itlb: Tlb::new(
@@ -518,7 +528,7 @@ impl Core {
             && self.rob_len() < self.cfg.rob_entries
             && self.unissued < self.cfg.rs_entries
         {
-            let front_kind = self.fetch_buffer.front().map(|fu| fu.uop.kind);
+            let front_kind = self.fetch_buffer.front().map(|fu| fu.kind);
             let queue_block = match front_kind {
                 Some(UopKind::Load) if !self.ldq.has_room(now) => Some(self.ldq.earliest_release()),
                 Some(UopKind::Store) if !self.stq.has_room(now) => {
@@ -691,7 +701,7 @@ impl Core {
             self.stats.dtlb_misses += 1;
         }
         self.stats.dl1_accesses += 1;
-        let line = e.addr / self.cfg.line_bytes;
+        let line = e.addr >> self.line_shift;
         let t0 = now + extra + self.cfg.dl1_latency;
         let complete = match self.dl1.access(line, AccessType::Read) {
             mps_uncore::AccessOutcome::Hit => t0,
@@ -726,7 +736,7 @@ impl Core {
             self.stats.dtlb_misses += 1;
         }
         self.stats.dl1_accesses += 1;
-        let line = e.addr / self.cfg.line_bytes;
+        let line = e.addr >> self.line_shift;
         let t0 = now + extra + self.cfg.dl1_latency;
         let drained = match self.dl1.access(line, AccessType::Write) {
             mps_uncore::AccessOutcome::Hit => t0,
@@ -760,7 +770,7 @@ impl Core {
         now: u64,
         backend: &mut B,
     ) {
-        let line = addr / self.cfg.line_bytes;
+        let line = addr >> self.line_shift;
         let mut candidates = self.dl1_stride_pf.on_access(pc, addr);
         let nl = self.dl1_next_pf.on_access(line);
         if candidates[0].is_none() {
@@ -796,7 +806,7 @@ impl Core {
                 break;
             };
             // Queue reservations.
-            match fu.uop.kind {
+            match fu.kind {
                 UopKind::Load if !self.ldq.try_reserve(now) => {
                     break;
                 }
@@ -814,7 +824,7 @@ impl Core {
             // issued one bounds `ready_at`, and an unissued one gets this
             // entry linked onto its dependents list.
             let (mut ready_at, mut waits) = (0, 0);
-            for (k, src) in fu.uop.srcs.into_iter().enumerate() {
+            for (k, src) in fu.srcs.into_iter().enumerate() {
                 let Some(p) = src.and_then(|r| self.reg_producer[r as usize]) else {
                     continue;
                 };
@@ -832,14 +842,14 @@ impl Core {
                     waits += 1;
                 }
             }
-            if let Some(d) = fu.uop.dst {
+            if let Some(d) = fu.dst {
                 self.reg_producer[d as usize] = Some(seq);
             }
             self.rob[slot] = RobEntry {
                 seq,
-                kind: fu.uop.kind,
-                addr: fu.uop.addr,
-                pc: fu.uop.pc,
+                kind: fu.kind,
+                addr: fu.addr,
+                pc: fu.pc,
                 issued: false,
                 complete: 0,
                 mispredicted: fu.mispredicted,
@@ -883,7 +893,7 @@ impl Core {
             }
 
             // Instruction-side cache/TLB on line change.
-            let line = uop.pc / self.cfg.line_bytes;
+            let line = uop.pc >> self.line_shift;
             let mut stall_after = None;
             if self.last_fetch_line != Some(line) {
                 self.last_fetch_line = Some(line);
@@ -923,8 +933,14 @@ impl Core {
                 }
             }
 
-            self.fetch_buffer
-                .push_back(FetchedUop { uop, mispredicted });
+            self.fetch_buffer.push_back(FetchedUop {
+                kind: uop.kind,
+                srcs: uop.srcs,
+                dst: uop.dst,
+                mispredicted,
+                addr: uop.addr,
+                pc: uop.pc,
+            });
 
             if mispredicted {
                 // Stop fetching until the branch resolves.

@@ -12,7 +12,8 @@ use mps_uncore::{AccessType, Cache, PolicyKind};
 #[derive(Debug)]
 pub struct Tlb {
     cache: Cache,
-    page_bytes: u64,
+    /// `log2(page_bytes)`: a page number is the address shifted right.
+    page_shift: u32,
     miss_penalty: u64,
     misses: u64,
     accesses: u64,
@@ -37,7 +38,7 @@ impl Tlb {
         );
         Tlb {
             cache: Cache::new(entries / ways, ways, PolicyKind::Lru),
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             miss_penalty,
             misses: 0,
             accesses: 0,
@@ -48,7 +49,7 @@ impl Tlb {
     /// (0 on a hit, the page-walk penalty on a miss).
     pub fn translate(&mut self, vaddr: u64) -> u64 {
         self.accesses += 1;
-        let page = vaddr / self.page_bytes;
+        let page = vaddr >> self.page_shift;
         if self.cache.access(page, AccessType::Read).is_hit() {
             0
         } else {

@@ -46,7 +46,8 @@ struct StrideEntry {
 pub struct IpStridePrefetcher {
     table: Vec<StrideEntry>,
     degree: usize,
-    line_bytes: u64,
+    /// `log2(line_bytes)`: a line number is the address shifted right.
+    line_shift: u32,
 }
 
 impl IpStridePrefetcher {
@@ -58,14 +59,19 @@ impl IpStridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if `degree` is 0 or greater than 2, or `entries` is 0.
+    /// Panics if `degree` is 0 or greater than 2, `entries` is 0, or
+    /// `line_bytes` is not a power of two.
     pub fn new(entries: usize, degree: usize, line_bytes: u64) -> Self {
         assert!((1..=2).contains(&degree), "degree must be 1 or 2");
         assert!(entries > 0, "need at least one table entry");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         IpStridePrefetcher {
             table: vec![StrideEntry::default(); entries.next_power_of_two()],
             degree,
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
         }
     }
 
@@ -88,9 +94,9 @@ impl IpStridePrefetcher {
                 for (d, slot) in out.iter_mut().take(self.degree).enumerate() {
                     let target = addr as i64 + e.stride * (d as i64 + 1);
                     if target >= 0 {
-                        let line = target as u64 / self.line_bytes;
+                        let line = target as u64 >> self.line_shift;
                         // Only prefetch when crossing into a new line.
-                        if line != addr / self.line_bytes {
+                        if line != addr >> self.line_shift {
                             *slot = Some(line);
                         }
                     }
