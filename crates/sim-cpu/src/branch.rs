@@ -83,12 +83,6 @@ impl Tage {
         folded
     }
 
-    /// Table `table`'s history folded to width `FOLD_WIDTHS[w]`.
-    #[cfg(test)]
-    fn fold(&self, table: usize, w: usize) -> u64 {
-        self.folds[table][w]
-    }
-
     fn index(&self, table: usize, pc: u64) -> usize {
         let h = self.folds[table][0];
         (((pc >> 2) ^ (pc >> (2 + TAGGED_BITS)) ^ h) as usize) & ((1 << TAGGED_BITS) - 1)
@@ -333,7 +327,7 @@ mod tests {
             for (table, &len) in HIST_LENGTHS.iter().enumerate() {
                 for (w, &width) in FOLD_WIDTHS.iter().enumerate() {
                     assert_eq!(
-                        t.fold(table, w),
+                        t.folds[table][w],
                         t.folded_hist(len, width),
                         "branch {i}, table {table}, width {width}"
                     );

@@ -264,8 +264,8 @@ impl ReleaseQueue {
 }
 
 /// A fetched µop waiting to dispatch: the fields of its
-/// [`Uop`](mps_workloads::Uop) that
-/// dispatch reads, and its prediction outcome.
+/// [`Uop`](mps_workloads::Uop) that dispatch reads, and whether it was
+/// mispredicted.
 #[derive(Debug, Clone, Copy)]
 struct FetchedUop {
     kind: UopKind,
@@ -330,8 +330,9 @@ pub struct Core {
     wakeups: WakeCalendar,
     /// The entries whose operands are available by the next select: the
     /// candidates `issue_stage` selects from, as a bitmap over ROB slots
-    /// (bit `s % 64` of word `s / 64`; a power of two of words). Walking
-    /// the slots cyclically from the head's visits them oldest first.
+    /// (bit `s % 64` of word `s / 64`; the word count is a power of two).
+    /// Walking the slots cyclically from the head's visits them oldest
+    /// first.
     ready: Vec<u64>,
     /// Earliest cycle `issue_stage` can issue anything: `now + 1` after
     /// any issue or dispatch, otherwise the earlier of the first of
@@ -410,8 +411,8 @@ impl Core {
             slot_mask: slots as u64 - 1,
             dep_head: vec![NIL; slots],
             dep_next: vec![NIL; 2 * slots],
-            // Every entry in either queue is unissued, and dispatch keeps
-            // at most `rs_entries` unissued: neither ever reallocates.
+            // Only unissued entries wait, and dispatch keeps at most
+            // `rs_entries` unissued: the overflow heap never reallocates.
             wakeups: WakeCalendar::new(slots, cfg.rs_entries),
             ready: vec![0; slots.div_ceil(64)],
             issue_wake: 0,
