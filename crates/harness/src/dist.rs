@@ -773,7 +773,7 @@ impl Coordinator {
         for (i, cell) in cells.iter().enumerate() {
             let recorded = match cell.desc {
                 CellDesc::Prefetch { .. } => None,
-                _ => ctx.recorded_cell(grid, &cell.desc),
+                _ => ctx.recorded_cell(&ctx.cell_key(grid, &cell.desc), cell.desc.value_count()),
             };
             if let Some(values) = recorded {
                 crate::heartbeat::cell_replayed();
@@ -835,7 +835,7 @@ impl Coordinator {
             } else {
                 let v = local_eval(i, cell)?;
                 crate::heartbeat::cell_finished(started.elapsed());
-                ctx.record_cell(grid, &cell.desc, &v);
+                ctx.record_cell(&ctx.cell_key(grid, &cell.desc), &v);
                 v
             };
             if let Some((l, _)) = lease {
@@ -924,7 +924,7 @@ impl Coordinator {
                     mps_obs::counter("dist.renewals").add(u64::from(done.renewals));
                     crate::heartbeat::cell_finished(started.elapsed());
                     self.note_latency(&w.id, started.elapsed());
-                    ctx.record_cell(grid, &cell.desc, &done.values);
+                    ctx.record_cell(&ctx.cell_key(grid, &cell.desc), &done.values);
                     let mut prov = lock(&self.prov);
                     prov.cells_remote += 1;
                     let entry = prov

@@ -216,6 +216,9 @@ pub struct StudyContext {
     /// after assembly when `--workers`/`--dist-addr` asked for one.
     pub(crate) dist: OnceLock<Arc<crate::dist::Coordinator>>,
     suite: Vec<BenchmarkSpec>,
+    /// FNV-1a of the suite's comma-joined names: the `suite=` field of
+    /// every artifact spec, fixed because the suite is.
+    suite_hash: u64,
     models: ArtifactCache<usize, Vec<Arc<BadcoModel>>>,
     populations: ArtifactCache<usize, Population>,
     badco_tables: ArtifactCache<(usize, PolicyKind), Arc<PerfTable>>,
@@ -256,6 +259,9 @@ impl StudyContext {
     }
 
     pub(crate) fn assemble(scale: Scale, jobs: usize, store: Option<Arc<Store>>) -> Self {
+        let suite = suite();
+        let names: Vec<&str> = suite.iter().map(|b| b.name()).collect();
+        let suite_hash = mps_store::fnv1a64(names.join(",").as_bytes());
         StudyContext {
             scale,
             jobs: jobs.max(1),
@@ -263,7 +269,8 @@ impl StudyContext {
             timeout: None,
             retries: 0,
             dist: OnceLock::new(),
-            suite: suite(),
+            suite,
+            suite_hash,
             models: ArtifactCache::new("ctx.models.hits", "ctx.models.misses", "ctx.models.build"),
             populations: ArtifactCache::new(
                 "ctx.population.hits",
@@ -349,14 +356,10 @@ impl StudyContext {
     /// results. The kernel code revision rides in the store header (see
     /// [`mps_store::KERNEL_REV`]), not in the spec.
     pub fn artifact_spec(&self, extra: &str) -> String {
-        let suite_hash = {
-            let names: Vec<&str> = self.suite.iter().map(|b| b.name()).collect();
-            mps_store::fnv1a64(names.join(",").as_bytes())
-        };
         format!(
             "{};suite={:016x};cap={CAPACITY_SCALE};{extra}",
             self.scale.spec_string(),
-            suite_hash
+            self.suite_hash
         )
     }
 
@@ -411,7 +414,7 @@ impl StudyContext {
     /// The store record of one grid cell: kind `cell`, keyed by the grid
     /// and every field of the cell's descriptor — the fields a worker
     /// evaluates it from — so the key covers every input of the value.
-    fn cell_key(&self, grid: &str, desc: &CellDesc) -> ArtifactKey {
+    pub(crate) fn cell_key(&self, grid: &str, desc: &CellDesc) -> ArtifactKey {
         let fields: Vec<String> = desc
             .fields()
             .into_iter()
@@ -423,14 +426,15 @@ impl StudyContext {
         )
     }
 
-    /// The recorded values of a grid cell, if the store holds its record.
-    pub(crate) fn recorded_cell(&self, grid: &str, desc: &CellDesc) -> Option<Vec<f64>> {
-        let want = desc.value_count();
-        self.load(&self.cell_key(grid, desc), |bytes| {
+    /// The recorded values of the grid cell under `key` (see
+    /// [`Self::cell_key`]), if the store holds its record; `want` is the
+    /// cell's value count.
+    pub(crate) fn recorded_cell(&self, key: &ArtifactKey, want: usize) -> Option<Vec<f64>> {
+        self.load(key, |bytes| {
             let values = crate::persist::decode_f64s(bytes)?;
             if values.len() != want {
                 return Err(Error::Corrupt {
-                    path: format!("{grid} cell record"),
+                    path: format!("cell record {}", key.hash_hex()),
                     detail: format!("{} values, expected {want}", values.len()),
                 });
             }
@@ -442,9 +446,8 @@ impl StudyContext {
     /// The `MPS_ABORT_AFTER_CELLS=<n>` environment variable aborts the
     /// process right after the n-th durable cell record — the hook the
     /// kill-and-rerun tests use to stop a grid at a known point.
-    pub(crate) fn record_cell(&self, grid: &str, desc: &CellDesc, values: &[f64]) {
-        let key = self.cell_key(grid, desc);
-        if !self.persist(&key, &crate::persist::encode_f64s(values)) {
+    pub(crate) fn record_cell(&self, key: &ArtifactKey, values: &[f64]) {
+        if !self.persist(key, &crate::persist::encode_f64s(values)) {
             return;
         }
         static RECORDED: AtomicU64 = AtomicU64::new(0);
@@ -477,7 +480,8 @@ impl StudyContext {
         desc: &CellDesc,
         compute: impl FnOnce() -> Result<Vec<f64>, Error>,
     ) -> Result<Vec<f64>, Error> {
-        if let Some(values) = self.recorded_cell(grid, desc) {
+        let key = self.cell_key(grid, desc);
+        if let Some(values) = self.recorded_cell(&key, desc.value_count()) {
             crate::heartbeat::cell_replayed();
             return Ok(values);
         }
@@ -485,7 +489,7 @@ impl StudyContext {
         let values = compute()?;
         debug_assert_eq!(values.len(), desc.value_count(), "cell value count");
         crate::heartbeat::cell_finished(started.elapsed());
-        self.record_cell(grid, desc, &values);
+        self.record_cell(&key, &values);
         Ok(values)
     }
 
@@ -494,6 +498,16 @@ impl StudyContext {
             return Err(Error::InvalidInput(format!(
                 "benchmark index {bench} out of range (suite has {})",
                 self.suite.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Rejects a core count no model set or reference run is built for.
+    fn check_cores(cores: usize) -> Result<(), Error> {
+        if cores == 0 || cores > 64 {
+            return Err(Error::InvalidInput(format!(
+                "implausible core count {cores}"
             )));
         }
         Ok(())
@@ -514,7 +528,12 @@ impl StudyContext {
     /// rule.
     pub fn trace_buffer(&self, bench: usize) -> Result<Arc<TraceBuffer>, Error> {
         self.check_bench(bench)?;
-        Ok(self.traces.get_or_build(bench, || {
+        Ok(self.cached_trace(bench))
+    }
+
+    /// [`Self::trace_buffer`] of a suite index the caller has validated.
+    fn cached_trace(&self, bench: usize) -> Arc<TraceBuffer> {
+        self.traces.get_or_build(bench, || {
             let name = self.suite[bench].name().to_owned();
             self.load_or_compute(
                 "trace",
@@ -526,19 +545,13 @@ impl StudyContext {
                     Arc::new(TraceBuffer::capture(&mut source, self.scale.trace_len))
                 },
             )
-        }))
+        })
     }
 
     /// A fresh replay cursor (positioned at µop 0) over
     /// [`Self::trace_buffer`].
     pub fn trace_cursor(&self, bench: usize) -> Result<TraceCursor, Error> {
         Ok(self.trace_buffer(bench)?.cursor())
-    }
-
-    fn trace_cursor_cached(&self, bench: usize) -> TraceCursor {
-        self.trace_buffer(bench)
-            .expect("suite indices are validated by callers")
-            .cursor()
     }
 
     /// The 22-benchmark suite.
@@ -606,15 +619,16 @@ impl StudyContext {
     /// of the given core count. The per-benchmark ideal/pessimal training
     /// runs are independent, so they fan out over the worker pool.
     pub fn models(&self, cores: usize) -> Result<Vec<Arc<BadcoModel>>, Error> {
-        if cores == 0 || cores > 64 {
-            return Err(Error::InvalidInput(format!(
-                "implausible core count {cores}"
-            )));
-        }
-        // Trace buffers feed the training runs; surface their validation
-        // before entering the infallible build path.
-        self.trace_buffer(0)?;
-        Ok(self.models.get_or_build(cores, || {
+        Self::check_cores(cores)?;
+        // Training replays every suite benchmark's trace buffer, and the
+        // suite check is the only way fetching one can fail.
+        self.check_bench(0)?;
+        Ok(self.cached_models(cores))
+    }
+
+    /// [`Self::models`] for a core count the caller has validated.
+    fn cached_models(&self, cores: usize) -> Vec<Arc<BadcoModel>> {
+        self.models.get_or_build(cores, || {
             self.load_or_compute(
                 "badco-models",
                 &format!("cores={cores}"),
@@ -628,27 +642,36 @@ impl StudyContext {
                         Arc::new(BadcoModel::build(
                             b.name(),
                             &CoreConfig::ispass2013(),
-                            &self.trace_cursor_cached(i),
+                            &self.cached_trace(i).cursor(),
                             trace_len,
                             timing,
                         ))
                     })
                 },
             )
-        }))
+        })
     }
 
     /// Single-thread reference IPCs (benchmark alone on the reference
     /// machine, LRU uncore) measured with BADCO.
     pub fn badco_reference_ipcs(&self, cores: usize) -> Result<Vec<f64>, Error> {
-        let models = self.models(cores)?;
-        Ok(self.badco_refs.get_or_build(cores, || {
+        Self::check_cores(cores)?;
+        self.check_bench(0)?;
+        Ok(self.cached_badco_refs(cores))
+    }
+
+    /// [`Self::badco_reference_ipcs`] for a core count the caller has
+    /// validated. The models are fetched only when the reference IPCs
+    /// are neither cached nor stored.
+    fn cached_badco_refs(&self, cores: usize) -> Vec<f64> {
+        self.badco_refs.get_or_build(cores, || {
             self.load_or_compute(
                 "badco-refs",
                 &format!("cores={cores}"),
                 crate::persist::decode_f64s,
                 |v| crate::persist::encode_f64s(v),
                 || {
+                    let models = self.cached_models(cores);
                     mps_par::par_map_indexed(self.jobs, &models, |_, m| {
                         let uncore = Uncore::new(experiment_uncore(cores, PolicyKind::Lru), 1);
                         let r = BadcoMulticoreSim::new(uncore, vec![Arc::clone(m)]).run();
@@ -656,17 +679,13 @@ impl StudyContext {
                     })
                 },
             )
-        }))
+        })
     }
 
     /// Single-thread reference IPCs measured with the detailed simulator.
     pub fn detailed_reference_ipcs(&self, cores: usize) -> Result<Vec<f64>, Error> {
-        if cores == 0 || cores > 64 {
-            return Err(Error::InvalidInput(format!(
-                "implausible core count {cores}"
-            )));
-        }
-        self.trace_buffer(0)?;
+        Self::check_cores(cores)?;
+        self.check_bench(0)?;
         Ok(self.detailed_refs.get_or_build(cores, || {
             self.load_or_compute(
                 "detailed-refs",
@@ -678,7 +697,7 @@ impl StudyContext {
                     let ucfg = experiment_uncore(cores, PolicyKind::Lru);
                     mps_par::par_map_indexed(self.jobs, &self.suite, |i, _| {
                         let traces: Vec<Box<dyn TraceSource>> =
-                            vec![Box::new(self.trace_cursor_cached(i))];
+                            vec![Box::new(self.cached_trace(i).cursor())];
                         let uncore = Uncore::new(ucfg.clone(), 1);
                         MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces)
                             .run(trace_len)
@@ -775,7 +794,7 @@ impl StudyContext {
     fn detailed_traces(&self, w: &Workload) -> Vec<Box<dyn TraceSource>> {
         w.benchmarks()
             .iter()
-            .map(|&b| Box::new(self.trace_cursor_cached(b as usize)) as Box<dyn TraceSource>)
+            .map(|&b| Box::new(self.cached_trace(b as usize).cursor()) as Box<dyn TraceSource>)
             .collect()
     }
 
@@ -786,12 +805,16 @@ impl StudyContext {
     /// independent simulation, so the grid fans out over the worker pool;
     /// rows are merged in population order, keeping the table
     /// bit-identical for every `jobs` value.
+    ///
+    /// The models and reference IPCs the table is built from are fetched
+    /// only when the table is neither cached nor stored, so a warm store
+    /// serves the table without decoding them.
     pub fn badco_table(&self, cores: usize, policy: PolicyKind) -> Result<Arc<PerfTable>, Error> {
-        // Pull the inputs through the validated accessors first; the
-        // cached build below then cannot fail.
+        // Validate everything the build below reads, so it cannot fail:
+        // the population (fetched here, as the artifact reads it anyway)
+        // admits only core counts the models accept too.
         let pop = self.population(cores)?;
-        let refs = self.badco_reference_ipcs(cores)?;
-        let models = self.models(cores)?;
+        self.check_bench(0)?;
         Ok(self.badco_tables.get_or_build((cores, policy), || {
             self.load_or_compute(
                 "perf-table",
@@ -799,6 +822,8 @@ impl StudyContext {
                 |b| crate::persist::decode_perf_table(b).map(Arc::new),
                 |v| crate::persist::encode_perf_table(v),
                 || {
+                    let refs = self.cached_badco_refs(cores);
+                    let models = self.cached_models(cores);
                     let workloads: Vec<Workload> = pop.workloads().to_vec();
                     let cell_hist = mps_obs::histogram("table.cell.latency_us");
                     let rows = mps_par::par_map_indexed(self.jobs, &workloads, |_, w| {
@@ -807,7 +832,7 @@ impl StudyContext {
                         cell_hist.record_duration(started.elapsed());
                         ipcs
                     });
-                    let mut table = PerfTable::new(refs.clone());
+                    let mut table = PerfTable::new(refs);
                     for (w, ipcs) in workloads.iter().zip(rows) {
                         table.push(WorkloadPerf::new(
                             w.benchmarks().iter().map(|&b| b as usize).collect(),
@@ -1025,19 +1050,23 @@ mod tests {
         };
         let values = [f64::NAN, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let recorded = |c: &StudyContext, grid, widx| {
+            let desc = desc(widx);
+            c.recorded_cell(&c.cell_key(grid, &desc), desc.value_count())
+        };
         let c = open();
-        assert_eq!(c.recorded_cell("validate", &desc(0)), None);
-        c.record_cell("validate", &desc(0), &values);
+        assert_eq!(recorded(&c, "validate", 0), None);
+        c.record_cell(&c.cell_key("validate", &desc(0)), &values);
         // Another context on the same store reads the record back exactly,
         // and only under the descriptor it was recorded for.
         let c = open();
-        let got = c.recorded_cell("validate", &desc(0)).expect("recorded");
+        let got = recorded(&c, "validate", 0).expect("recorded");
         assert_eq!(bits(&got), bits(&values));
-        assert_eq!(c.recorded_cell("validate", &desc(1)), None);
-        assert_eq!(c.recorded_cell("fig3", &desc(0)), None);
+        assert_eq!(recorded(&c, "validate", 1), None);
+        assert_eq!(recorded(&c, "fig3", 0), None);
         // A stored record with the wrong value count is poison.
-        c.record_cell("validate", &desc(2), &values[..3]);
-        assert_eq!(c.recorded_cell("validate", &desc(2)), None);
+        c.record_cell(&c.cell_key("validate", &desc(2)), &values[..3]);
+        assert_eq!(recorded(&c, "validate", 2), None);
         assert_eq!(c.store_stats().unwrap().corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

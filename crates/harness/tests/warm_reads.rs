@@ -49,20 +49,24 @@ fn filled(tmp: &TempDir) -> Rendered {
     render(&context(&tmp.0))
 }
 
-/// Deletes the store's records of `kind`; how many there were.
-fn delete_records(store: &Path, kind: &str) -> usize {
+/// The store's record files of `kind`.
+fn records(store: &Path, kind: &str) -> Vec<PathBuf> {
     let prefix = format!("{kind}-");
-    let mut n = 0;
-    for entry in std::fs::read_dir(store.join("artifacts"))
+    std::fs::read_dir(store.join("artifacts"))
         .expect("artifacts dir")
         .flatten()
-    {
-        if entry.file_name().to_string_lossy().starts_with(&prefix) {
-            std::fs::remove_file(entry.path()).expect("removing a record");
-            n += 1;
-        }
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        .map(|e| e.path())
+        .collect()
+}
+
+/// Deletes the store's records of `kind`; how many there were.
+fn delete_records(store: &Path, kind: &str) -> usize {
+    let files = records(store, kind);
+    for f in &files {
+        std::fs::remove_file(f).expect("removing a record");
     }
-    n
+    files.len()
 }
 
 #[test]
@@ -74,6 +78,16 @@ fn warm_context_renders_identical_figures() {
     let stats = warm.store_stats().expect("store attached");
     assert_eq!(stats.puts, 0, "a warm build writes nothing: {stats:?}");
     assert_eq!(stats.misses, 0, "a warm build misses nothing: {stats:?}");
+    // It reads the records it renders and nothing behind them.
+    let rendered: usize = ["population", "perf-table", "cell"]
+        .iter()
+        .map(|kind| records(&tmp.0, kind).len())
+        .sum();
+    assert_eq!(stats.hits, rendered as u64, "{stats:?}");
+    let cache = warm.cache_stats();
+    assert_eq!((cache.model_hits, cache.model_misses), (0, 0), "{cache:?}");
+    assert_eq!(cache.badco_ref_misses, 0, "{cache:?}");
+    assert_eq!(cache.trace_misses, 0, "{cache:?}");
 }
 
 #[test]
