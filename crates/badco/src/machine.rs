@@ -240,8 +240,9 @@ impl Window {
 }
 
 /// The most requests any node's window holds: no more are ever waiting
-/// or ready at once.
-fn widest_window(model: &BadcoModel) -> usize {
+/// or ready at once. Computed once per model by
+/// [`BadcoModel::from_parts`].
+pub(crate) fn widest_window(model: &BadcoModel) -> usize {
     let mut window = Window::default();
     let mut widest = 0;
     for i in 0..model.node_count() {
@@ -292,7 +293,7 @@ impl RequestState {
     /// Fresh state for `model`, with every wake-up structure sized once.
     fn new(model: &BadcoModel) -> Self {
         let requests = model.requests_total() as usize;
-        let widest = widest_window(model);
+        let widest = model.widest_window();
         RequestState {
             completions: vec![NOT_ISSUED; requests],
             outstanding: Vec::with_capacity(MAX_OUTSTANDING),

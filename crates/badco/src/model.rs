@@ -201,6 +201,10 @@ pub struct BadcoModel {
     /// dependents, ascending.
     request_dependents: Csr,
     uops_total: u64,
+    /// The most requests any node's lookahead window holds, which sizes
+    /// a machine's wake-up structures. Derived from the columns above
+    /// once, when the model is assembled.
+    widest_window: usize,
 }
 
 /// Maximum taint/dependence fan-in tracked per register and node.
@@ -464,7 +468,7 @@ impl BadcoModel {
         request_addr.shrink_to_fit();
         request_write.shrink_to_fit();
         request_addr_deps.shrink_to_fit();
-        Ok(BadcoModel {
+        let mut model = BadcoModel {
             name: name.to_owned(),
             node_uops,
             node_weight,
@@ -476,7 +480,10 @@ impl BadcoModel {
             request_addr_deps,
             request_dependents,
             uops_total,
-        })
+            widest_window: 0,
+        };
+        model.widest_window = crate::machine::widest_window(&model);
+        Ok(model)
     }
 
     /// A copy with every trained coefficient scaled by `factor`: node
@@ -614,6 +621,11 @@ impl BadcoModel {
     #[inline]
     pub(crate) fn request_dependents(&self, r: u32) -> &[u32] {
         self.request_dependents.row(r as usize)
+    }
+
+    /// The most requests any node's lookahead window holds.
+    pub(crate) fn widest_window(&self) -> usize {
+        self.widest_window
     }
 }
 

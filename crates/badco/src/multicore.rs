@@ -4,10 +4,13 @@
 //! [`mps_uncore::Uncore`]. Machines are advanced in *time order* with
 //! round-robin tie-breaking on the core index — the event-driven
 //! equivalent of the paper's "round robin arbitration to decide which
-//! BADCO machine can access the uncore". The measurement protocol matches
-//! the detailed simulator: every thread runs (with restarts) until all
-//! threads have committed their first `N` µops, and IPC is taken over the
-//! first `N`.
+//! BADCO machine can access the uncore". IPC is taken over each thread's
+//! first `N` µops, as in the detailed simulator, but the two simulators
+//! end a thread differently. A BADCO machine runs one pass over its model:
+//! once it has committed its `N` µops, [`BadcoMulticoreSim::run`] steps it
+//! no more, so it stops contending for the uncore while slower threads
+//! finish alone. The detailed simulator restarts a finished thread and
+//! keeps it running until every thread has committed `N` µops.
 
 use crate::machine::BadcoMachine;
 use crate::model::BadcoModel;
@@ -28,7 +31,10 @@ pub struct BadcoSimResult {
     pub finish_cycles: Vec<u64>,
     /// Cycle at which the last thread finished.
     pub total_cycles: u64,
-    /// µops committed across cores, including restarts.
+    /// µops committed across cores. A machine is not stepped once it has
+    /// committed its `N` µops, so no restarted pass is counted: this is
+    /// the sum of the targets, where the detailed simulator's count also
+    /// holds the restarts of threads that finished early.
     pub instructions: u64,
     /// Aggregate uncore statistics.
     pub uncore_stats: UncoreStats,

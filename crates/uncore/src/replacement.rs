@@ -207,11 +207,9 @@ impl LruPolicy {
     fn new(sets: usize, ways: usize, mode: InsertionMode) -> Self {
         assert!(ways <= u8::MAX as usize, "ways must fit in u8");
         // Way w starts at rank w: identical to the former stack's initial
-        // order `[0, 1, ..., ways-1]` (way 0 = MRU).
-        let mut ranks = vec![0u8; sets * ways];
-        for (i, r) in ranks.iter_mut().enumerate() {
-            *r = (i % ways) as u8;
-        }
+        // order `[0, 1, ..., ways-1]` (way 0 = MRU). One set's ranks are
+        // built once and copied into every set.
+        let ranks = (0..ways as u8).collect::<Vec<u8>>().repeat(sets);
         LruPolicy {
             ways,
             ranks,
@@ -594,6 +592,15 @@ mod tests {
         p.on_hit(0, 1);
         p.on_hit(0, 2);
         assert_eq!(p.victim(0), 3);
+    }
+
+    #[test]
+    fn lru_ranks_start_in_way_order_in_every_set() {
+        for (sets, ways) in [(1, 1), (1, 16), (3, 4), (64, 16), (5, 255)] {
+            let p = LruPolicy::new(sets, ways, InsertionMode::Mru);
+            let want: Vec<u8> = (0..sets * ways).map(|i| (i % ways) as u8).collect();
+            assert_eq!(p.ranks, want, "{sets} sets x {ways} ways");
+        }
     }
 
     #[test]
