@@ -207,8 +207,7 @@ impl LruPolicy {
     fn new(sets: usize, ways: usize, mode: InsertionMode) -> Self {
         assert!(ways <= u8::MAX as usize, "ways must fit in u8");
         // Way w starts at rank w: identical to the former stack's initial
-        // order `[0, 1, ..., ways-1]` (way 0 = MRU). One set's ranks are
-        // built once and copied into every set.
+        // order `[0, 1, ..., ways-1]` (way 0 = MRU).
         let ranks = (0..ways as u8).collect::<Vec<u8>>().repeat(sets);
         LruPolicy {
             ways,
