@@ -44,6 +44,11 @@ pub struct UncoreStats {
     pub wb_stall_cycles: u64,
     /// Prefetch lines requested from memory.
     pub prefetches: u64,
+    /// Valid LLC lines displaced by the replacement policy, demand and
+    /// prefetch fills alike: one per victim choice, so a run whose count
+    /// stays zero never consulted the policy for a victim (see
+    /// [`CacheStats::evictions`]).
+    pub llc_evictions: u64,
 }
 
 /// The shared uncore. See the module docs.
@@ -73,6 +78,8 @@ pub struct Uncore {
     /// Bus-departure times of in-flight writebacks (the write buffer).
     wb_pending: Vec<u64>,
     prefetchers: Vec<StreamPrefetcher>,
+    /// Everything but `llc_evictions`, which [`Uncore::stats`] reads
+    /// from the LLC.
     stats: UncoreStats,
     /// Per-core demand misses (for MPKI accounting).
     core_misses: Vec<u64>,
@@ -322,7 +329,10 @@ impl Uncore {
 
     /// Aggregate uncore statistics.
     pub fn stats(&self) -> UncoreStats {
-        self.stats
+        UncoreStats {
+            llc_evictions: self.llc.stats().evictions,
+            ..self.stats
+        }
     }
 
     /// Demand misses suffered by one core (for MPKI).
@@ -366,6 +376,22 @@ mod tests {
         // port(0) + LLC 5 + bus 30 + DRAM 200
         assert_eq!(done, 235);
         assert_eq!(u.stats().llc_misses, 1);
+    }
+
+    #[test]
+    fn evictions_are_the_llc_victim_choices() {
+        let mut u = Uncore::new(UncoreConfig::tiny_for_tests(PolicyKind::Lru), 1);
+        let mut now = 0;
+        for line in 0..64 {
+            now = u.access(0, line * 64, false, now);
+        }
+        assert_eq!(u.stats().llc_evictions, 0, "a cold fill evicts nothing");
+        for line in 64..4096 {
+            now = u.access(0, line * 64, false, now);
+        }
+        let evictions = u.stats().llc_evictions;
+        assert!(evictions > 0);
+        assert_eq!(evictions, u.llc_stats().evictions);
     }
 
     #[test]
