@@ -32,7 +32,7 @@
 
 use crate::dist::CellDesc;
 use crate::scale::Scale;
-use mps_badco::{BadcoModel, BadcoMulticoreSim, BadcoTiming};
+use mps_badco::{BadcoModel, BadcoMulticoreSim, BadcoSimResult, BadcoTiming};
 use mps_metrics::{PerfTable, ThroughputMetric, WorkloadPerf};
 use mps_sampling::{PairData, Population, Workload};
 use mps_sim_cpu::{CoreConfig, MulticoreSim, SimResult};
@@ -183,6 +183,72 @@ impl<K: Eq + Hash, V: Clone> ArtifactCache<K, V> {
     }
 }
 
+/// The simulator a table row was measured with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RowSim {
+    Badco,
+    Detailed,
+}
+
+/// What a shared table row depends on besides the policy: the simulator,
+/// the core count (which picks the BADCO model set and the uncore) and
+/// the workload. The trace length, suite and core configuration are fixed
+/// per context.
+type RowKey = (RowSim, usize, Workload);
+
+/// Table rows whose run never asked the LLC's replacement policy for a
+/// victim, keyed by [`RowKey`].
+///
+/// The LLC consults its policy's state only to choose a victim, so such a
+/// run takes the same trajectory under every policy (DESIGN.md §7): its
+/// row is every policy's row, and a table of any policy reuses it instead
+/// of simulating the workload again. Rows whose run evicted are never
+/// recorded. Two workers that miss the same key concurrently both
+/// simulate it and record equal rows.
+struct InvariantRows {
+    map: Mutex<HashMap<RowKey, Vec<f64>>>,
+    hit_counter: mps_obs::Counter,
+    record_counter: mps_obs::Counter,
+}
+
+impl InvariantRows {
+    fn new() -> Self {
+        InvariantRows {
+            map: Mutex::new(HashMap::new()),
+            hit_counter: mps_obs::counter("ctx.invariant_rows.hits"),
+            record_counter: mps_obs::counter("ctx.invariant_rows.records"),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<RowKey, Vec<f64>>> {
+        self.map
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The row of `w` on `cores` cores: the recorded one, else the IPCs
+    /// `run` simulates, recorded when the run's LLC evictions (the second
+    /// value `run` returns) are zero.
+    fn row(
+        &self,
+        sim: RowSim,
+        cores: usize,
+        w: &Workload,
+        run: impl FnOnce() -> (Vec<f64>, u64),
+    ) -> Vec<f64> {
+        let key = (sim, cores, w.clone());
+        if let Some(row) = self.lock().get(&key) {
+            self.hit_counter.incr();
+            return row.clone();
+        }
+        let (row, evictions) = run();
+        if evictions == 0 && self.lock().insert(key, row.clone()).is_none() {
+            self.record_counter.incr();
+        }
+        row
+    }
+}
+
 /// Caches everything the experiments share: benchmark suite, BADCO models,
 /// per-policy population throughput tables and reference IPCs.
 ///
@@ -230,6 +296,8 @@ pub struct StudyContext {
     /// the one memoized buffer through a cheap [`TraceCursor`] instead of
     /// re-running the synthetic generator µop by µop.
     traces: ArtifactCache<usize, Arc<TraceBuffer>>,
+    /// Rows every policy's table shares (see [`InvariantRows`]).
+    invariant_rows: InvariantRows,
 }
 
 impl std::fmt::Debug for StudyContext {
@@ -293,6 +361,7 @@ impl StudyContext {
                 "ctx.detailed_refs.build",
             ),
             traces: ArtifactCache::new("ctx.traces.hits", "ctx.traces.misses", "ctx.traces.build"),
+            invariant_rows: InvariantRows::new(),
         }
     }
 
@@ -481,15 +550,38 @@ impl StudyContext {
         compute: impl FnOnce() -> Result<Vec<f64>, Error>,
     ) -> Result<Vec<f64>, Error> {
         let key = self.cell_key(grid, desc);
-        if let Some(values) = self.recorded_cell(&key, desc.value_count()) {
-            crate::heartbeat::cell_replayed();
-            return Ok(values);
+        match self.replayed_cell(&key, desc) {
+            Some(values) => Ok(values),
+            None => self.fresh_cell(&key, desc, compute),
         }
+    }
+
+    /// The first half of [`Self::grid_cell`]: the stored values of the
+    /// cell `desc` under `key`, counted as a replayed cell, if the store
+    /// holds them.
+    pub(crate) fn replayed_cell(&self, key: &ArtifactKey, desc: &CellDesc) -> Option<Vec<f64>> {
+        let values = self.recorded_cell(key, desc.value_count())?;
+        crate::heartbeat::cell_replayed();
+        Some(values)
+    }
+
+    /// The second half of [`Self::grid_cell`], after the store missed:
+    /// computes the cell with `compute` and records it under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns.
+    pub(crate) fn fresh_cell(
+        &self,
+        key: &ArtifactKey,
+        desc: &CellDesc,
+        compute: impl FnOnce() -> Result<Vec<f64>, Error>,
+    ) -> Result<Vec<f64>, Error> {
         let started = std::time::Instant::now();
         let values = compute()?;
         debug_assert_eq!(values.len(), desc.value_count(), "cell value count");
         crate::heartbeat::cell_finished(started.elapsed());
-        self.record_cell(&key, &values);
+        self.record_cell(key, &values);
         Ok(values)
     }
 
@@ -686,7 +778,13 @@ impl StudyContext {
     pub fn detailed_reference_ipcs(&self, cores: usize) -> Result<Vec<f64>, Error> {
         Self::check_cores(cores)?;
         self.check_bench(0)?;
-        Ok(self.detailed_refs.get_or_build(cores, || {
+        Ok(self.cached_detailed_refs(cores))
+    }
+
+    /// [`Self::detailed_reference_ipcs`] for a core count the caller has
+    /// validated.
+    fn cached_detailed_refs(&self, cores: usize) -> Vec<f64> {
+        self.detailed_refs.get_or_build(cores, || {
             self.load_or_compute(
                 "detailed-refs",
                 &format!("cores={cores}"),
@@ -705,7 +803,7 @@ impl StudyContext {
                     })
                 },
             )
-        }))
+        })
     }
 
     /// Runs one workload under one policy with BADCO; returns per-core IPC.
@@ -720,24 +818,34 @@ impl StudyContext {
         Ok(Self::badco_run_with(&models, cores, policy, w))
     }
 
-    /// [`Self::badco_run`] against an already-fetched model set (the
-    /// per-workload cell of the parallel table build, which prefetches the
-    /// models once instead of taking the cache lock from every worker).
-    /// Public because the validation sweep substitutes deliberately
-    /// perturbed model sets here (see [`crate::validate`]).
+    /// [`Self::badco_run`] against an already-fetched model set, so a
+    /// parallel caller fetches the models once instead of taking the
+    /// cache lock from every worker. Public because the validation sweep
+    /// substitutes deliberately perturbed model sets here (see
+    /// [`crate::validate`]).
     pub fn badco_run_with(
         models: &[Arc<BadcoModel>],
         cores: usize,
         policy: PolicyKind,
         w: &Workload,
     ) -> Vec<f64> {
+        Self::badco_sim(models, cores, policy, w).ipc
+    }
+
+    /// The full result of [`Self::badco_run_with`]'s run.
+    fn badco_sim(
+        models: &[Arc<BadcoModel>],
+        cores: usize,
+        policy: PolicyKind,
+        w: &Workload,
+    ) -> BadcoSimResult {
         let uncore = Uncore::new(experiment_uncore(cores, policy), w.cores());
         let bound: Vec<Arc<BadcoModel>> = w
             .benchmarks()
             .iter()
             .map(|&b| Arc::clone(&models[b as usize]))
             .collect();
-        BadcoMulticoreSim::new(uncore, bound).run().ipc
+        BadcoMulticoreSim::new(uncore, bound).run()
     }
 
     /// Runs one workload through the *stable validation entry point* of
@@ -785,9 +893,14 @@ impl StudyContext {
         w: &Workload,
     ) -> Result<SimResult, Error> {
         self.check_workload(w)?;
+        Ok(self.detailed_sim(cores, policy, w))
+    }
+
+    /// [`Self::detailed_run`] of a workload the caller has validated.
+    fn detailed_sim(&self, cores: usize, policy: PolicyKind, w: &Workload) -> SimResult {
         let uncore = Uncore::new(experiment_uncore(cores, policy), w.cores());
         let traces = self.detailed_traces(w);
-        Ok(MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces).run(self.scale.trace_len))
+        MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces).run(self.scale.trace_len)
     }
 
     /// One cursor over the memoized trace buffer per benchmark of `w`.
@@ -804,7 +917,9 @@ impl StudyContext {
     /// persisted across processes. Each `(policy, workload)` cell is an
     /// independent simulation, so the grid fans out over the worker pool;
     /// rows are merged in population order, keeping the table
-    /// bit-identical for every `jobs` value.
+    /// bit-identical for every `jobs` value. A row another policy's table
+    /// already simulated without an LLC eviction is reused, not rerun:
+    /// such a run is the same under every policy (DESIGN.md §7).
     ///
     /// The models and reference IPCs the table is built from are fetched
     /// only when the table is neither cached nor stored, so a warm store
@@ -827,10 +942,12 @@ impl StudyContext {
                     let workloads: Vec<Workload> = pop.workloads().to_vec();
                     let cell_hist = mps_obs::histogram("table.cell.latency_us");
                     let rows = mps_par::par_map_indexed(self.jobs, &workloads, |_, w| {
-                        let started = std::time::Instant::now();
-                        let ipcs = Self::badco_run_with(&models, cores, policy, w);
-                        cell_hist.record_duration(started.elapsed());
-                        ipcs
+                        self.invariant_rows.row(RowSim::Badco, cores, w, || {
+                            let started = std::time::Instant::now();
+                            let r = Self::badco_sim(&models, cores, policy, w);
+                            cell_hist.record_duration(started.elapsed());
+                            (r.ipc, r.uncore_stats.llc_evictions)
+                        })
                     });
                     let mut table = PerfTable::new(refs);
                     for (w, ipcs) in workloads.iter().zip(rows) {
@@ -846,10 +963,12 @@ impl StudyContext {
     }
 
     /// Detailed-simulator performance table over a list of workloads,
-    /// one independent simulation per workload, fanned out like
-    /// [`Self::badco_table`]. Persisted under a key that hashes the
-    /// workload list, so e.g. Figure 7's full-population detailed pass is
-    /// simulated once per store lifetime.
+    /// one independent simulation per workload, fanned out and sharing
+    /// eviction-free rows across policies like [`Self::badco_table`].
+    /// Persisted under a key that hashes the workload list, so e.g.
+    /// Figure 7's full-population detailed pass is simulated once per
+    /// store lifetime. The detailed reference IPCs are fetched only when
+    /// the table is not stored.
     pub fn detailed_table(
         &self,
         cores: usize,
@@ -859,7 +978,8 @@ impl StudyContext {
         for w in workloads {
             self.check_workload(w)?;
         }
-        let refs = self.detailed_reference_ipcs(cores)?;
+        Self::check_cores(cores)?;
+        self.check_bench(0)?;
         let wl_hash = {
             let mut bytes = Vec::with_capacity(workloads.len() * 4);
             for w in workloads {
@@ -876,20 +996,17 @@ impl StudyContext {
             crate::persist::decode_perf_table,
             crate::persist::encode_perf_table,
             || {
+                let refs = self.cached_detailed_refs(cores);
                 let cell_hist = mps_obs::histogram("table.cell.latency_us");
-                let trace_len = self.scale.trace_len;
-                let ucfg = experiment_uncore(cores, policy);
                 let rows = mps_par::par_map_indexed(self.jobs, workloads, |_, w| {
-                    let started = std::time::Instant::now();
-                    let uncore = Uncore::new(ucfg.clone(), w.cores());
-                    let traces = self.detailed_traces(w);
-                    let ipc = MulticoreSim::new(CoreConfig::ispass2013(), uncore, traces)
-                        .run(trace_len)
-                        .ipc;
-                    cell_hist.record_duration(started.elapsed());
-                    ipc
+                    self.invariant_rows.row(RowSim::Detailed, cores, w, || {
+                        let started = std::time::Instant::now();
+                        let r = self.detailed_sim(cores, policy, w);
+                        cell_hist.record_duration(started.elapsed());
+                        (r.ipc, r.uncore_stats.llc_evictions)
+                    })
                 });
-                let mut table = PerfTable::new(refs.clone());
+                let mut table = PerfTable::new(refs);
                 for (w, ipc) in workloads.iter().zip(rows) {
                     table.push(WorkloadPerf::new(
                         w.benchmarks().iter().map(|&b| b as usize).collect(),

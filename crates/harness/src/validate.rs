@@ -244,33 +244,6 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     }
     dist::prefetch(ctx, "validate", &refs)?;
 
-    // Prefetch shared artifacts through the validated accessors so the
-    // parallel cells below cannot fail, and apply the perturbation once
-    // per core count (never into the context's model cache).
-    let mut per_cores: Vec<(usize, PerCores)> = Vec::new();
-    for &cores in &opts.core_counts {
-        if per_cores.iter().any(|(c, _)| *c == cores) {
-            continue;
-        }
-        let models = ctx.models(cores)?;
-        let models = if opts.perturb == 1.0 {
-            models
-        } else {
-            models
-                .iter()
-                .map(|m| Arc::new(m.perturbed(opts.perturb)))
-                .collect()
-        };
-        per_cores.push((
-            cores,
-            PerCores {
-                models,
-                detailed_refs: ctx.detailed_reference_ipcs(cores)?,
-                badco_refs: ctx.badco_reference_ipcs(cores)?,
-            },
-        ));
-    }
-
     // Draw every cell's workloads up front from per-(cores, policy) seed
     // streams: the grid contents are fixed before any parallelism starts.
     let suite = ctx.suite();
@@ -291,18 +264,81 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
         }
     }
 
-    let results: IpcPairs = if ctx.coordinator().is_some() {
+    // In process, look up every cell's BADCO side first: a core count's
+    // model set is needed only if one of its BADCO sides is not stored.
+    // (A coordinator looks its cells up itself, and may fall back to
+    // evaluating any of them here.)
+    let local = ctx.coordinator().is_none();
+    let badco_stored: Vec<Option<Vec<f64>>> = cells
+        .iter()
+        .map(|cell| {
+            let desc = cell.desc(opts.perturb, ValSide::Badco);
+            local
+                .then(|| ctx.replayed_cell(&ctx.cell_key("validate", &desc), &desc))
+                .flatten()
+        })
+        .collect();
+
+    // Prefetch shared artifacts through the validated accessors so the
+    // parallel cells below cannot fail, and apply the perturbation once
+    // per core count (never into the context's model cache). The
+    // reference IPCs are fetched whatever the store holds: the
+    // aggregation below reads them.
+    let mut per_cores: Vec<(usize, PerCores)> = Vec::new();
+    for &cores in &opts.core_counts {
+        if per_cores.iter().any(|(c, _)| *c == cores) {
+            continue;
+        }
+        let needs_models = !local
+            || cells
+                .iter()
+                .zip(&badco_stored)
+                .any(|(cell, stored)| cell.cores == cores && stored.is_none());
+        let models = if !needs_models {
+            None
+        } else if opts.perturb == 1.0 {
+            Some(ctx.models(cores)?)
+        } else {
+            Some(
+                ctx.models(cores)?
+                    .iter()
+                    .map(|m| Arc::new(m.perturbed(opts.perturb)))
+                    .collect(),
+            )
+        };
+        per_cores.push((
+            cores,
+            PerCores {
+                models,
+                detailed_refs: ctx.detailed_reference_ipcs(cores)?,
+                badco_refs: ctx.badco_reference_ipcs(cores)?,
+            },
+        ));
+    }
+
+    let results: IpcPairs = if !local {
         validate_distributed(ctx, opts, &cells, &per_cores)?
     } else {
         let cell_hist = mps_obs::histogram("validate.cell.latency_us");
-        let pairs = mps_par::par_map_indexed(ctx.jobs(), &cells, |_, cell| {
+        let pairs = mps_par::par_map_indexed(ctx.jobs(), &cells, |i, cell| {
             let started = Instant::now();
-            let side = |side| {
-                ctx.grid_cell("validate", &cell.desc(opts.perturb, side), || {
-                    cell.evaluate(ctx, side, &per_cores)
-                })
-            };
-            let pair = side(ValSide::Detailed).and_then(|det| Ok((det, side(ValSide::Badco)?)));
+            let detailed = ctx.grid_cell(
+                "validate",
+                &cell.desc(opts.perturb, ValSide::Detailed),
+                || cell.evaluate(ctx, ValSide::Detailed, &per_cores),
+            );
+            let pair = detailed.and_then(|det| {
+                let bad = match &badco_stored[i] {
+                    Some(values) => values.clone(),
+                    None => {
+                        let desc = cell.desc(opts.perturb, ValSide::Badco);
+                        ctx.fresh_cell(&ctx.cell_key("validate", &desc), &desc, || {
+                            cell.evaluate(ctx, ValSide::Badco, &per_cores)
+                        })?
+                    }
+                };
+                Ok((det, bad))
+            });
             cell_hist.record_duration(started.elapsed());
             pair
         });
@@ -408,7 +444,8 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
 }
 
 struct PerCores {
-    models: Vec<Arc<BadcoModel>>,
+    /// `None` when the store holds every BADCO side of the core count.
+    models: Option<Vec<Arc<BadcoModel>>>,
     detailed_refs: Vec<f64>,
     badco_refs: Vec<f64>,
 }
@@ -455,7 +492,9 @@ impl Cell {
                     .find(|(c, _)| *c == self.cores)
                     .expect("prefetched by the sweep")
                     .1
-                    .models;
+                    .models
+                    .as_deref()
+                    .expect("fetched for every core count with a BADCO side to compute");
                 StudyContext::badco_run_with(models, self.cores, self.policy, &self.workload)
             }
         })

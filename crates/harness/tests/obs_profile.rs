@@ -193,6 +193,52 @@ mod enabled {
         assert!(a.0 > 0 && a.2 > 0, "both backends must have run: {a:?}");
     }
 
+    /// A table reuses every row another policy's table simulated without
+    /// an LLC eviction: building the 2-core DRRIP table after DIP's runs
+    /// exactly DIP's evicting rows again.
+    #[test]
+    fn second_policy_table_simulates_only_the_evicting_rows() {
+        use mps_badco::BadcoMulticoreSim;
+        use mps_harness::runner::experiment_uncore;
+        use std::sync::Arc;
+
+        let _g = guard();
+        mps_obs::reset();
+        let ctx = StudyContext::new(Scale::test());
+        let cores = 2;
+        ctx.badco_table(cores, PolicyKind::Dip).unwrap();
+        // DIP's evicting rows, counted by rerunning every workload outside
+        // the context.
+        let models = ctx.models(cores).unwrap();
+        let pop = ctx.population(cores).unwrap();
+        let evicting = pop
+            .workloads()
+            .iter()
+            .filter(|w| {
+                let uncore =
+                    mps_uncore::Uncore::new(experiment_uncore(cores, PolicyKind::Dip), w.cores());
+                let bound = w
+                    .benchmarks()
+                    .iter()
+                    .map(|&b| Arc::clone(&models[b as usize]))
+                    .collect();
+                let r = BadcoMulticoreSim::new(uncore, bound).run();
+                r.uncore_stats.llc_evictions > 0
+            })
+            .count() as u64;
+        let rows = pop.len() as u64;
+        assert!(0 < evicting && evicting < rows, "{evicting} of {rows}");
+        let runs = counter_value("sim.badco.runs");
+        let hits = counter_value("ctx.invariant_rows.hits");
+        ctx.badco_table(cores, PolicyKind::Drrip).unwrap();
+        assert_eq!(counter_value("sim.badco.runs") - runs, evicting);
+        assert_eq!(
+            counter_value("ctx.invariant_rows.hits") - hits,
+            rows - evicting
+        );
+        mps_obs::reset();
+    }
+
     #[test]
     fn llc_writeback_counter_matches_memory_writes() {
         let _g = guard();

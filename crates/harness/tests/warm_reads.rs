@@ -1,10 +1,11 @@
 //! What a warm build reads: a store filled by one cold fig3 + fig6 serves
 //! both figures byte-identically to a fresh context, and the BADCO
 //! models and reference IPCs behind the stored tables matter only when a
-//! table itself is missing.
+//! table itself is missing. Likewise a warm fig7 reads no detailed
+//! reference IPCs, and a warm validate decodes no BADCO model.
 
 use mps_harness::export::CsvExport;
-use mps_harness::{experiments, Error, Scale, StudyContext};
+use mps_harness::{experiments, validate, Error, Scale, StudyContext, ValidateOptions};
 use mps_uncore::PolicyKind;
 use std::path::{Path, PathBuf};
 
@@ -108,6 +109,38 @@ fn deleted_tables_rebuild_identically() {
     assert_eq!(render(&ctx), cold);
     let stats = ctx.store_stats().expect("store attached");
     assert_eq!(stats.puts, 7, "only the tables are rebuilt: {stats:?}");
+}
+
+#[test]
+fn warm_fig7_reads_no_detailed_reference() {
+    let tmp = TempDir::new("fig7");
+    let render = |ctx: &StudyContext| {
+        let f7 = experiments::fig7(ctx).expect("fig7");
+        (f7.to_string(), f7.csv())
+    };
+    let cold = render(&context(&tmp.0));
+    let warm = context(&tmp.0);
+    assert_eq!(render(&warm), cold);
+    let cache = warm.cache_stats();
+    assert_eq!(cache.detailed_ref_misses, 0, "{cache:?}");
+    assert_eq!(cache.trace_misses, 0, "{cache:?}");
+}
+
+#[test]
+fn warm_validate_reads_no_badco_model() {
+    let tmp = TempDir::new("validate");
+    let run = |ctx: &StudyContext| {
+        let mut report = validate::run(ctx, &ValidateOptions::default()).expect("validate");
+        report.wall_ms = 0;
+        (report.to_string(), report.csv())
+    };
+    let cold = run(&context(&tmp.0));
+    let warm = context(&tmp.0);
+    assert_eq!(run(&warm), cold);
+    let cache = warm.cache_stats();
+    assert_eq!((cache.model_hits, cache.model_misses), (0, 0), "{cache:?}");
+    let stats = warm.store_stats().expect("store attached");
+    assert_eq!(stats.puts, 0, "a warm validate writes nothing: {stats:?}");
 }
 
 #[test]
