@@ -5,6 +5,9 @@ use mps_uncore::UncoreConfig;
 use mps_workloads::{TraceSource, UopKind};
 use std::ops::Range;
 
+#[cfg(test)]
+mod reference;
+
 /// Timing assumptions of the two training runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BadcoTiming {

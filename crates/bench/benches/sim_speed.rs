@@ -29,12 +29,18 @@
 //! one `BadcoMulticoreSim::run` per workload over one shared model set
 //! trained at trace length 1000, which is what one Figure 3 BADCO table
 //! costs.
+//!
+//! `badco_derive_22` is the kernel floor for BADCO model derivation apart
+//! from the detailed training runs: `BadcoModel::from_recordings` for all
+//! 22 benchmarks over ideal/pessimal recordings made once, outside the
+//! timed region, from `TraceBuffer` cursors at trace length 1000 and the
+//! 2-core timing, which is the study's own training traffic.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mps_badco::{BadcoModel, BadcoMulticoreSim, BadcoTiming};
 use mps_bench::{bench_models, bench_pair, bench_trace_buffers, bench_uncore};
 use mps_sampling::Population;
-use mps_sim_cpu::{CoreConfig, MulticoreSim};
+use mps_sim_cpu::{record_run, CoreConfig, FixedLatencyBackend, MulticoreSim, RunRecording};
 use mps_uncore::{PolicyKind, Uncore};
 use mps_workloads::{suite, TraceBuffer, TraceSource};
 use std::hint::black_box;
@@ -212,6 +218,44 @@ fn badco_model_build(c: &mut Criterion) {
     });
 }
 
+fn badco_derive(c: &mut Criterion) {
+    const DERIVE_LEN: u64 = 1_000;
+    let timing = BadcoTiming::from_uncore(&bench_uncore(2, PolicyKind::Lru));
+    let record = |buf: &Arc<TraceBuffer>, latency: u64| -> RunRecording {
+        let mut backend = FixedLatencyBackend::new(latency);
+        let trace = Box::new(buf.cursor());
+        record_run(CoreConfig::ispass2013(), trace, DERIVE_LEN, &mut backend).0
+    };
+    let inputs: Vec<(String, Arc<TraceBuffer>, RunRecording, RunRecording)> = suite()
+        .iter()
+        .map(|s| {
+            let buf = Arc::new(TraceBuffer::capture(&mut s.trace(), DERIVE_LEN));
+            let hit = record(&buf, timing.hit_latency);
+            let miss = record(&buf, timing.miss_latency);
+            (s.name().to_owned(), buf, hit, miss)
+        })
+        .collect();
+    c.bench_function("badco_derive_22", |bench| {
+        bench.iter(|| {
+            let nodes: usize = inputs
+                .iter()
+                .map(|(name, buf, hit, miss)| {
+                    BadcoModel::from_recordings(
+                        name,
+                        &mut buf.cursor(),
+                        DERIVE_LEN,
+                        hit,
+                        miss,
+                        timing,
+                    )
+                    .node_count()
+                })
+                .sum();
+            black_box(nodes)
+        })
+    });
+}
+
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -223,6 +267,6 @@ criterion_group! {
     name = benches;
     config = configure();
     targets = detailed_speed, sweep16_speed, restart_mix_speed, badco_speed, badco_table_speed,
-        badco_model_build
+        badco_model_build, badco_derive
 }
 criterion_main!(benches);
