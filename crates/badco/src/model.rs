@@ -1,4 +1,15 @@
 //! BADCO model construction from two detailed training runs.
+//!
+//! Dependences come from register dataflow over the training slice, and
+//! two fan-in caps of [`MAX_DEPS`] request ids keep them bounded:
+//!
+//! - A register's taint is the first-seen union of its sources' taints,
+//!   sources in operand order, cut to the union's last `MAX_DEPS` ids: the
+//!   ids merged in last, which are the second source's when both sources
+//!   are tainted. A load that issued a read taints its destination with
+//!   that read alone (the last of its reads in address order).
+//! - A node's dependences are the `MAX_DEPS` newest (largest) distinct
+//!   ids among its µops' taint reads.
 
 use mps_sim_cpu::{record_run, CoreConfig, FixedLatencyBackend, RunRecording};
 use mps_uncore::UncoreConfig;
@@ -8,7 +19,9 @@ use std::ops::Range;
 #[cfg(test)]
 mod reference;
 
-/// Timing assumptions of the two training runs.
+/// Timing assumptions of the two training runs. Training needs
+/// `miss_latency > hit_latency`: stall factors are scaled by the
+/// difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BadcoTiming {
     /// Latency of the ideal run (every request hits the LLC).
@@ -18,6 +31,17 @@ pub struct BadcoTiming {
 }
 
 impl BadcoTiming {
+    /// Panics unless the pessimal run's latency exceeds the ideal run's:
+    /// stall factors are scaled by the difference.
+    fn assert_trainable(self) {
+        assert!(
+            self.miss_latency > self.hit_latency,
+            "invalid BadcoTiming: miss_latency {} must exceed hit_latency {}",
+            self.miss_latency,
+            self.hit_latency
+        );
+    }
+
     /// Derives the training latencies from an uncore configuration.
     pub fn from_uncore(cfg: &UncoreConfig) -> Self {
         BadcoTiming {
@@ -227,7 +251,8 @@ impl BadcoModel {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or if `timing.miss_latency` does not exceed
+    /// `timing.hit_latency`, before either training run.
     pub fn build<T: TraceSource + Clone + 'static>(
         name: &str,
         core_cfg: &CoreConfig,
@@ -236,6 +261,7 @@ impl BadcoModel {
         timing: BadcoTiming,
     ) -> BadcoModel {
         assert!(n > 0, "model needs a non-empty trace slice");
+        timing.assert_trainable();
         let _span = mps_obs::span("badco.model.build");
         mps_obs::counter("badco.model.builds").incr();
         mps_obs::counter("badco.model.training_uops").add(2 * n);
@@ -249,6 +275,16 @@ impl BadcoModel {
 
     /// Assembles a model from existing training recordings (exposed for
     /// tests and for callers that cache recordings).
+    ///
+    /// One pass over the first `n` µops of `trace` assigns every request
+    /// its id, propagates register taint, cuts nodes and pushes them with
+    /// their requests straight into the model's columns; it allocates
+    /// nothing per µop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a recording does not hold `n` µops or if
+    /// `timing.miss_latency` does not exceed `timing.hit_latency`.
     pub fn from_recordings(
         name: &str,
         trace: &mut dyn TraceSource,
@@ -257,139 +293,99 @@ impl BadcoModel {
         miss_rec: &RunRecording,
         timing: BadcoTiming,
     ) -> BadcoModel {
+        timing.assert_trainable();
         assert_eq!(hit_rec.len(), n as usize, "hit recording length mismatch");
         assert_eq!(miss_rec.len(), n as usize, "miss recording length mismatch");
 
         // Requests in µop order (they are recorded in issue order, which
-        // is out of order).
+        // is out of order). Request `k` of this list gets id `k`.
         let mut reqs: Vec<(u64, u64, bool)> = hit_rec
             .requests
             .iter()
             .map(|r| (r.uop_index, r.addr, r.write))
             .collect();
-        reqs.sort_by_key(|&(u, a, w)| (u, a, w));
-
-        // Walk the trace computing register taint (which request's data
-        // flows into each register) and assign requests/deps to µops.
-        trace.reset();
-        let mut reg_taint: Vec<Vec<u32>> = vec![Vec::new(); mps_workloads::uop::NUM_REGS];
-        let mut req_cursor = 0usize;
-        let mut next_req_id: u32 = 0;
-
-        // Per-µop: the requests it issues as `(id, addr, write)` and the
-        // earlier requests it reads, which are also its reads' address
-        // dependences.
-        struct UopInfo {
-            requests: Vec<(u32, u64, bool)>,
-            reads: Vec<u32>,
-        }
-        let mut uop_infos: Vec<UopInfo> = Vec::with_capacity(n as usize);
-
-        for i in 0..n {
-            let uop = trace.next_uop();
-            let mut src_taints: Vec<u32> = Vec::new();
-            for src in uop.srcs.iter().flatten() {
-                for &t in &reg_taint[*src as usize] {
-                    if !src_taints.contains(&t) {
-                        src_taints.push(t);
-                    }
-                }
-            }
-            truncate_recent(&mut src_taints);
-
-            let mut requests = Vec::new();
-            let mut produced: Option<u32> = None;
-            while req_cursor < reqs.len() && reqs[req_cursor].0 == i {
-                let (_, addr, write) = reqs[req_cursor];
-                let id = next_req_id;
-                next_req_id += 1;
-                requests.push((id, addr, write));
-                if !write && uop.kind == UopKind::Load {
-                    produced = Some(id);
-                }
-                req_cursor += 1;
-            }
-
-            // Propagate taint through the destination register.
-            if let Some(dst) = uop.dst {
-                let slot = &mut reg_taint[dst as usize];
-                slot.clear();
-                match produced {
-                    Some(id) => slot.push(id),
-                    None => {
-                        slot.extend(src_taints.iter().copied());
-                        truncate_recent(slot);
-                    }
-                }
-            }
-
-            uop_infos.push(UopInfo {
-                requests,
-                reads: src_taints,
-            });
-        }
-        trace.reset();
-
-        // Cut nodes at request-bearing µops; compute weights from the
-        // ideal run and blocking flags from the pessimal run.
-        let mut node_start_uop: usize = 0;
-        let mut pending_reads: Vec<u32> = Vec::new();
-        let mut raw_nodes = Vec::new();
-        for (i, info) in uop_infos.iter().enumerate() {
-            for &r in &info.reads {
-                if !pending_reads.contains(&r) {
-                    pending_reads.push(r);
-                }
-            }
-            if !info.requests.is_empty() || i == n as usize - 1 {
-                // Node covering µops [node_start_uop, i].
-                let first = node_start_uop;
-                let prev_commit_hit = if first == 0 {
-                    0
-                } else {
-                    hit_rec.commit_cycles[first - 1]
-                };
-                let prev_commit_miss = if first == 0 {
-                    0
-                } else {
-                    miss_rec.commit_cycles[first - 1]
-                };
-                let weight = hit_rec.commit_cycles[i].saturating_sub(prev_commit_hit);
-                let delta_miss = miss_rec.commit_cycles[i].saturating_sub(prev_commit_miss);
-                let mut deps = std::mem::take(&mut pending_reads);
-                // Own requests are not dependencies.
-                deps.retain(|d| !info.requests.iter().any(|r| r.0 == *d));
-                deps.sort_unstable();
-                deps.dedup();
-                truncate_recent(&mut deps);
-                raw_nodes.push((first, i, weight, delta_miss, deps));
-                node_start_uop = i + 1;
-            }
-        }
+        reqs.sort_unstable();
+        // Every request-bearing µop ends a node, and so does the last µop.
+        let bearing = reqs.chunk_by(|x, y| x.0 == y.0);
+        let nodes = 1 + bearing.filter(|uop_reqs| uop_reqs[0].0 + 1 < n).count();
 
         let extra_per_miss = (timing.miss_latency - timing.hit_latency) as f64;
-        let mut parts = ModelParts::with_capacity(raw_nodes.len(), next_req_id as usize);
-        for (first, upto, weight, delta_miss, deps) in raw_nodes {
-            let uops = (upto - first + 1) as u32;
+        let mut parts = ModelParts::with_capacity(nodes, reqs.len());
+        let mut reg_taint = [Taint::EMPTY; mps_workloads::uop::NUM_REGS];
+        // The node's dependences, and for each request id the node
+        // (counted from 1) that last offered it to them: a second offer
+        // would change nothing, so an id is offered once per node.
+        let mut node_deps = NewestIds::EMPTY;
+        let mut offered = vec![0u32; reqs.len()];
+        let mut node_no = 1u32;
+        let mut deps_buf = [0u32; MAX_DEPS];
+        let (mut node_start, mut prev_hit, mut prev_miss) = (0u64, 0u64, 0u64);
+        let mut cursor = 0usize;
+        trace.reset();
+        for i in 0..n {
+            let uop = trace.next_uop();
+            let [a, b] = uop
+                .srcs
+                .map(|src| src.map_or(Taint::EMPTY, |r| reg_taint[r as usize]));
+            let reads = Taint::union(&a, &b);
+
+            // The µop's requests, `reqs[first..cursor]`; a Load produces
+            // the last of its reads.
+            let first = cursor;
+            let mut produced = None;
+            while cursor < reqs.len() && reqs[cursor].0 == i {
+                if !reqs[cursor].2 && uop.kind == UopKind::Load {
+                    produced = Some(cursor as u32);
+                }
+                cursor += 1;
+            }
+            if let Some(dst) = uop.dst {
+                reg_taint[dst as usize] = match produced {
+                    Some(id) => Taint::one(id),
+                    None => reads,
+                };
+            }
+
+            for &r in reads.ids() {
+                if offered[r as usize] != node_no {
+                    offered[r as usize] = node_no;
+                    node_deps.offer_new(r);
+                }
+            }
+            if cursor == first && i + 1 != n {
+                continue;
+            }
+            // Node covering µops [node_start, i]. Its reads were handed
+            // out before its own requests' ids, so none of them is its own.
+            let deps = node_deps.write_to(&mut deps_buf);
+            debug_assert!(deps.iter().all(|&d| (d as usize) < first));
+            let (hit, miss) = (
+                hit_rec.commit_cycles[i as usize],
+                miss_rec.commit_cycles[i as usize],
+            );
+            let weight = hit.saturating_sub(prev_hit);
             // How much extra time did the node take in the pessimal run
             // relative to the ideal one? Scaling by the injected latency
             // difference gives the fraction of one full-miss wait the node
             // actually exposed — the OoO window hides the rest.
-            let observed_extra = delta_miss.saturating_sub(weight) as f64;
+            let observed_extra = miss.saturating_sub(prev_miss).saturating_sub(weight) as f64;
             let stall_factor = if deps.is_empty() {
                 0.0
             } else {
                 (observed_extra / extra_per_miss).clamp(0.0, 1.0)
             };
-            parts.push_node(uops, weight, stall_factor, &deps);
-            let info = &uop_infos[upto];
-            for &(id, addr, write) in &info.requests {
-                let addr_deps: &[u32] = if write { &[] } else { &info.reads };
-                parts.push_request(id, addr, write, addr_deps);
+            parts.push_node((i + 1 - node_start) as u32, weight, stall_factor, deps);
+            for (id, &(_, addr, write)) in reqs[first..cursor].iter().enumerate() {
+                let addr_deps = if write { &[][..] } else { reads.ids() };
+                parts.push_request((first + id) as u32, addr, write, addr_deps);
             }
+            node_deps = NewestIds::EMPTY;
+            node_no += 1;
+            (node_start, prev_hit, prev_miss) = (i + 1, hit, miss);
         }
+        trace.reset();
 
-        BadcoModel::from_parts(name, parts, n, next_req_id)
+        BadcoModel::from_parts(name, parts, n, cursor as u32)
             .expect("a model built from recordings is well-formed")
     }
 
@@ -632,10 +628,89 @@ impl BadcoModel {
     }
 }
 
-fn truncate_recent(v: &mut Vec<u32>) {
-    if v.len() > MAX_DEPS {
-        let excess = v.len() - MAX_DEPS;
-        v.drain(..excess);
+/// A register's taint: at most [`MAX_DEPS`] distinct request ids in fixed
+/// slots, in first-seen order. Unused slots hold `u32::MAX`, which is
+/// never a request id, so a membership test may read every slot and equal
+/// taints compare equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Taint {
+    ids: [u32; MAX_DEPS],
+    len: usize,
+}
+
+impl Taint {
+    const EMPTY: Taint = Taint {
+        ids: [u32::MAX; MAX_DEPS],
+        len: 0,
+    };
+
+    fn one(id: u32) -> Self {
+        let mut t = Taint::EMPTY;
+        t.ids[0] = id;
+        t.len = 1;
+        t
+    }
+
+    fn ids(&self) -> &[u32] {
+        &self.ids[..self.len]
+    }
+
+    /// The union of two sources' taints in first-seen order, `a`'s ids
+    /// first, truncated to its last [`MAX_DEPS`] ids. Each taint holds
+    /// distinct ids, so only `b`'s ids need testing against `a`'s; the
+    /// test and the append are branch-free.
+    fn union(a: &Taint, b: &Taint) -> Taint {
+        if b.len == 0 || a == b {
+            return *a;
+        }
+        if a.len == 0 {
+            return *b;
+        }
+        let mut all = [u32::MAX; 2 * MAX_DEPS];
+        all[..MAX_DEPS].copy_from_slice(&a.ids);
+        let mut len = a.len;
+        for &t in b.ids() {
+            let seen = a.ids.iter().fold(false, |seen, &x| seen | (x == t));
+            all[len] = t;
+            len += usize::from(!seen);
+        }
+        let kept = len.min(MAX_DEPS);
+        let mut out = Taint::EMPTY;
+        out.ids[..kept].copy_from_slice(&all[len - kept..len]);
+        out.len = kept;
+        out
+    }
+}
+
+/// The [`MAX_DEPS`] largest distinct ids offered so far, ascending. Slot
+/// `k` holds an id plus one, or 0 while fewer ids have been offered, so
+/// the empty slots sort first.
+#[derive(Debug, Clone, Copy)]
+struct NewestIds([u32; MAX_DEPS]);
+
+impl NewestIds {
+    const EMPTY: NewestIds = NewestIds([0; MAX_DEPS]);
+
+    /// Adds `id`, which must not have been offered before. The result's
+    /// slot `k` is the median of old slots `k`, `k + 1` and the new value:
+    /// the old slot `k + 1` if the new value lies above it, the old slot
+    /// `k` if below, else the new value, which drops the smallest slot.
+    fn offer_new(&mut self, id: u32) {
+        let (v, old) = (id + 1, self.0);
+        for k in 0..MAX_DEPS - 1 {
+            self.0[k] = old[k].max(v).min(old[k + 1]);
+        }
+        self.0[MAX_DEPS - 1] = old[MAX_DEPS - 1].max(v);
+    }
+
+    /// The ids, ascending, written to the front of `buf`.
+    fn write_to<'a>(&self, buf: &'a mut [u32; MAX_DEPS]) -> &'a [u32] {
+        let mut len = 0;
+        for &v in self.0.iter().filter(|&&v| v != 0) {
+            buf[len] = v - 1;
+            len += 1;
+        }
+        &buf[..len]
     }
 }
 
@@ -877,6 +952,64 @@ mod tests {
         let trace = benchmark_by_name("gcc").unwrap().trace();
         let m = BadcoModel::build("gcc", &CoreConfig::ispass2013(), &trace, 500, timing());
         let _ = m.perturbed(0.0);
+    }
+
+    fn latencies(hit_latency: u64, miss_latency: u64) -> BadcoTiming {
+        BadcoTiming {
+            hit_latency,
+            miss_latency,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "miss_latency 5 must exceed hit_latency 5")]
+    fn build_rejects_equal_latencies() {
+        let trace = benchmark_by_name("gcc").unwrap().trace();
+        let _ = BadcoModel::build(
+            "gcc",
+            &CoreConfig::ispass2013(),
+            &trace,
+            500,
+            latencies(5, 5),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "miss_latency 5 must exceed hit_latency 235")]
+    fn build_rejects_inverted_latencies() {
+        let trace = benchmark_by_name("gcc").unwrap().trace();
+        let timing = latencies(235, 5);
+        let _ = BadcoModel::build("gcc", &CoreConfig::ispass2013(), &trace, 500, timing);
+    }
+
+    #[test]
+    #[should_panic(expected = "miss_latency 5 must exceed hit_latency 5")]
+    fn from_recordings_rejects_equal_latencies() {
+        let rec = RunRecording {
+            commit_cycles: vec![1],
+            requests: Vec::new(),
+        };
+        let mut trace = benchmark_by_name("gcc").unwrap().trace();
+        let _ = BadcoModel::from_recordings("gcc", &mut trace, 1, &rec, &rec, latencies(5, 5));
+    }
+
+    #[test]
+    fn newest_ids_keep_the_largest_distinct_ids() {
+        let mut rng = mps_stats::rng::Rng::new(7);
+        for round in 0..200 {
+            let mut set = NewestIds::EMPTY;
+            let mut offered: Vec<u32> = Vec::new();
+            for _ in 0..round % 20 {
+                let id = rng.index(40) as u32;
+                if !offered.contains(&id) {
+                    offered.push(id);
+                    set.offer_new(id);
+                }
+            }
+            offered.sort_unstable();
+            let newest = &offered[offered.len().saturating_sub(MAX_DEPS)..];
+            assert_eq!(set.write_to(&mut [0; MAX_DEPS]), newest);
+        }
     }
 
     #[test]
