@@ -1,7 +1,7 @@
 //! BADCO model construction from two detailed training runs.
 //!
 //! Dependences come from register dataflow over the training slice, and
-//! two fan-in caps of [`MAX_DEPS`] request ids keep them bounded:
+//! two fan-in caps of `MAX_DEPS` (six) request ids keep them bounded:
 //!
 //! - A register's taint is the first-seen union of its sources' taints,
 //!   sources in operand order, cut to the union's last `MAX_DEPS` ids: the
@@ -691,10 +691,10 @@ struct NewestIds([u32; MAX_DEPS]);
 impl NewestIds {
     const EMPTY: NewestIds = NewestIds([0; MAX_DEPS]);
 
-    /// Adds `id`, which must not have been offered before. The result's
-    /// slot `k` is the median of old slots `k`, `k + 1` and the new value:
-    /// the old slot `k + 1` if the new value lies above it, the old slot
-    /// `k` if below, else the new value, which drops the smallest slot.
+    /// Adds `id`, which must not have been offered before. Slot `k`
+    /// becomes the median of old slots `k` and `k + 1` and the new value:
+    /// the slots below the new value shift down by one, dropping the
+    /// smallest, and a value below every slot changes nothing.
     fn offer_new(&mut self, id: u32) {
         let (v, old) = (id + 1, self.0);
         for k in 0..MAX_DEPS - 1 {

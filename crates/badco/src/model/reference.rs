@@ -171,15 +171,19 @@ mod tests {
 
     /// Derives the model both ways, asserts they are equal and returns it.
     fn derive_both(
+        name: &str,
         trace: &mut dyn TraceSource,
         n: u64,
         hit: &RunRecording,
         miss: &RunRecording,
         timing: BadcoTiming,
     ) -> BadcoModel {
-        let fast = BadcoModel::from_recordings("t", trace, n, hit, miss, timing);
-        let slow = from_recordings("t", trace, n, hit, miss, timing);
-        assert_eq!(fast, slow, "one-pass derivation differs from the reference");
+        let fast = BadcoModel::from_recordings(name, trace, n, hit, miss, timing);
+        let slow = from_recordings(name, trace, n, hit, miss, timing);
+        assert_eq!(
+            fast, slow,
+            "{name}: one-pass derivation differs from the reference"
+        );
         fast
     }
 
@@ -201,16 +205,8 @@ mod tests {
                 let (hit, _) = record_run(core.clone(), Box::new(buf.cursor()), TL, &mut ideal);
                 let mut pessimal = FixedLatencyBackend::new(timing.miss_latency);
                 let (miss, _) = record_run(core.clone(), Box::new(buf.cursor()), TL, &mut pessimal);
-                let fast = BadcoModel::from_recordings(
-                    spec.name(),
-                    &mut buf.cursor(),
-                    TL,
-                    &hit,
-                    &miss,
-                    timing,
-                );
-                let slow = from_recordings(spec.name(), &mut buf.cursor(), TL, &hit, &miss, timing);
-                assert_eq!(fast, slow, "{} at {cores} cores", spec.name());
+                let name = format!("{} at {cores} cores", spec.name());
+                derive_both(&name, &mut buf.cursor(), TL, &hit, &miss, timing);
             }
         }
     }
@@ -288,7 +284,14 @@ mod tests {
     fn derive(uops: Vec<Uop>, reqs: &[ReqEvent]) -> BadcoModel {
         let n = uops.len() as u64;
         let (hit, miss) = recordings(uops.len(), reqs, 90);
-        derive_both(&mut Slice { uops, pos: 0 }, n, &hit, &miss, timing())
+        derive_both(
+            "slice",
+            &mut Slice { uops, pos: 0 },
+            n,
+            &hit,
+            &miss,
+            timing(),
+        )
     }
 
     #[test]
