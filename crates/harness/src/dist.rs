@@ -5,15 +5,16 @@
 //! # Architecture
 //!
 //! The unit of distribution is the **grid cell** — the same unit the
-//! store records (one `cell` record per completed cell, keyed by the
-//! descriptor). An experiment enumerates its cells up front as
-//! [`DistCell`] descriptors (each carrying its pre-drawn RNG base, so the
-//! value is a pure function of the descriptor), then calls [`run_grid`]:
+//! store records (one entry per completed cell in its grid's cell
+//! journal, keyed by the descriptor). An experiment enumerates its cells
+//! up front as [`DistCell`] descriptors (each carrying its pre-drawn RNG
+//! base, so the value is a pure function of the descriptor), then calls
+//! [`run_grid`]:
 //!
 //! * without a coordinator, cells evaluate sequentially in-process via
 //!   the caller's `local_eval` closure, each through
-//!   `StudyContext::grid_cell`: served from its store record when one
-//!   exists, else computed and recorded;
+//!   `StudyContext::grid_cell`: served from its grid's cell journal when
+//!   recorded there, else computed and appended;
 //! * with a coordinator, one dispatcher thread per connected worker pops
 //!   cell indices off a shared [`mps_par::CellQueue`] and round-trips
 //!   them over TCP. Workers claim each cell's **lease** (see
@@ -24,9 +25,9 @@
 //!   cells still unassigned when every worker is gone are computed by the
 //!   coordinator itself, so a run *always* completes.
 //!
-//! The coordinator alone reads and writes cell records and performs the
-//! same index-ordered merge as the local path, so artifacts are byte-identical
-//! for any worker count and any `--jobs`. The
+//! The coordinator alone reads and appends to cell journals and performs
+//! the same index-ordered merge as the local path, so artifacts are
+//! byte-identical for any worker count and any `--jobs`. The
 //! content-addressed store is the shared result exchange: workers warm it
 //! with the expensive artifacts (BADCO tables, detailed tables,
 //! references) via [`prefetch`] tasks, and both sides load the same
@@ -460,8 +461,8 @@ pub type LocalEval<'a> = &'a dyn Fn(usize, &DistCell) -> Result<Vec<f64>, Error>
 /// (one `Vec<f64>` per cell, [`CellDesc::value_count`] values each).
 ///
 /// Without a coordinator this is the classic sequential loop, each cell
-/// through `StudyContext::grid_cell` (its store record, else
-/// `local_eval` and a new record), and prefetch cells are skipped (the
+/// through `StudyContext::grid_cell` (its journal entry, else
+/// `local_eval` and a new entry), and prefetch cells are skipped (the
 /// local path warms its caches lazily anyway). With a coordinator the
 /// cells are sharded across the connected workers; see the module docs
 /// for the failure model. Either way the returned vector
@@ -773,7 +774,7 @@ impl Coordinator {
         for (i, cell) in cells.iter().enumerate() {
             let recorded = match cell.desc {
                 CellDesc::Prefetch { .. } => None,
-                _ => ctx.recorded_cell(&ctx.cell_key(grid, &cell.desc), cell.desc.value_count()),
+                _ => ctx.recorded_cell(grid, &cell.desc),
             };
             if let Some(values) = recorded {
                 crate::heartbeat::cell_replayed();
@@ -835,7 +836,7 @@ impl Coordinator {
             } else {
                 let v = local_eval(i, cell)?;
                 crate::heartbeat::cell_finished(started.elapsed());
-                ctx.record_cell(&ctx.cell_key(grid, &cell.desc), &v);
+                ctx.record_cell(grid, &cell.desc, &v);
                 v
             };
             if let Some((l, _)) = lease {
@@ -924,7 +925,7 @@ impl Coordinator {
                     mps_obs::counter("dist.renewals").add(u64::from(done.renewals));
                     crate::heartbeat::cell_finished(started.elapsed());
                     self.note_latency(&w.id, started.elapsed());
-                    ctx.record_cell(&ctx.cell_key(grid, &cell.desc), &done.values);
+                    ctx.record_cell(grid, &cell.desc, &done.values);
                     let mut prov = lock(&self.prov);
                     prov.cells_remote += 1;
                     let entry = prov

@@ -133,9 +133,9 @@ impl std::fmt::Display for Fig3Report {
 
 /// Runs the Figure 3 validation: empirical random-sampling confidence vs
 /// the equation (5) model, for DRRIP vs DIP under WSU. With a store
-/// attached, every evaluated grid point becomes a cell record, so the
-/// rerun of a killed run serves the completed cells from the store and
-/// continues bit-identically.
+/// attached, every evaluated grid point is appended to the grid's cell
+/// journal, so the rerun of a killed run serves the completed cells from
+/// the store and continues bit-identically.
 pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
     let metric = ThroughputMetric::WeightedSpeedup;
     // The paper validates on 2, 4 and 8 cores; the 8-core population is

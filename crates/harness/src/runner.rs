@@ -18,10 +18,10 @@
 //! an [`mps_store::Store`], so they are *transparently loaded-or-computed
 //! across processes*: a second run (or the rerun of a killed one) hits
 //! the store instead of re-simulating. Every completed experiment-grid
-//! cell is a store record as well (see `StudyContext::grid_cell`), so a
-//! rerun recomputes only the cells it lacks. A poisoned artifact file
-//! degrades to a recompute (the store quarantines it), never to a wrong
-//! result. The
+//! cell is appended to its grid's cell journal in the store as well (see
+//! `StudyContext::grid_cell`), so a rerun recomputes only the cells it
+//! lacks. A poisoned artifact file or journal entry degrades to a
+//! recompute (the store quarantines it), never to a wrong result. The
 //! public accessors return `Result<_, mps::Error>`; the panicking
 //! `*_or_panic` shims of the transition release are gone (API v1).
 //!
@@ -37,7 +37,7 @@ use mps_metrics::{PerfTable, ThroughputMetric, WorkloadPerf};
 use mps_sampling::{PairData, Population, Workload};
 use mps_sim_cpu::{CoreConfig, MulticoreSim, SimResult};
 use mps_stats::rng::Rng;
-use mps_store::{ArtifactKey, Error, Store};
+use mps_store::{ArtifactKey, CellJournal, Error, Store};
 use mps_uncore::{PolicyKind, Uncore, UncoreConfig};
 use mps_workloads::{suite, BenchmarkSpec, TraceBuffer, TraceCursor, TraceSource};
 
@@ -45,6 +45,18 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// A grid cell's key within its journal: the FNV-1a64 of every field of
+/// its descriptor — the fields a worker evaluates it from — so together
+/// with the journal's own key it covers every input of the value.
+fn cell_key(desc: &CellDesc) -> u64 {
+    let fields: Vec<String> = desc
+        .fields()
+        .into_iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    mps_store::fnv1a64(fields.join(";").as_bytes())
+}
 
 /// LLC capacity divisor used by all experiments (see
 /// [`UncoreConfig::ispass2013_scaled`]): reproduction traces are 10³–10⁴×
@@ -298,6 +310,8 @@ pub struct StudyContext {
     traces: ArtifactCache<usize, Arc<TraceBuffer>>,
     /// Rows every policy's table shares (see [`InvariantRows`]).
     invariant_rows: InvariantRows,
+    /// Open cell journals by grid name.
+    journals: Mutex<HashMap<String, Arc<CellJournal>>>,
 }
 
 impl std::fmt::Debug for StudyContext {
@@ -362,6 +376,7 @@ impl StudyContext {
             ),
             traces: ArtifactCache::new("ctx.traces.hits", "ctx.traces.misses", "ctx.traces.build"),
             invariant_rows: InvariantRows::new(),
+            journals: Mutex::new(HashMap::new()),
         }
     }
 
@@ -480,43 +495,41 @@ impl StudyContext {
         }
     }
 
-    /// The store record of one grid cell: kind `cell`, keyed by the grid
-    /// and every field of the cell's descriptor — the fields a worker
-    /// evaluates it from — so the key covers every input of the value.
-    pub(crate) fn cell_key(&self, grid: &str, desc: &CellDesc) -> ArtifactKey {
-        let fields: Vec<String> = desc
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        ArtifactKey::new(
-            "cell",
-            self.artifact_spec(&format!("grid={grid};{}", fields.join(";"))),
-        )
+    /// The cell journal of `grid`: kind `journal`, keyed by this context's
+    /// artifact spec and the grid, and read on its first lookup.
+    fn journal(&self, grid: &str) -> Option<Arc<CellJournal>> {
+        let store = self.store.as_deref()?;
+        let mut journals = self
+            .journals
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(journal) = journals.get(grid) {
+            return Some(Arc::clone(journal));
+        }
+        let key = ArtifactKey::new("journal", self.artifact_spec(&format!("grid={grid}")));
+        let journal = Arc::new(store.journal(&key));
+        journals.insert(grid.to_owned(), Arc::clone(&journal));
+        Some(journal)
     }
 
-    /// The recorded values of the grid cell under `key` (see
-    /// [`Self::cell_key`]), if the store holds its record; `want` is the
-    /// cell's value count.
-    pub(crate) fn recorded_cell(&self, key: &ArtifactKey, want: usize) -> Option<Vec<f64>> {
-        self.load(key, |bytes| {
-            let values = crate::persist::decode_f64s(bytes)?;
-            if values.len() != want {
-                return Err(Error::Corrupt {
-                    path: format!("cell record {}", key.hash_hex()),
-                    detail: format!("{} values, expected {want}", values.len()),
-                });
-            }
-            Ok(values)
-        })
+    /// The recorded values of the grid cell `desc` of `grid`, if its
+    /// journal holds them.
+    pub(crate) fn recorded_cell(&self, grid: &str, desc: &CellDesc) -> Option<Vec<f64>> {
+        self.journal(grid)?.get(cell_key(desc), desc.value_count())
     }
 
-    /// Records a computed grid cell in the store (a no-op without one).
-    /// The `MPS_ABORT_AFTER_CELLS=<n>` environment variable aborts the
-    /// process right after the n-th durable cell record — the hook the
-    /// kill-and-rerun tests use to stop a grid at a known point.
-    pub(crate) fn record_cell(&self, key: &ArtifactKey, values: &[f64]) {
-        if !self.persist(key, &crate::persist::encode_f64s(values)) {
+    /// Records a computed grid cell in its grid's journal (a no-op
+    /// without a store). The `MPS_ABORT_AFTER_CELLS=<n>` environment
+    /// variable aborts the process right after the n-th synced cell entry
+    /// — the hook the kill-and-rerun tests use to stop a grid at a known
+    /// point. A failed append (a full disk, say) is a warning, never an
+    /// error: it must not kill a running study.
+    pub(crate) fn record_cell(&self, grid: &str, desc: &CellDesc, values: &[f64]) {
+        let Some(journal) = self.journal(grid) else {
+            return;
+        };
+        if let Err(e) = journal.append(cell_key(desc), values) {
+            eprintln!("warning: could not persist a {grid} cell: {e}");
             return;
         }
         static RECORDED: AtomicU64 = AtomicU64::new(0);
@@ -534,8 +547,8 @@ impl StudyContext {
         }
     }
 
-    /// The values of one grid cell: served from its store record when
-    /// there is one, else computed with `compute` and recorded. This is
+    /// The values of one grid cell: served from its grid's journal when
+    /// recorded there, else computed with `compute` and recorded. This is
     /// the single persistence path of every cell evaluated in this
     /// process, so the rerun of a killed grid is an ordinary cache hit
     /// for each cell the killed run completed.
@@ -549,31 +562,30 @@ impl StudyContext {
         desc: &CellDesc,
         compute: impl FnOnce() -> Result<Vec<f64>, Error>,
     ) -> Result<Vec<f64>, Error> {
-        let key = self.cell_key(grid, desc);
-        match self.replayed_cell(&key, desc) {
+        match self.replayed_cell(grid, desc) {
             Some(values) => Ok(values),
-            None => self.fresh_cell(&key, desc, compute),
+            None => self.fresh_cell(grid, desc, compute),
         }
     }
 
-    /// The first half of [`Self::grid_cell`]: the stored values of the
-    /// cell `desc` under `key`, counted as a replayed cell, if the store
+    /// The first half of [`Self::grid_cell`]: the recorded values of the
+    /// cell `desc` of `grid`, counted as a replayed cell, if the journal
     /// holds them.
-    pub(crate) fn replayed_cell(&self, key: &ArtifactKey, desc: &CellDesc) -> Option<Vec<f64>> {
-        let values = self.recorded_cell(key, desc.value_count())?;
+    pub(crate) fn replayed_cell(&self, grid: &str, desc: &CellDesc) -> Option<Vec<f64>> {
+        let values = self.recorded_cell(grid, desc)?;
         crate::heartbeat::cell_replayed();
         Some(values)
     }
 
-    /// The second half of [`Self::grid_cell`], after the store missed:
-    /// computes the cell with `compute` and records it under `key`.
+    /// The second half of [`Self::grid_cell`], after the journal missed:
+    /// computes the cell with `compute` and records it.
     ///
     /// # Errors
     ///
     /// Whatever `compute` returns.
     pub(crate) fn fresh_cell(
         &self,
-        key: &ArtifactKey,
+        grid: &str,
         desc: &CellDesc,
         compute: impl FnOnce() -> Result<Vec<f64>, Error>,
     ) -> Result<Vec<f64>, Error> {
@@ -581,7 +593,7 @@ impl StudyContext {
         let values = compute()?;
         debug_assert_eq!(values.len(), desc.value_count(), "cell value count");
         crate::heartbeat::cell_finished(started.elapsed());
-        self.record_cell(key, &values);
+        self.record_cell(grid, desc, &values);
         Ok(values)
     }
 
@@ -1167,13 +1179,10 @@ mod tests {
         };
         let values = [f64::NAN, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let recorded = |c: &StudyContext, grid, widx| {
-            let desc = desc(widx);
-            c.recorded_cell(&c.cell_key(grid, &desc), desc.value_count())
-        };
+        let recorded = |c: &StudyContext, grid, widx| c.recorded_cell(grid, &desc(widx));
         let c = open();
         assert_eq!(recorded(&c, "validate", 0), None);
-        c.record_cell(&c.cell_key("validate", &desc(0)), &values);
+        c.record_cell("validate", &desc(0), &values);
         // Another context on the same store reads the record back exactly,
         // and only under the descriptor it was recorded for.
         let c = open();
@@ -1181,8 +1190,8 @@ mod tests {
         assert_eq!(bits(&got), bits(&values));
         assert_eq!(recorded(&c, "validate", 1), None);
         assert_eq!(recorded(&c, "fig3", 0), None);
-        // A stored record with the wrong value count is poison.
-        c.record_cell(&c.cell_key("validate", &desc(2)), &values[..3]);
+        // A recorded cell with the wrong value count is poison.
+        c.record_cell("validate", &desc(2), &values[..3]);
         assert_eq!(recorded(&c, "validate", 2), None);
         assert_eq!(c.store_stats().unwrap().corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);

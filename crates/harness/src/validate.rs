@@ -86,7 +86,7 @@ impl ValidateOptions {
     /// shape. `perturb` is deliberately **excluded**: a perturbed model
     /// must masquerade as the real one so the drift gate catches it
     /// against the honest baseline (the factor is still recorded in the
-    /// report header and kept out of shared cell records, whose
+    /// report header and kept out of shared cell journal entries, whose
     /// descriptor carries it).
     pub fn spec_string(&self) -> String {
         let cores: Vec<String> = self.core_counts.iter().map(|c| c.to_string()).collect();
@@ -274,7 +274,7 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
         .map(|cell| {
             let desc = cell.desc(opts.perturb, ValSide::Badco);
             local
-                .then(|| ctx.replayed_cell(&ctx.cell_key("validate", &desc), &desc))
+                .then(|| ctx.replayed_cell("validate", &desc))
                 .flatten()
         })
         .collect();
@@ -332,7 +332,7 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
                     Some(values) => values.clone(),
                     None => {
                         let desc = cell.desc(opts.perturb, ValSide::Badco);
-                        ctx.fresh_cell(&ctx.cell_key("validate", &desc), &desc, || {
+                        ctx.fresh_cell("validate", &desc, || {
                             cell.evaluate(ctx, ValSide::Badco, &per_cores)
                         })?
                     }

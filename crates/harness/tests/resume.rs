@@ -1,6 +1,6 @@
 //! End-to-end durability tests against the real `mps-harness` binary:
 //! a run killed mid-grid (via the `MPS_ABORT_AFTER_CELLS` test hook,
-//! which calls `abort()` right after a durable cell-record put) must,
+//! which calls `abort()` right after a synced cell-journal append) must,
 //! when simply rerun on the same store, produce output byte-identical to
 //! an uninterrupted run — at both `--jobs 1` and `--jobs 4` — while
 //! recomputing only the cells the killed run did not record; and a warm
@@ -69,13 +69,14 @@ fn store_hits(output: &Output) -> u64 {
     store_summary(output).0
 }
 
-/// The store's grid-cell records.
+/// The store's recorded grid cells: the valid entries of its journals.
 fn cell_records(store: &Path) -> usize {
     std::fs::read_dir(store.join("artifacts"))
         .map(|d| {
             d.flatten()
-                .filter(|e| e.file_name().to_string_lossy().starts_with("cell-"))
-                .count()
+                .filter(|e| e.file_name().to_string_lossy().starts_with("journal-"))
+                .map(|e| mps_store::read_journal(&e.path()).map_or(0, |j| j.len()))
+                .sum()
         })
         .unwrap_or(0)
 }

@@ -80,10 +80,19 @@ fn warm_context_renders_identical_figures() {
     assert_eq!(stats.puts, 0, "a warm build writes nothing: {stats:?}");
     assert_eq!(stats.misses, 0, "a warm build misses nothing: {stats:?}");
     // It reads the records it renders and nothing behind them.
-    let rendered: usize = ["population", "perf-table", "cell"]
+    let cells: usize = records(&tmp.0, "journal")
+        .iter()
+        .map(|j| {
+            mps_store::read_journal(j)
+                .expect("a readable journal")
+                .len()
+        })
+        .sum();
+    let rendered: usize = ["population", "perf-table"]
         .iter()
         .map(|kind| records(&tmp.0, kind).len())
-        .sum();
+        .sum::<usize>()
+        + cells;
     assert_eq!(stats.hits, rendered as u64, "{stats:?}");
     let cache = warm.cache_stats();
     assert_eq!((cache.model_hits, cache.model_misses), (0, 0), "{cache:?}");

@@ -21,7 +21,7 @@ use crate::error::{Error, Result};
 use crate::store::Store;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Current ledger record schema. Bump when a field changes meaning;
@@ -119,19 +119,18 @@ impl Ledger {
             .collect();
         let mut line = mps_obs::jsonl::encode_event("run", &fields);
         line.push('\n');
-        // A crash mid-append leaves a torn line with no trailing newline;
-        // isolate it on its own (unparsable, hence skipped) line instead
-        // of gluing the new record onto it.
-        if fs::metadata(&self.path).is_ok_and(|m| m.len() > 0)
-            && !fs::read(&self.path).is_ok_and(|b| b.ends_with(b"\n"))
-        {
-            line.insert(0, '\n');
-        }
         let mut file = fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.path)
             .map_err(|e| Error::Io(format!("open ledger {}: {e}", self.path.display())))?;
+        // A crash mid-append leaves a torn line with no trailing newline;
+        // isolate it on its own (unparsable, hence skipped) line instead
+        // of gluing the new record onto it. Only the last byte is read.
+        if ends_torn(&mut file).map_err(|e| Error::Io(format!("read ledger tail: {e}")))? {
+            line.insert(0, '\n');
+        }
         file.write_all(line.as_bytes())
             .map_err(|e| Error::Io(format!("append ledger: {e}")))?;
         file.sync_data()
@@ -181,6 +180,18 @@ impl Ledger {
         }
         Ok(out)
     }
+}
+
+/// Whether a non-empty `file` lacks its trailing newline, reading only
+/// its final byte.
+fn ends_torn(file: &mut fs::File) -> std::io::Result<bool> {
+    if file.metadata()?.len() == 0 {
+        return Ok(false);
+    }
+    let mut last = [0u8];
+    file.seek(SeekFrom::End(-1))?;
+    file.read_exact(&mut last)?;
+    Ok(last[0] != b'\n')
 }
 
 #[cfg(test)]
@@ -238,6 +249,23 @@ mod tests {
         let recs = l.read_all().unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].u64("wall_ms"), Some(1002));
+    }
+
+    #[test]
+    fn append_after_a_lone_torn_line_starts_a_new_line() {
+        let l = tmp_ledger("lone-torn");
+        fs::write(l.path(), "{\"type\":\"event\",\"na").unwrap();
+        l.append(&record(0)).unwrap();
+        l.append(&record(1)).unwrap();
+        let recs = l.read_all().unwrap();
+        assert_eq!(recs.len(), 2);
+        assert_eq!(recs[0].u64("wall_ms"), Some(1000));
+        let text = fs::read_to_string(l.path()).unwrap();
+        assert_eq!(
+            text.lines().count(),
+            3,
+            "the torn bytes keep their own line"
+        );
     }
 
     #[test]

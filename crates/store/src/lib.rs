@@ -8,10 +8,13 @@
 //! * [`Store`] — a content-addressed, schema-versioned on-disk artifact
 //!   store with atomic write-then-rename, checksum + truncation
 //!   detection, quarantine of poisoned files and capacity-cap eviction.
-//!   Every completed experiment-grid cell is one record too, so a killed
-//!   grid rerun on the same store recomputes only the cells it lacks.
 //!   Hits, misses, puts, corruptions and evictions are mirrored into the
 //!   `store.*` observability counters.
+//! * [`CellJournal`] — one append-only, checksummed file per (study spec,
+//!   grid) holding every completed experiment-grid cell, each entry
+//!   `sync_data`'d before it counts, so a killed grid rerun on the same
+//!   store recomputes only the cells it lacks. [`read_journal`] lists a
+//!   journal file's valid entries.
 //! * [`LeaseBoard`] — per-cell lease files with deadlines, the claim /
 //!   renew / release primitive the distributed grid runner uses to shard
 //!   cells across worker processes (a dead worker's lease lapses and its
@@ -26,10 +29,11 @@
 //!   by the `mps` facade as `mps::Error`.
 //!
 //! See `docs/durability.md` for the store layout, keying scheme, cell
-//! records and the failure matrix.
+//! journals and the failure matrix.
 
 mod codec;
 mod error;
+mod journal;
 mod lease;
 mod ledger;
 #[allow(clippy::module_inception)]
@@ -37,6 +41,7 @@ mod store;
 
 pub use codec::{fnv1a64, Dec, Enc};
 pub use error::{Error, Result};
+pub use journal::{read_journal, CellJournal, JournalEntry};
 pub use lease::{Claim, Lease, LeaseBoard, LEASE_SCHEMA};
 pub use ledger::{Ledger, RunRecord, LEDGER_SCHEMA};
 pub use store::{ArtifactKey, Store, StoreStats, KERNEL_REV, MIN_SCHEMA, SCHEMA};

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! <root>/
-//!   artifacts/<kind>-<fnv64 of key spec, hex>.mps   one record per artifact
-//!                                                   (grid cells: kind `cell`)
+//!   artifacts/<kind>-<fnv64 of key spec, hex>.mps   one record per artifact, or one
+//!                                                   cell journal per grid (kind `journal`)
 //!   quarantine/<original name>.<n>                  poisoned files, kept for forensics
 //! ```
 //!
@@ -34,10 +34,12 @@
 
 use crate::codec::fnv1a64;
 use crate::error::{Error, Result};
+use crate::journal::CellJournal;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Current on-disk schema revision.
 pub const SCHEMA: u32 = 2;
@@ -51,10 +53,10 @@ pub const MIN_SCHEMA: u32 = 1;
 /// matches; a mismatch evicts the stale file. **Bump this whenever a
 /// change alters simulator semantics** (core model, uncore, BADCO
 /// training, trace generation, RNG derivation) — pure refactors and new
-/// experiments don't require a bump. Since grid cells are store records,
-/// the sampler and estimator code that computes a cell's value feeds
-/// stored values too: a change to what a sampler draws or an estimator
-/// returns needs a bump as well.
+/// experiments don't require a bump. Since grid cells are stored (in
+/// cell journals), the sampler and estimator code that computes a cell's
+/// value feeds stored values too: a change to what a sampler draws or an
+/// estimator returns needs a bump as well.
 pub const KERNEL_REV: u32 = 3;
 
 /// Identifies one artifact: a `kind` (namespace, e.g. `"perf-table"`) and
@@ -103,14 +105,94 @@ impl ArtifactKey {
     }
 }
 
-/// Atomic hit/miss/corruption accounting for one store.
-#[derive(Debug, Default)]
-struct Counters {
+/// Hit/miss/put/corruption/eviction accounting for one store, shared
+/// with the cell journals it opens and mirrored into the `store.*`
+/// observability counters.
+#[derive(Debug)]
+pub(crate) struct Tally {
     hits: AtomicU64,
     misses: AtomicU64,
     puts: AtomicU64,
     corrupt: AtomicU64,
     evicted: AtomicU64,
+    obs_hit: mps_obs::Counter,
+    obs_miss: mps_obs::Counter,
+    obs_put: mps_obs::Counter,
+    obs_corrupt: mps_obs::Counter,
+    obs_evict: mps_obs::Counter,
+    obs_read_bytes: mps_obs::Histogram,
+    obs_write_bytes: mps_obs::Histogram,
+}
+
+impl Tally {
+    fn new() -> Self {
+        Tally {
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            puts: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+            obs_hit: mps_obs::counter("store.hit"),
+            obs_miss: mps_obs::counter("store.miss"),
+            obs_put: mps_obs::counter("store.put"),
+            obs_corrupt: mps_obs::counter("store.corrupt"),
+            obs_evict: mps_obs::counter("store.evict"),
+            obs_read_bytes: mps_obs::histogram("store.read.bytes"),
+            obs_write_bytes: mps_obs::histogram("store.write.bytes"),
+        }
+    }
+
+    /// One artifact (or cell) served from `bytes` read bytes.
+    pub(crate) fn hit(&self, bytes: usize) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.obs_hit.incr();
+        self.obs_read_bytes.record(bytes as u64);
+    }
+
+    /// One lookup that found no valid, current value.
+    pub(crate) fn miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.obs_miss.incr();
+    }
+
+    /// One artifact (or cell) made durable in `bytes` written bytes.
+    pub(crate) fn put(&self, bytes: usize) {
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.obs_put.incr();
+        self.obs_write_bytes.record(bytes as u64);
+    }
+
+    /// One poisoned artifact (or cell entry) found in `path`.
+    pub(crate) fn corrupt(&self, path: &Path, why: &Error) {
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        self.obs_corrupt.incr();
+        mps_obs::event(
+            "store.quarantine",
+            &[
+                ("path", path.display().to_string()),
+                ("why", why.to_string()),
+            ],
+        );
+    }
+
+    /// Removes a stale or over-cap file, counting it if it was there.
+    pub(crate) fn evict(&self, path: &Path) {
+        if fs::remove_file(path).is_ok() {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            self.obs_evict.incr();
+            mps_obs::event("store.evict", &[("path", path.display().to_string())]);
+        }
+    }
+
+    fn stats(&self) -> StoreStats {
+        StoreStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            puts: self.puts.load(Ordering::Relaxed),
+            corrupt: self.corrupt.load(Ordering::Relaxed),
+            evicted: self.evicted.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A point-in-time snapshot of a store's counters.
@@ -134,14 +216,7 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    counters: Counters,
-    obs_hit: mps_obs::Counter,
-    obs_miss: mps_obs::Counter,
-    obs_put: mps_obs::Counter,
-    obs_corrupt: mps_obs::Counter,
-    obs_evict: mps_obs::Counter,
-    obs_read_bytes: mps_obs::Histogram,
-    obs_write_bytes: mps_obs::Histogram,
+    tally: Arc<Tally>,
 }
 
 impl Store {
@@ -154,14 +229,7 @@ impl Store {
         let root = root.into();
         let store = Store {
             root,
-            counters: Counters::default(),
-            obs_hit: mps_obs::counter("store.hit"),
-            obs_miss: mps_obs::counter("store.miss"),
-            obs_put: mps_obs::counter("store.put"),
-            obs_corrupt: mps_obs::counter("store.corrupt"),
-            obs_evict: mps_obs::counter("store.evict"),
-            obs_read_bytes: mps_obs::histogram("store.read.bytes"),
-            obs_write_bytes: mps_obs::histogram("store.write.bytes"),
+            tally: Arc::new(Tally::new()),
         };
         for sub in ["artifacts", "quarantine"] {
             let dir = store.root.join(sub);
@@ -185,13 +253,19 @@ impl Store {
 
     /// Snapshot of the hit/miss/corruption counters.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            puts: self.counters.puts.load(Ordering::Relaxed),
-            corrupt: self.counters.corrupt.load(Ordering::Relaxed),
-            evicted: self.counters.evicted.load(Ordering::Relaxed),
-        }
+        self.tally.stats()
+    }
+
+    /// The cell journal keyed `key` (kind `journal`), whose hits, misses,
+    /// puts and corrupt entries count in this store's [`StoreStats`].
+    /// Opening touches no file: the journal is read on its first lookup.
+    pub fn journal(&self, key: &ArtifactKey) -> CellJournal {
+        CellJournal::new(
+            self.root.clone(),
+            self.artifact_path(key),
+            header_line(key),
+            Arc::clone(&self.tally),
+        )
     }
 
     fn artifact_path(&self, key: &ArtifactKey) -> PathBuf {
@@ -203,12 +277,8 @@ impl Store {
     /// Writes an artifact atomically (temp file + rename).
     pub fn put(&self, key: &ArtifactKey, payload: &[u8]) -> Result<()> {
         let path = self.artifact_path(key);
-        let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-        let header = format!(
-            "{{\"schema\":{SCHEMA},\"kind\":\"{}\",\"key\":\"{}\",\"rev\":{KERNEL_REV}}}\n",
-            key.kind(),
-            key.hash_hex()
-        );
+        let tmp = temp_path(&path);
+        let header = header_line(key);
         let mut bytes = Vec::with_capacity(header.len() + payload.len() + 16);
         bytes.extend_from_slice(header.as_bytes());
         bytes.extend_from_slice(payload);
@@ -224,9 +294,7 @@ impl Store {
             let _ = fs::remove_file(&tmp);
             Error::Io(format!("write {}: {e}", path.display()))
         })?;
-        self.counters.puts.fetch_add(1, Ordering::Relaxed);
-        self.obs_put.incr();
-        self.obs_write_bytes.record(bytes.len() as u64);
+        self.tally.put(bytes.len());
         Ok(())
     }
 
@@ -258,30 +326,28 @@ impl Store {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
-                self.record_miss();
+                self.tally.miss();
                 return None;
             }
         };
         match parse_record(&bytes, &path.display().to_string()) {
             Ok((payload, rev)) => {
                 if rev.is_some_and(|r| r != KERNEL_REV) {
-                    self.evict(&path);
-                    self.record_miss();
+                    self.tally.evict(&path);
+                    self.tally.miss();
                     return None;
                 }
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hit.incr();
-                self.obs_read_bytes.record(bytes.len() as u64);
+                self.tally.hit(bytes.len());
                 Some(payload.to_vec())
             }
             Err(Error::SchemaVersion { .. }) => {
                 // Written by a newer build: leave it alone, report a miss.
-                self.record_miss();
+                self.tally.miss();
                 None
             }
             Err(e) => {
                 self.quarantine(&path, &e);
-                self.record_miss();
+                self.tally.miss();
                 None
             }
         }
@@ -294,45 +360,14 @@ impl Store {
         self.quarantine(&self.artifact_path(key), why);
     }
 
-    fn record_miss(&self) {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        self.obs_miss.incr();
-    }
-
     fn quarantine(&self, path: &Path, why: &Error) {
-        self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
-        self.obs_corrupt.incr();
-        mps_obs::event(
-            "store.quarantine",
-            &[
-                ("path", path.display().to_string()),
-                ("why", why.to_string()),
-            ],
-        );
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "artifact".to_owned());
-        // Pick the first free quarantine slot so repeat offenders keep
-        // their history instead of overwriting it.
-        for n in 0..u32::MAX {
-            let dest = self.root.join("quarantine").join(format!("{name}.{n}"));
-            if !dest.exists() {
-                if fs::rename(path, &dest).is_err() {
-                    // Rename can fail across filesystems or races; fall
-                    // back to removal so the poison is gone either way.
-                    let _ = fs::remove_file(path);
-                }
-                break;
+        self.tally.corrupt(path, why);
+        if let Some(dest) = quarantine_slot(&self.root, path) {
+            if fs::rename(path, &dest).is_err() {
+                // Rename can fail across filesystems or races; fall
+                // back to removal so the poison is gone either way.
+                let _ = fs::remove_file(path);
             }
-        }
-    }
-
-    fn evict(&self, path: &Path) {
-        if fs::remove_file(path).is_ok() {
-            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-            self.obs_evict.incr();
-            mps_obs::event("store.evict", &[("path", path.display().to_string())]);
         }
     }
 
@@ -372,16 +407,46 @@ impl Store {
             if total <= cap {
                 break;
             }
-            self.evict(&path);
+            self.tally.evict(&path);
             total = total.saturating_sub(size);
         }
     }
 }
 
-/// Splits a raw record into (payload, kernel revision) after validating
-/// header, schema, length footer and checksum. `rev` is `None` for
-/// schema-1 records, which predate revision tracking.
-fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32>)> {
+/// The first free `quarantine/<name>.<n>` slot for `path`, so repeat
+/// offenders keep their history instead of overwriting it.
+pub(crate) fn quarantine_slot(root: &Path, path: &Path) -> Option<PathBuf> {
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "artifact".to_owned());
+    (0..u32::MAX)
+        .map(|n| root.join("quarantine").join(format!("{name}.{n}")))
+        .find(|dest| !dest.exists())
+}
+
+/// A temp sibling of `path` unique to this process and call: the pid
+/// keeps processes apart, the counter threads of one process. The
+/// `.tmp-` infix is what [`Store::open`]'s sweep removes.
+pub(crate) fn temp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp-{}-{n}", std::process::id()))
+}
+
+/// The header line of a record or journal keyed `key`.
+fn header_line(key: &ArtifactKey) -> String {
+    format!(
+        "{{\"schema\":{SCHEMA},\"kind\":\"{}\",\"key\":\"{}\",\"rev\":{KERNEL_REV}}}\n",
+        key.kind(),
+        key.hash_hex()
+    )
+}
+
+/// Splits a file into (body, kernel revision) after validating its header
+/// line and schema. `rev` is `None` for schema-1 files, which predate
+/// revision tracking.
+pub(crate) fn parse_header<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32>)> {
     let corrupt = |detail: &str| Error::Corrupt {
         path: path.to_owned(),
         detail: detail.to_owned(),
@@ -402,7 +467,24 @@ fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32
     if schema < MIN_SCHEMA {
         return Err(corrupt(&format!("schema {schema} predates {MIN_SCHEMA}")));
     }
-    let rest = &bytes[nl + 1..];
+    // Schema 1 headers carry no "rev"; treat them as revision-agnostic.
+    let rev = if schema >= 2 {
+        Some(json_u32_field(header, "rev").ok_or_else(|| corrupt("schema>=2 header lacks rev"))?)
+    } else {
+        None
+    };
+    Ok((&bytes[nl + 1..], rev))
+}
+
+/// Splits a raw record into (payload, kernel revision) after validating
+/// header, schema, length footer and checksum. `rev` is `None` for
+/// schema-1 records, which predate revision tracking.
+fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32>)> {
+    let corrupt = |detail: &str| Error::Corrupt {
+        path: path.to_owned(),
+        detail: detail.to_owned(),
+    };
+    let (rest, rev) = parse_header(bytes, path)?;
     if rest.len() < 16 {
         return Err(corrupt("record truncated before footer"));
     }
@@ -418,12 +500,6 @@ fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32
     if stored_sum != fnv1a64(payload) {
         return Err(corrupt("payload checksum mismatch"));
     }
-    // Schema 1 headers carry no "rev"; treat them as revision-agnostic.
-    let rev = if schema >= 2 {
-        Some(json_u32_field(header, "rev").ok_or_else(|| corrupt("schema>=2 header lacks rev"))?)
-    } else {
-        None
-    };
     Ok((payload, rev))
 }
 
@@ -472,6 +548,26 @@ mod tests {
         assert_eq!(s.get(&k).unwrap(), b"payload");
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.puts), (1, 1, 1));
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_all_succeed() {
+        let s = tmp_store("race");
+        let k = ArtifactKey::new("demo", "shared");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (s, k, start) = (&s, &k, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        s.put(k, &[9u8; 512]).expect("a racing put succeeds");
+                    }
+                });
+            }
+        });
+        assert_eq!(s.stats().puts, 100);
+        assert_eq!(s.read(&k).unwrap().unwrap(), vec![9u8; 512]);
     }
 
     #[test]
