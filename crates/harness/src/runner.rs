@@ -459,40 +459,27 @@ impl StudyContext {
         encode: impl Fn(&V) -> Vec<u8>,
         compute: impl FnOnce() -> V,
     ) -> V {
+        let Some(store) = self.store.as_deref() else {
+            return compute();
+        };
         let key = ArtifactKey::new(kind, self.artifact_spec(extra_spec));
-        if let Some(v) = self.load(&key, decode) {
+        // A record that passes the store's integrity checks but fails
+        // `decode` is quarantined, so it is recomputed.
+        let stored = store.get(&key).and_then(|bytes| {
+            decode(&bytes)
+                .map_err(|e| store.quarantine_key(&key, &e))
+                .ok()
+        });
+        if let Some(v) = stored {
             return v;
         }
         let v = compute();
-        self.persist(&key, &encode(&v));
-        v
-    }
-
-    /// The stored value of `key`, if the store holds a valid one. A record
-    /// that passes the store's integrity checks but fails `decode` is
-    /// quarantined, so the caller recomputes.
-    fn load<V>(&self, key: &ArtifactKey, decode: impl Fn(&[u8]) -> Result<V, Error>) -> Option<V> {
-        let store = self.store.as_deref()?;
-        let bytes = store.get(key)?;
-        decode(&bytes)
-            .map_err(|e| store.quarantine_key(key, &e))
-            .ok()
-    }
-
-    /// Writes `key` to the store; whether the record is now durable. A
-    /// failed write (a full disk, say) is a warning, never an error: it
-    /// must not kill a running study.
-    fn persist(&self, key: &ArtifactKey, payload: &[u8]) -> bool {
-        let Some(store) = self.store.as_deref() else {
-            return false;
-        };
-        match store.put(key, payload) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!("warning: could not persist {}: {e}", key.kind());
-                false
-            }
+        // A failed write (a full disk, say) is a warning, never an error:
+        // it must not kill a running study.
+        if let Err(e) = store.put(&key, &encode(&v)) {
+            eprintln!("warning: could not persist {kind}: {e}");
         }
+        v
     }
 
     /// The cell journal of `grid`: kind `journal`, keyed by this context's

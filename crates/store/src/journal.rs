@@ -37,7 +37,9 @@
 
 use crate::codec::fnv1a64;
 use crate::error::{Error, Result};
-use crate::store::{parse_header, quarantine_slot, temp_path, Tally, KERNEL_REV, SCHEMA};
+use crate::store::{
+    move_to_quarantine, parse_header, quarantine_slot, temp_path, Tally, KERNEL_REV, SCHEMA,
+};
 use std::fs;
 use std::io::Write as _;
 use std::ops::Range;
@@ -207,12 +209,7 @@ impl CellJournal {
             }
             Err(why) => {
                 // No readable header: nothing in the file can be trusted.
-                self.tally.corrupt(&self.path, &why);
-                if let Some(dest) = quarantine_slot(&self.root, &self.path) {
-                    if fs::rename(&self.path, &dest).is_err() {
-                        let _ = fs::remove_file(&self.path);
-                    }
-                }
+                move_to_quarantine(&self.root, &self.tally, &self.path, &why);
                 return state;
             }
         };
@@ -606,6 +603,19 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), bytes, "left untouched");
         let st = s.stats();
         assert_eq!((st.misses, st.puts, st.corrupt, st.evicted), (1, 0, 0, 0));
+    }
+
+    #[test]
+    fn unreadable_header_quarantines_the_journal() {
+        let (dir, s) = tmp_store("header");
+        let path = s.journal(&key()).path.clone();
+        fs::write(&path, b"not a header").unwrap();
+        let j = s.journal(&key());
+        assert_eq!(j.get(1, 1), None);
+        assert_eq!(s.stats().corrupt, 1);
+        assert_eq!(quarantined(&dir), 1);
+        j.append(1, &[1.0]).unwrap();
+        assert_eq!(read_journal(&path).unwrap()[0].values, [1.0]);
     }
 
     #[test]

@@ -361,14 +361,7 @@ impl Store {
     }
 
     fn quarantine(&self, path: &Path, why: &Error) {
-        self.tally.corrupt(path, why);
-        if let Some(dest) = quarantine_slot(&self.root, path) {
-            if fs::rename(path, &dest).is_err() {
-                // Rename can fail across filesystems or races; fall
-                // back to removal so the poison is gone either way.
-                let _ = fs::remove_file(path);
-            }
-        }
+        move_to_quarantine(&self.root, &self.tally, path, why);
     }
 
     /// Removes temp files abandoned by killed writers.
@@ -423,6 +416,19 @@ pub(crate) fn quarantine_slot(root: &Path, path: &Path) -> Option<PathBuf> {
     (0..u32::MAX)
         .map(|n| root.join("quarantine").join(format!("{name}.{n}")))
         .find(|dest| !dest.exists())
+}
+
+/// Counts the file at `path` as poisoned and moves it into `root`'s
+/// `quarantine/`.
+pub(crate) fn move_to_quarantine(root: &Path, tally: &Tally, path: &Path, why: &Error) {
+    tally.corrupt(path, why);
+    if let Some(dest) = quarantine_slot(root, path) {
+        if fs::rename(path, &dest).is_err() {
+            // Rename can fail across filesystems or races; fall
+            // back to removal so the poison is gone either way.
+            let _ = fs::remove_file(path);
+        }
+    }
 }
 
 /// A temp sibling of `path` unique to this process and call: the pid
