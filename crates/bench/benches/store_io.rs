@@ -7,8 +7,14 @@
 //!   store directory's creation and removal are inside the timing.
 //! * `artifact_put_30k` — one 30 kB record (the size of a trace buffer at
 //!   the study bench's scale) put atomically: temp file, fsync, rename.
+//! * `artifact_get_30k` — the same record read back through a lookup:
+//!   file read, header, length and checksum verified, payload copied out.
+//! * `inputs_decode` — the shared inputs a warm study loads, decoded from
+//!   payload bytes in memory: the 22 trace buffers at 1,000 µops and the
+//!   BADCO model sets of 2 and 4 cores trained on them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mps_harness::{persist, Scale, StudyContext};
 use mps_store::{ArtifactKey, Store};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -61,6 +67,60 @@ fn artifact_put(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn artifact_get(c: &mut Criterion) {
+    let dir = scratch("get");
+    let store = Store::open(&dir).expect("opening a scratch store");
+    let key = ArtifactKey::new("trace", "bench=mcf");
+    let payload: Vec<u8> = (0..30_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    store.put(&key, &payload).expect("putting a record");
+    c.bench_function("artifact_get_30k", |b| {
+        b.iter(|| {
+            let got = store.get(black_box(&key)).expect("the record hits");
+            assert_eq!(got.len(), payload.len());
+            got
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn inputs_decode(c: &mut Criterion) {
+    let scale = Scale {
+        trace_len: 1_000,
+        ..Scale::small()
+    };
+    let ctx = StudyContext::builder()
+        .scale(scale)
+        .build()
+        .expect("building a context");
+    let traces: Vec<Vec<u8>> = (0..ctx.suite().len())
+        .map(|b| persist::encode_trace(&ctx.trace_buffer(b).expect("a suite benchmark")))
+        .collect();
+    let models: Vec<Vec<u8>> = [2, 4]
+        .iter()
+        .map(|&cores| persist::encode_models(&ctx.models(cores).expect("a paper core count")))
+        .collect();
+    c.bench_function("inputs_decode", |b| {
+        b.iter(|| {
+            let uops: usize = traces
+                .iter()
+                .map(|t| {
+                    persist::decode_trace(black_box(t))
+                        .expect("a valid trace")
+                        .len()
+                })
+                .sum();
+            let nodes: usize = models
+                .iter()
+                .flat_map(|m| persist::decode_models(black_box(m)).expect("a valid model set"))
+                .map(|m| m.node_count())
+                .sum();
+            (uops, nodes)
+        })
+    });
+}
+
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -70,6 +130,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = cell_journal, artifact_put
+    targets = cell_journal, artifact_put, artifact_get, inputs_decode
 }
 criterion_main!(benches);

@@ -16,16 +16,23 @@ use crate::experiments::{
 };
 use mps_store::{Dec, Enc, Error};
 
+/// Current schema of a persisted report [`Artifact`]. It is the report
+/// layout's own revision, independent of the store's record schema.
+pub const REPORT_SCHEMA: u32 = 2;
+
+/// Oldest report schema the reader still accepts.
+pub const MIN_REPORT_SCHEMA: u32 = 1;
+
 /// A rendered experiment report as a store-persistable, schema-versioned
 /// record: a JSON header line (`{"schema":2,"name":"fig3"}`) followed by
 /// the text and CSV renderings.
 ///
 /// Schema history — every bump keeps the reader accepting all earlier
-/// versions back to [`mps_store::MIN_SCHEMA`], with a unit test per
-/// accepted version:
+/// versions back to [`MIN_REPORT_SCHEMA`], with a unit test per accepted
+/// version:
 ///
 /// * **1** — text rendering only.
-/// * **2** (current, [`mps_store::SCHEMA`]) — text + CSV renderings.
+/// * **2** (current, [`REPORT_SCHEMA`]) — text + CSV renderings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     /// Experiment name (e.g. `"fig3"`).
@@ -41,8 +48,7 @@ impl Artifact {
     /// Serializes at the current schema.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = format!(
-            "{{\"schema\":{},\"name\":\"{}\"}}\n",
-            mps_store::SCHEMA,
+            "{{\"schema\":{REPORT_SCHEMA},\"name\":\"{}\"}}\n",
             self.name
         )
         .into_bytes();
@@ -53,7 +59,8 @@ impl Artifact {
         out
     }
 
-    /// Deserializes any accepted schema (`MIN_SCHEMA..=SCHEMA`).
+    /// Deserializes any accepted schema
+    /// (`MIN_REPORT_SCHEMA..=REPORT_SCHEMA`).
     ///
     /// # Errors
     ///
@@ -76,11 +83,11 @@ impl Artifact {
             .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
             .and_then(|digits| digits.parse::<u32>().ok())
             .ok_or_else(|| corrupt("header has no schema field"))?;
-        if !(mps_store::MIN_SCHEMA..=mps_store::SCHEMA).contains(&schema) {
+        if !(MIN_REPORT_SCHEMA..=REPORT_SCHEMA).contains(&schema) {
             return Err(Error::SchemaVersion {
                 path: "report-artifact".to_owned(),
                 found: schema,
-                supported: mps_store::SCHEMA,
+                supported: REPORT_SCHEMA,
             });
         }
         let name = header

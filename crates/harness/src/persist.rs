@@ -11,7 +11,7 @@ use mps_badco::{BadcoModel, ModelParts};
 use mps_metrics::{PerfTable, WorkloadPerf};
 use mps_sampling::{Population, Workload};
 use mps_store::{Dec, Enc, Error, Result};
-use mps_workloads::{TraceBuffer, TraceSource, Uop, UopKind};
+use mps_workloads::{TraceBuffer, TraceColumns, UopKind};
 use std::sync::Arc;
 
 /// All µop kinds, indexed by their wire byte.
@@ -31,14 +31,14 @@ fn kind_byte(k: UopKind) -> u8 {
     UOP_KINDS.iter().position(|&x| x == k).unwrap() as u8
 }
 
-fn byte_kind(b: u8, what: &str) -> Result<UopKind> {
-    UOP_KINDS
-        .get(b as usize)
-        .copied()
-        .ok_or_else(|| Error::Corrupt {
-            path: what.to_owned(),
-            detail: format!("invalid µop kind byte {b}"),
-        })
+/// A little-endian `u32` field.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("a 4-byte field"))
+}
+
+/// A little-endian `u64` field.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("an 8-byte field"))
 }
 
 /// Encodes a reference-IPC vector (or any plain `f64` table).
@@ -182,11 +182,22 @@ pub fn encode_models(models: &[Arc<BadcoModel>]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Smallest encoded request: id, address, write flag, empty dependences.
-const MIN_REQUEST_BYTES: usize = 4 + 8 + 1 + 4;
+/// Bytes of a node's fixed fields: µops, weight, stall factor and the
+/// length of its dependence list.
+const NODE_HEAD: usize = 4 + 8 + 8 + 4;
+
+/// Smallest encoded node: its fixed fields, no dependences, no requests.
+const MIN_NODE_BYTES: usize = NODE_HEAD + 4;
+
+/// Bytes of a request's fixed fields: id, address, write flag and the
+/// length of its address-dependence list; also its smallest encoding.
+const REQUEST_HEAD: usize = 4 + 8 + 1 + 4;
 
 /// Decodes [`encode_models`] output. Records that break a model invariant
 /// (see [`BadcoModel::from_parts`]) are [`Error::Corrupt`].
+///
+/// Fixed-size field groups are read with one bounds check each, and
+/// dependence lists as one slice each.
 pub fn decode_models(bytes: &[u8]) -> Result<Vec<Arc<BadcoModel>>> {
     let mut d = Dec::new(bytes, "badco-models");
     let count = d.len(16)?;
@@ -194,24 +205,34 @@ pub fn decode_models(bytes: &[u8]) -> Result<Vec<Arc<BadcoModel>>> {
     let mut deps = Vec::new();
     for _ in 0..count {
         let name = d.str()?;
-        let uops_total = d.u64()?;
-        let requests_total = d.u32()?;
-        let nnodes = d.len(16)?;
-        let requests = (requests_total as usize).min(d.remaining() / MIN_REQUEST_BYTES);
+        let totals = d.array::<12>()?;
+        let (uops_total, requests_total) = (le_u64(&totals[..8]), le_u32(&totals[8..]));
+        let nnodes = d.len(MIN_NODE_BYTES)?;
+        let requests = (requests_total as usize).min(d.remaining() / REQUEST_HEAD);
         let mut parts = ModelParts::with_capacity(nnodes, requests);
         for _ in 0..nnodes {
-            let uops = d.u32()?;
-            let weight = d.u64()?;
-            let stall_factor = d.f64()?;
-            read_u32s(&mut d, &mut deps)?;
-            parts.push_node(uops, weight, stall_factor, &deps);
-            let nreq = d.len(MIN_REQUEST_BYTES)?;
-            for _ in 0..nreq {
-                let id = d.u32()?;
-                let addr = d.u64()?;
-                let write = d.bool()?;
-                read_u32s(&mut d, &mut deps)?;
-                parts.push_request(id, addr, write, &deps);
+            let node = d.array::<NODE_HEAD>()?;
+            read_u32s(&mut d, le_u32(&node[20..]), &mut deps)?;
+            parts.push_node(
+                le_u32(&node[..4]),
+                le_u64(&node[4..12]),
+                f64::from_bits(le_u64(&node[12..20])),
+                &deps,
+            );
+            for _ in 0..d.u32()? {
+                let req = d.array::<REQUEST_HEAD>()?;
+                let write = match req[12] {
+                    0 => false,
+                    1 => true,
+                    b => {
+                        return Err(Error::Corrupt {
+                            path: "badco-models".to_owned(),
+                            detail: format!("invalid bool byte {b}"),
+                        })
+                    }
+                };
+                read_u32s(&mut d, le_u32(&req[13..]), &mut deps)?;
+                parts.push_request(le_u32(&req[..4]), le_u64(&req[4..12]), write, &deps);
             }
         }
         let model =
@@ -227,34 +248,18 @@ pub fn decode_models(bytes: &[u8]) -> Result<Vec<Arc<BadcoModel>>> {
     Ok(models)
 }
 
-/// Reads a length-prefixed `u32` list into `out`, reusing its buffer.
-fn read_u32s(d: &mut Dec<'_>, out: &mut Vec<u32>) -> Result<()> {
-    let n = d.len(4)?;
+/// Reads `n` little-endian `u32`s as one slice into `out`, reusing its
+/// buffer.
+fn read_u32s(d: &mut Dec<'_>, n: u32, out: &mut Vec<u32>) -> Result<()> {
+    let (words, _) = d.bytes((n as usize).saturating_mul(4))?.as_chunks::<4>();
     out.clear();
-    for _ in 0..n {
-        out.push(d.u32()?);
-    }
+    out.extend(words.iter().map(|w| u32::from_le_bytes(*w)));
     Ok(())
 }
 
-/// Replays decoded µops as a [`TraceSource`] so [`TraceBuffer::capture`]
-/// can rebuild the packed SoA columns without the store needing access to
-/// the buffer's internals.
-struct VecSource {
-    uops: Vec<Uop>,
-    pos: usize,
-}
-
-impl TraceSource for VecSource {
-    fn next_uop(&mut self) -> Uop {
-        let u = self.uops[self.pos % self.uops.len()];
-        self.pos += 1;
-        u
-    }
-    fn reset(&mut self) {
-        self.pos = 0;
-    }
-}
+/// Bytes of one encoded µop: kind, two sources, destination, address,
+/// size, PC, taken flag, target.
+const UOP_BYTES: usize = 30;
 
 /// Encodes a captured SoA trace buffer µop by µop.
 pub fn encode_trace(buf: &TraceBuffer) -> Vec<u8> {
@@ -275,34 +280,50 @@ pub fn encode_trace(buf: &TraceBuffer) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decodes [`encode_trace`] output back into a shareable buffer.
+/// One column of a trace: `field` of every µop record.
+fn column<T>(records: &[[u8; UOP_BYTES]], field: impl Fn(&[u8; UOP_BYTES]) -> T) -> Vec<T> {
+    records.iter().map(field).collect()
+}
+
+/// Decodes [`encode_trace`] output back into a shareable buffer: a
+/// `u32` count `n > 0` and exactly `n` µop records. After one pass checks
+/// every kind and taken byte, each column is filled in one pass of its
+/// own.
 pub fn decode_trace(bytes: &[u8]) -> Result<Arc<TraceBuffer>> {
-    let mut d = Dec::new(bytes, "trace-buffer");
-    let n = d.len(30)?;
-    if n == 0 {
-        return Err(Error::Corrupt {
-            path: "trace-buffer".to_owned(),
-            detail: "empty trace".to_owned(),
-        });
+    let corrupt = |detail: String| Error::Corrupt {
+        path: "trace-buffer".to_owned(),
+        detail,
+    };
+    let body = bytes.get(4..).unwrap_or_default();
+    let n = bytes.get(..4).map_or(0, le_u32) as usize;
+    let (records, rest) = body.as_chunks::<UOP_BYTES>();
+    if n == 0 || records.len() != n || !rest.is_empty() {
+        return Err(corrupt(format!(
+            "{} bytes cannot hold {n} µops: a trace is 4 + {UOP_BYTES}·n bytes, n > 0",
+            bytes.len()
+        )));
     }
-    let reg = |b: u8| if b == u8::MAX { None } else { Some(b) };
-    let mut uops = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = byte_kind(d.u8()?, "trace-buffer")?;
-        uops.push(Uop {
-            kind,
-            srcs: [reg(d.u8()?), reg(d.u8()?)],
-            dst: reg(d.u8()?),
-            addr: d.u64()?,
-            size: d.u8()?,
-            pc: d.u64()?,
-            taken: d.bool()?,
-            target: d.u64()?,
-        });
+    let bad = |r: &[u8; UOP_BYTES]| usize::from(r[0]) >= UOP_KINDS.len() || r[21] > 1;
+    if let Some(i) = records.iter().position(bad) {
+        return Err(corrupt(format!(
+            "µop {i}: kind byte {} or taken byte {} out of range",
+            records[i][0], records[i][21]
+        )));
     }
-    d.finish()?;
-    let mut src = VecSource { uops, pos: 0 };
-    Ok(Arc::new(TraceBuffer::capture(&mut src, n as u64)))
+    let columns = TraceColumns {
+        kind: column(records, |r| UOP_KINDS[usize::from(r[0])]),
+        src0: column(records, |r| r[1]),
+        src1: column(records, |r| r[2]),
+        dst: column(records, |r| r[3]),
+        addr: column(records, |r| le_u64(&r[4..12])),
+        size: column(records, |r| r[12]),
+        pc: column(records, |r| le_u64(&r[13..21])),
+        taken: column(records, |r| r[21] == 1),
+        target: column(records, |r| le_u64(&r[22..30])),
+    };
+    TraceBuffer::from_columns(columns)
+        .map(Arc::new)
+        .ok_or_else(|| corrupt("ragged trace columns".to_owned()))
 }
 
 #[cfg(test)]
@@ -501,6 +522,59 @@ mod tests {
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
         }
+    }
+
+    /// Decodes every truncation of `bytes` (all must fail) and every
+    /// single-byte corruption of it under a few substitutions. No input
+    /// may panic, and a corruption that decodes must re-encode to exactly
+    /// the corrupted bytes: the decoder rejects or represents, never
+    /// guesses.
+    fn assert_rejects_or_represents<V>(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Result<V>,
+        encode: impl Fn(&V) -> Vec<u8>,
+    ) {
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut changed = bytes.to_vec();
+        for at in 0..bytes.len() {
+            let b = bytes[at];
+            for v in [b ^ 0x01, b ^ 0x80, 0x00, 0xFF]
+                .into_iter()
+                .filter(|&v| v != b)
+            {
+                changed[at] = v;
+                if let Ok(value) = decode(&changed) {
+                    assert_eq!(encode(&value), changed, "byte {at} set to {v:#x}");
+                }
+            }
+            changed[at] = b;
+        }
+    }
+
+    #[test]
+    fn trace_records_reject_or_represent_every_corruption() {
+        let mut src = benchmark_by_name("mcf").unwrap().trace();
+        let bytes = encode_trace(&TraceBuffer::capture(&mut src, 40));
+        assert_eq!(bytes.len(), 4 + 30 * 40);
+        assert_rejects_or_represents(&bytes, decode_trace, |v| encode_trace(v));
+        // Trailing bytes and a zero count are corrupt too.
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_trace(&long).is_err());
+        assert!(decode_trace(&[0; 4]).is_err());
+    }
+
+    #[test]
+    fn model_records_reject_or_represent_every_corruption() {
+        let timing = BadcoTiming::from_uncore(&experiment_uncore(2, PolicyKind::Lru));
+        let trace = benchmark_by_name("mcf").unwrap().trace();
+        let model = BadcoModel::build("mcf", &CoreConfig::ispass2013(), &trace, 60, timing);
+        assert!(model.node_count() > 2 && model.requests_total() > 2);
+        let bytes = encode_models(&[Arc::new(model)]);
+        assert_rejects_or_represents(&bytes, decode_models, |v| encode_models(v));
+        assert_rejects_or_represents(&record(&GOOD), decode_models, |v| encode_models(v));
     }
 
     #[test]

@@ -466,6 +466,7 @@ impl StudyContext {
         // A record that passes the store's integrity checks but fails
         // `decode` is quarantined, so it is recomputed.
         let stored = store.get(&key).and_then(|bytes| {
+            let _span = mps_obs::span("store.decode");
             decode(&bytes)
                 .map_err(|e| store.quarantine_key(&key, &e))
                 .ok()

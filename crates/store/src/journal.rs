@@ -9,7 +9,7 @@
 //! # File format
 //!
 //! ```text
-//! {"schema":2,"kind":"journal","key":"1f2e…","rev":3}\n      the store's header line
+//! {"schema":3,"kind":"journal","key":"1f2e…","rev":3}\n      the store's header line
 //! <u64 LE key><u32 LE byte length n><n payload bytes><u64 LE checksum>   entry
 //! …                                                                       entry
 //! ```
@@ -21,6 +21,14 @@
 //! handle and then `sync_data`'d, so a cell counts as recorded only once
 //! it is durable, and concurrent appenders never interleave entries.
 //!
+//! Every handle on a journal, in this process or another, appends to the
+//! one file at its path. An append holds the file's shared lock
+//! (`flock`) through its `write` and `sync_data`; a heal (below) holds the
+//! exclusive lock from before it reads the journal until its rewrite is
+//! renamed into place. After taking its lock, an appender checks that its
+//! handle is still the file at the path, and reopens the path if a heal
+//! has replaced it.
+//!
 //! # Failure behaviour
 //!
 //! A journal is read on its first lookup and every entry is validated.
@@ -28,8 +36,10 @@
 //! studies appending concurrently, and are equal because cells are pure).
 //! An entry failing its checksum is skipped; one whose length runs past
 //! the end of the file (a torn tail) ends the scan. Each counts one
-//! `store.corrupt`, and the journal is then copied to `quarantine/` and
-//! rewritten with only its valid entries (temp file, fsync, rename).
+//! `store.corrupt`, and the journal is then healed: copied to
+//! `quarantine/` and rewritten with only its valid entries (temp file,
+//! fsync, rename), including those other handles appended since this one
+//! read it.
 //! Whatever was skipped is recomputed: a cost in time, never a wrong
 //! number. A journal from another `KERNEL_REV` is evicted; one from a
 //! newer schema is left untouched, reads as misses and is never appended
@@ -141,9 +151,8 @@ impl CellJournal {
             path: self.path.display().to_string(),
             detail: format!("cell {key:016x}: {} values, expected {want}", values.len()),
         };
-        state.remove(key);
         self.tally.corrupt(&self.path, &why);
-        self.quarantine_and_rewrite(state);
+        self.quarantine_and_rewrite(state, Some(key));
         self.tally.miss();
         None
     }
@@ -167,12 +176,21 @@ impl CellJournal {
             });
         }
         let io = |e: std::io::Error| Error::Io(format!("append {}: {e}", self.path.display()));
-        if state.file.is_none() {
-            state.file = Some(self.open_for_append().map_err(io)?);
-        }
-        let file = state.file.as_mut().expect("opened above");
-        file.write_all(&entry).map_err(io)?;
-        file.sync_data().map_err(io)?;
+        let file = loop {
+            let file = match &mut state.file {
+                Some(file) => file,
+                empty => empty.insert(self.open_for_append().map_err(io)?),
+            };
+            file.lock_shared().map_err(io)?;
+            if self.is_current(file) {
+                break file;
+            }
+            // Another handle healed the journal: append to its rewrite.
+            state.file = None;
+        };
+        let written = file.write_all(&entry).and_then(|()| file.sync_data());
+        let _ = file.unlock();
+        written.map_err(io)?;
         self.tally.put(entry.len());
         state.insert(key, values.iter().copied());
         Ok(())
@@ -191,6 +209,24 @@ impl CellJournal {
         guard.get_or_insert_with(|| self.load())
     }
 
+    /// Whether `file` is still the journal at its path, which a heal by
+    /// another handle replaces.
+    fn is_current(&self, file: &fs::File) -> bool {
+        match (file.metadata(), fs::metadata(&self.path)) {
+            (Ok(open), Ok(named)) => same_file(&open, &named),
+            _ => false,
+        }
+    }
+
+    /// The journal file with its exclusive lock held, once every append in
+    /// progress on it has finished; `None` if it cannot be opened or
+    /// locked. Dropping the file releases the lock.
+    fn lock_exclusive(&self) -> Option<fs::File> {
+        let file = fs::File::open(&self.path).ok()?;
+        file.lock().ok()?;
+        Some(file)
+    }
+
     fn load(&self) -> State {
         let mut state = State::default();
         let Ok(bytes) = fs::read(&self.path) else {
@@ -198,17 +234,19 @@ impl CellJournal {
         };
         let shown = self.path.display().to_string();
         let body = match parse_header(&bytes, &shown) {
-            Ok((_, rev)) if rev != Some(KERNEL_REV) => {
+            Ok((_, _, rev)) if rev != Some(KERNEL_REV) => {
+                let _lock = self.lock_exclusive();
                 self.tally.evict(&self.path);
                 return state;
             }
-            Ok((body, _)) => body,
+            Ok((body, _, _)) => body,
             Err(Error::SchemaVersion { found, .. }) => {
                 state.foreign = Some(found);
                 return state;
             }
             Err(why) => {
                 // No readable header: nothing in the file can be trusted.
+                let _lock = self.lock_exclusive();
                 move_to_quarantine(&self.root, &self.tally, &self.path, &why);
                 return state;
             }
@@ -231,15 +269,33 @@ impl CellJournal {
                 };
                 self.tally.corrupt(&self.path, &why);
             }
-            self.quarantine_and_rewrite(&mut state);
+            self.quarantine_and_rewrite(&mut state, None);
         }
         state
     }
 
-    /// Copies the journal to `quarantine/` and atomically replaces it with
-    /// `state`'s valid entries. Best effort: on failure the poison stays
-    /// on disk, and the next reader skips it again.
-    fn quarantine_and_rewrite(&self, state: &mut State) {
+    /// Heals the journal: copies it to `quarantine/` and atomically
+    /// replaces it with its valid entries, less any under `poison`. It
+    /// re-reads the journal under the exclusive lock, so entries other
+    /// handles appended since `state` was read are kept (and join
+    /// `state`), and a journal another handle has healed meanwhile is left
+    /// as it is. Best effort: on failure the poison stays on disk, and the
+    /// next reader skips it again.
+    fn quarantine_and_rewrite(&self, state: &mut State, poison: Option<u64>) {
+        let _lock = self.lock_exclusive();
+        if let Ok(bytes) = fs::read(&self.path) {
+            if let Ok((body, _, Some(KERNEL_REV))) = parse_header(&bytes, "") {
+                let bad = scan(body, |key, _, payload| {
+                    state.insert(key, payload.chunks_exact(8).map(f64_from_le));
+                });
+                if bad.is_empty() && poison.is_none() {
+                    return;
+                }
+            }
+        }
+        if let Some(key) = poison {
+            state.remove(key);
+        }
         if let Some(dest) = quarantine_slot(&self.root, &self.path) {
             let _ = fs::copy(&self.path, dest);
         }
@@ -292,6 +348,20 @@ impl CellJournal {
         created?;
         open()
     }
+}
+
+/// Whether two metadata records describe the same file.
+#[cfg(unix)]
+fn same_file(a: &fs::Metadata, b: &fs::Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt as _;
+    (a.dev(), a.ino()) == (b.dev(), b.ino())
+}
+
+/// Whether two metadata records describe the same file: without inode
+/// numbers, assumed so.
+#[cfg(not(unix))]
+fn same_file(_: &fs::Metadata, _: &fs::Metadata) -> bool {
+    true
 }
 
 /// Fsyncs the directory holding `path`, so a created or renamed entry
@@ -389,7 +459,7 @@ pub struct JournalEntry {
 /// [`Error::SchemaVersion`] when its header line is malformed or newer.
 pub fn read_journal(path: &Path) -> Result<Vec<JournalEntry>> {
     let bytes = fs::read(path).map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
-    let (body, _) = parse_header(&bytes, &path.display().to_string())?;
+    let (body, _, _) = parse_header(&bytes, &path.display().to_string())?;
     let offset = bytes.len() - body.len();
     let mut entries = Vec::new();
     scan(body, |key, payload, bytes| {
@@ -645,5 +715,62 @@ mod tests {
         }
         assert_eq!(fresh.stats().corrupt, 0);
         assert_eq!(read_journal(&jf.path).unwrap().len() as u64, threads * per);
+    }
+
+    #[test]
+    fn appends_after_another_handles_heal_stay_visible() {
+        let (dir, _) = tmp_store("heal");
+        let (a, b) = (Store::open(&dir).unwrap(), Store::open(&dir).unwrap());
+        let (ja, jb) = (a.journal(&key()), b.journal(&key()));
+        ja.append(0, &[0.0]).unwrap();
+        ja.append(1, &[1.0]).unwrap();
+        // The tail tears under A's open handle.
+        let len = fs::metadata(&ja.path).unwrap().len();
+        let file = fs::OpenOptions::new().write(true).open(&ja.path).unwrap();
+        file.set_len(len - 5).unwrap();
+        assert_eq!(jb.get(1, 1), None, "B's first lookup heals the journal");
+        assert_eq!(b.stats().corrupt, 1);
+        ja.append(2, &[2.0]).unwrap();
+        let fresh = Store::open(&dir).unwrap();
+        let jf = fresh.journal(&key());
+        assert_eq!(jf.get(0, 1), Some(vec![0.0]));
+        assert_eq!(jf.get(2, 1), Some(vec![2.0]), "A's append after the heal");
+        assert_eq!(fresh.stats().corrupt, 0);
+    }
+
+    #[test]
+    fn heals_racing_appends_lose_no_cell() {
+        // One handle appends while other handles heal the journal again
+        // and again: every cell the appender recorded must stay a hit.
+        let (dir, s) = tmp_store("heal-race");
+        let j = s.journal(&key());
+        let healer = Store::open(&dir).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for k in 0..40u64 {
+                    j.append(k, &[k as f64]).unwrap();
+                }
+            });
+            scope.spawn(|| {
+                start.wait();
+                for i in 0..15u64 {
+                    // A cell recorded with one value and looked up with
+                    // two is poison: the lookup heals the journal. Each
+                    // `journal` call is a new handle.
+                    let jh = healer.journal(&key());
+                    jh.append(1000 + i, &[0.5]).unwrap();
+                    assert_eq!(jh.get(1000 + i, 2), None);
+                    assert_eq!(healer.stats().corrupt, i + 1);
+                }
+            });
+        });
+        let fresh = Store::open(&dir).unwrap();
+        let jf = fresh.journal(&key());
+        for k in 0..40u64 {
+            assert_eq!(jf.get(k, 1), Some(vec![k as f64]), "cell {k}");
+        }
+        assert_eq!(fresh.stats().corrupt, 0);
     }
 }

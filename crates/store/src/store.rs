@@ -9,18 +9,21 @@
 //!   quarantine/<original name>.<n>                  poisoned files, kept for forensics
 //! ```
 //!
-//! # Record format (schema 2)
+//! # Record format (schema 3)
 //!
 //! ```text
-//! {"schema":2,"kind":"perf-table","key":"1f2e…","rev":3}\n   ASCII JSON header line
+//! {"schema":3,"kind":"perf-table","key":"1f2e…","rev":3}\n   ASCII JSON header line
 //! <payload bytes>                                            codec-encoded body
-//! <u64 LE payload length><u64 LE FNV-1a64 of payload>        16-byte footer
+//! <u64 LE payload length><u64 LE payload checksum>           16-byte footer
 //! ```
 //!
-//! Schema 1 is the same layout without the `rev` field; the reader still
-//! accepts it (and treats the revision as matching). Anything newer than
-//! [`SCHEMA`] yields [`Error::SchemaVersion`] from the strict reader and a
-//! plain miss from the lenient one.
+//! The footer's checksum is [`payload_checksum`] from schema 3 on and
+//! [`fnv1a64`] in schemas 1 and 2, whose layout is otherwise the same;
+//! the reader picks the algorithm by the header's schema, so a store
+//! written before schema 3 stays warm. Schema 1 has no `rev` field; the
+//! reader treats its revision as matching. Anything newer than [`SCHEMA`]
+//! yields [`Error::SchemaVersion`] from the strict reader and a plain
+//! miss from the lenient one.
 //!
 //! # Failure behaviour
 //!
@@ -32,7 +35,7 @@
 //! the poisoned file and reports a miss so the caller recomputes —
 //! a poisoned artifact can degrade performance, never correctness.
 
-use crate::codec::fnv1a64;
+use crate::codec::{fnv1a64, payload_checksum};
 use crate::error::{Error, Result};
 use crate::journal::CellJournal;
 use std::fs;
@@ -41,8 +44,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Current on-disk schema revision.
-pub const SCHEMA: u32 = 2;
+/// Current on-disk schema revision: 3 since record footers carry
+/// [`payload_checksum`].
+pub const SCHEMA: u32 = 3;
 
 /// Oldest schema revision the reader still accepts.
 pub const MIN_SCHEMA: u32 = 1;
@@ -276,6 +280,7 @@ impl Store {
 
     /// Writes an artifact atomically (temp file + rename).
     pub fn put(&self, key: &ArtifactKey, payload: &[u8]) -> Result<()> {
+        let _span = mps_obs::span("store.put");
         let path = self.artifact_path(key);
         let tmp = temp_path(&path);
         let header = header_line(key);
@@ -283,7 +288,7 @@ impl Store {
         bytes.extend_from_slice(header.as_bytes());
         bytes.extend_from_slice(payload);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(&payload_checksum(payload).to_le_bytes());
         let write = || -> std::io::Result<()> {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -322,6 +327,7 @@ impl Store {
     /// artifact counts a `store.hit`; anything else degrades to a miss.
     /// Corrupt files are quarantined, stale-revision files evicted.
     pub fn get(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
+        let _span = mps_obs::span("store.get");
         let path = self.artifact_path(key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -449,10 +455,13 @@ fn header_line(key: &ArtifactKey) -> String {
     )
 }
 
-/// Splits a file into (body, kernel revision) after validating its header
-/// line and schema. `rev` is `None` for schema-1 files, which predate
-/// revision tracking.
-pub(crate) fn parse_header<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32>)> {
+/// Splits a file into (body, schema, kernel revision) after validating its
+/// header line and schema. `rev` is `None` for schema-1 files, which
+/// predate revision tracking.
+pub(crate) fn parse_header<'a>(
+    bytes: &'a [u8],
+    path: &str,
+) -> Result<(&'a [u8], u32, Option<u32>)> {
     let corrupt = |detail: &str| Error::Corrupt {
         path: path.to_owned(),
         detail: detail.to_owned(),
@@ -479,18 +488,18 @@ pub(crate) fn parse_header<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8],
     } else {
         None
     };
-    Ok((&bytes[nl + 1..], rev))
+    Ok((&bytes[nl + 1..], schema, rev))
 }
 
 /// Splits a raw record into (payload, kernel revision) after validating
-/// header, schema, length footer and checksum. `rev` is `None` for
-/// schema-1 records, which predate revision tracking.
+/// header, schema, length footer and checksum (FNV-1a before schema 3).
+/// `rev` is `None` for schema-1 records, which predate revision tracking.
 fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32>)> {
     let corrupt = |detail: &str| Error::Corrupt {
         path: path.to_owned(),
         detail: detail.to_owned(),
     };
-    let (rest, rev) = parse_header(bytes, path)?;
+    let (rest, schema, rev) = parse_header(bytes, path)?;
     if rest.len() < 16 {
         return Err(corrupt("record truncated before footer"));
     }
@@ -503,7 +512,12 @@ fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32
             payload.len()
         )));
     }
-    if stored_sum != fnv1a64(payload) {
+    let sum = if schema >= 3 {
+        payload_checksum(payload)
+    } else {
+        fnv1a64(payload)
+    };
+    if stored_sum != sum {
         return Err(corrupt("payload checksum mismatch"));
     }
     Ok((payload, rev))
@@ -637,20 +651,78 @@ mod tests {
         assert_eq!(s.read(&k).unwrap().unwrap(), payload);
     }
 
-    #[test]
-    fn newer_schema_is_refused_strictly_and_skipped_leniently() {
-        let s = tmp_store("schema3");
-        let k = ArtifactKey::new("demo", "future");
-        let payload = b"from the future";
-        let mut bytes = b"{\"schema\":3,\"kind\":\"demo\",\"rev\":9}\n".to_vec();
+    /// A record of `payload` with a schema-`schema` header at the current
+    /// kernel revision and the footer checksum `sum`.
+    fn hand_record(key: &ArtifactKey, schema: u32, payload: &[u8], sum: u64) -> Vec<u8> {
+        let mut bytes = format!(
+            "{{\"schema\":{schema},\"kind\":\"{}\",\"key\":\"{}\",\"rev\":{KERNEL_REV}}}\n",
+            key.kind(),
+            key.hash_hex()
+        )
+        .into_bytes();
         bytes.extend_from_slice(payload);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn schema2_records_with_fnv_footers_still_hit() {
+        // Schema 3 changed only the footer's checksum: a store written
+        // before it must stay warm.
+        let s = tmp_store("schema2");
+        let k = ArtifactKey::new("demo", "before-3");
+        let payload = b"written under schema 2";
+        fs::write(
+            s.artifact_path(&k),
+            hand_record(&k, 2, payload, fnv1a64(payload)),
+        )
+        .unwrap();
+        assert_eq!(s.get(&k).unwrap(), payload);
+        assert_eq!(s.read(&k).unwrap().unwrap(), payload);
+        let st = s.stats();
+        assert_eq!((st.hits, st.misses, st.corrupt), (1, 0, 0));
+    }
+
+    #[test]
+    fn schema3_record_with_an_fnv_footer_is_quarantined() {
+        let s = tmp_store("schema3-fnv");
+        let k = ArtifactKey::new("demo", "wrong-sum");
+        let payload = b"a schema-3 header over an FNV-1a footer";
+        let path = s.artifact_path(&k);
+        fs::write(&path, hand_record(&k, 3, payload, fnv1a64(payload))).unwrap();
+        assert!(matches!(s.read(&k), Err(Error::Corrupt { .. })));
+        assert!(s.get(&k).is_none());
+        assert_eq!(s.stats().corrupt, 1);
+        assert!(!path.exists(), "the record leaves the hot path");
+        assert_eq!(
+            fs::read_dir(s.root().join("quarantine")).unwrap().count(),
+            1
+        );
+    }
+
+    #[test]
+    fn put_writes_the_current_schema_and_its_checksum() {
+        let s = tmp_store("schema-now");
+        let k = ArtifactKey::new("demo", "now");
+        let payload = [3u8; 45];
+        s.put(&k, &payload).unwrap();
+        let want = hand_record(&k, SCHEMA, &payload, payload_checksum(&payload));
+        assert_eq!(fs::read(s.artifact_path(&k)).unwrap(), want);
+    }
+
+    #[test]
+    fn newer_schema_is_refused_strictly_and_skipped_leniently() {
+        let s = tmp_store("schema-next");
+        let k = ArtifactKey::new("demo", "future");
+        let payload = b"from the future";
+        let future = SCHEMA + 1;
+        let bytes = hand_record(&k, future, payload, payload_checksum(payload));
         let path = s.artifact_path(&k);
         fs::write(&path, bytes).unwrap();
         assert!(matches!(
             s.read(&k),
-            Err(Error::SchemaVersion { found: 3, .. })
+            Err(Error::SchemaVersion { found, .. }) if found == future
         ));
         assert!(s.get(&k).is_none());
         assert!(path.exists(), "future-schema files must not be destroyed");

@@ -39,7 +39,7 @@ pub mod uop;
 
 pub use analyze::TraceProfile;
 pub use classify::MpkiClass;
-pub use soa::{TraceBuffer, TraceCursor};
+pub use soa::{TraceBuffer, TraceColumns, TraceCursor};
 pub use suite::{benchmark_by_name, suite, BenchmarkSpec};
 pub use synth::{AccessPattern, SynthParams, SyntheticTrace};
 pub use uop::{Reg, TraceSource, Uop, UopKind};

@@ -36,6 +36,31 @@ fn reg_from(b: u8) -> Option<Reg> {
     }
 }
 
+/// The columns of a trace, one entry per µop, as
+/// [`TraceBuffer::from_columns`] takes them. Register operands are bytes,
+/// `0xFF` for none.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TraceColumns {
+    /// µop kinds.
+    pub kind: Vec<UopKind>,
+    /// First source registers.
+    pub src0: Vec<u8>,
+    /// Second source registers.
+    pub src1: Vec<u8>,
+    /// Destination registers.
+    pub dst: Vec<u8>,
+    /// Memory addresses.
+    pub addr: Vec<u64>,
+    /// Access sizes.
+    pub size: Vec<u8>,
+    /// Program counters.
+    pub pc: Vec<u64>,
+    /// Branch outcomes.
+    pub taken: Vec<bool>,
+    /// Branch targets.
+    pub target: Vec<u64>,
+}
+
 /// A captured µop trace in structure-of-arrays layout.
 ///
 /// Each [`Uop`] field lives in its own dense array; `uop(i)` reassembles
@@ -90,6 +115,48 @@ impl TraceBuffer {
         }
         source.reset();
         buf
+    }
+
+    /// A buffer over `columns`, taken as they are: the constructor for
+    /// decoders, which fill each column in one pass over their input.
+    /// `None` unless every column holds the same, non-zero number of µops.
+    pub fn from_columns(columns: TraceColumns) -> Option<Self> {
+        let TraceColumns {
+            kind,
+            src0,
+            src1,
+            dst,
+            addr,
+            size,
+            pc,
+            taken,
+            target,
+        } = columns;
+        let n = kind.len();
+        let lens = [
+            src0.len(),
+            src1.len(),
+            dst.len(),
+            addr.len(),
+            size.len(),
+            pc.len(),
+            taken.len(),
+            target.len(),
+        ];
+        if n == 0 || lens.iter().any(|&len| len != n) {
+            return None;
+        }
+        Some(TraceBuffer {
+            kind,
+            src0,
+            src1,
+            dst,
+            addr,
+            size,
+            pc,
+            taken,
+            target,
+        })
     }
 
     /// Number of captured µops (one cycle of the replay).
@@ -236,6 +303,28 @@ mod tests {
         assert_eq!(ua, ub);
         a.next_uop();
         assert_eq!(b.next_uop(), buf.uop(11), "b is unaffected by a");
+    }
+
+    #[test]
+    fn from_columns_rebuilds_a_capture() {
+        let bench = benchmark_by_name("gcc").unwrap();
+        let buf = TraceBuffer::capture(&mut bench.trace(), 300);
+        let columns = TraceColumns {
+            kind: buf.kind.clone(),
+            src0: buf.src0.clone(),
+            src1: buf.src1.clone(),
+            dst: buf.dst.clone(),
+            addr: buf.addr.clone(),
+            size: buf.size.clone(),
+            pc: buf.pc.clone(),
+            taken: buf.taken.clone(),
+            target: buf.target.clone(),
+        };
+        assert_eq!(TraceBuffer::from_columns(columns.clone()), Some(buf));
+        let mut short = columns;
+        short.pc.pop();
+        assert_eq!(TraceBuffer::from_columns(short), None, "ragged columns");
+        assert_eq!(TraceBuffer::from_columns(TraceColumns::default()), None);
     }
 
     #[test]
