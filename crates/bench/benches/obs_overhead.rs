@@ -12,21 +12,14 @@
 //!   `counters`;
 //! * `counters+span/tap` — the same with the span tap installed and
 //!   drained each iteration, pricing a recorded span;
-//! * `histogram`        — the loop plus one `Histogram::record` per
-//!   iteration (bucket math + one relaxed atomic add);
-//! * `gauge`            — the loop plus one `Gauge::set` per iteration;
-//! * `batch-flush`      — the detailed driver's pattern: plain-local
-//!   accumulation in the loop, one counter flush per run, plus the
-//!   gauge set and histogram record of the retired batch driver (must
-//!   track `baseline`);
 //! * `estimator`        — the loop plus one `Estimator::record` per
 //!   iteration (a Welford moments update under a short mutex hold — the
 //!   priciest primitive, priced here so convergence probes stay honest).
 //!
 //! With the `obs` feature off (`cargo bench --no-default-features`) all
 //! legs must be indistinguishable — the calls compile to nothing. With it
-//! on, `counters`/`histogram`/`gauge` stay within a few relaxed atomic
-//! operations of the baseline, and `estimator` within a mutex+FP update.
+//! on, `counters` stays within a few relaxed atomic operations of the
+//! baseline, and `estimator` within a mutex+FP update.
 //!
 //! A reference snapshot of both feature configurations (MPS_BENCH_FAST,
 //! dev container) lives in `benches/results/obs_overhead.md`.
@@ -101,57 +94,6 @@ fn bench_overhead(c: &mut Criterion) {
         })
     });
     mps_obs::remove_span_tap();
-
-    let latency = mps_obs::histogram("bench.overhead.latency");
-    group.bench_function("histogram", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..ITERS {
-                acc = acc.wrapping_add(mix(i));
-                latency.record(acc & 0xFFFF);
-            }
-            black_box(acc)
-        })
-    });
-
-    let depth = mps_obs::gauge("bench.overhead.depth");
-    group.bench_function("gauge", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..ITERS {
-                acc = acc.wrapping_add(mix(i));
-                depth.set((acc & 0xFF) as i64);
-            }
-            black_box(acc)
-        })
-    });
-
-    // The detailed driver's instrumentation pattern: counters are
-    // accumulated in plain locals inside the cycle loop and flushed in one
-    // `add` per `MulticoreSim::run` call. The per-iteration cost must
-    // therefore track `baseline`, not `counters` — this leg prices that
-    // promise. (Its gauge set and histogram record are those of the
-    // retired batch driver, kept so the leg matches its committed record.)
-    let executed = mps_obs::counter("bench.overhead.batch.executed");
-    let skipped = mps_obs::counter("bench.overhead.batch.skipped");
-    let lanes = mps_obs::gauge("bench.overhead.batch.lanes");
-    let fill = mps_obs::histogram("bench.overhead.batch.fill_permille");
-    group.bench_function("batch-flush", |b| {
-        b.iter(|| {
-            lanes.set(16);
-            let mut acc = 0u64;
-            let (mut exec, mut skip) = (0u64, 0u64);
-            for i in 0..ITERS {
-                acc = acc.wrapping_add(mix(i));
-                exec += 1;
-                skip += acc & 1;
-            }
-            executed.add(exec);
-            skipped.add(skip);
-            fill.record(1000);
-            black_box(acc)
-        })
-    });
 
     let spread = mps_obs::estimator("bench.overhead.spread");
     group.bench_function("estimator", |b| {

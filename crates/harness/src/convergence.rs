@@ -1,4 +1,4 @@
-//! Live convergence diagnostics for the resampling experiments.
+//! Convergence diagnostics for the resampling experiments.
 //!
 //! The paper's §VII guideline rests on the coefficient of variation `cv`
 //! of the per-workload throughput difference `d(w)`: from it follow the
@@ -7,9 +7,9 @@
 //! [`ConvergenceProbe`] wraps one `mps-obs` estimator per experiment
 //! panel, feeds it the pair's differences once, and — per evaluated grid
 //! cell — emits a `convergence` JSONL event carrying the running
-//! diagnostics alongside the cell's sampler and sample size, so a live
-//! scrape (`/metrics` `mps_estimator_*` rows) and an offline trace read
-//! report the same numbers. With the `obs` feature off everything here is
+//! diagnostics alongside the cell's sampler and sample size, so the
+//! trace and the run ledger's `conv.*` fields report the same numbers.
+//! With the `obs` feature off everything here is
 //! inert and the probe costs nothing.
 
 use mps_stats::confidence::{degree_of_confidence, required_sample_size};
@@ -72,9 +72,9 @@ impl ConvergenceProbe {
     /// with the running diagnostics evaluated *at the cell's sample size
     /// `w`* (that is what equation (5) asks: the confidence an architect
     /// gets from drawing `w` workloads given the observed `cv`), and
-    /// refreshes the `convergence.cv_permille` gauge the heartbeat line
-    /// shows. `samples` is the number of Monte-Carlo resamples the cell
-    /// averaged over — context, not part of the formulas.
+    /// refreshes the running `cv` the heartbeat line shows. `samples` is
+    /// the number of Monte-Carlo resamples the cell averaged over —
+    /// context, not part of the formulas.
     pub fn cell(&self, sampler: &str, w: usize, samples: usize) {
         if !mps_obs::enabled() {
             return;
@@ -97,9 +97,7 @@ impl ConvergenceProbe {
                 ("confidence", format!("{confidence}")),
             ],
         );
-        if c.cv.is_finite() {
-            mps_obs::gauge("convergence.cv_permille").set((c.cv.abs() * 1000.0) as i64);
-        }
+        crate::heartbeat::set_cv(c.cv);
     }
 }
 

@@ -41,12 +41,11 @@
 //!
 //! ```text
 //! worker → coordinator   dist.hello    {id, pid}
-//! coordinator → worker   dist.config   {tl,…,seed, store, spec, jobs, ttl_ms}
+//! coordinator → worker   dist.config   {tl,…,seed, store, spec, jobs, ttl_ms, trace}
 //! coordinator → worker   dist.task     {id, grid, kind, …descriptor fields}
 //! worker → coordinator   dist.renew    {id}              (liveness heartbeat)
-//! worker → coordinator   dist.telemetry {worker, seq, c.*, g.*, h.*, e.*}
-//! worker → coordinator   span records  {…, worker-untagged} (trace shipping)
-//! worker → coordinator   dist.done     {id, values, claim, renewals[, lost]}
+//! worker → coordinator   span records  {…, worker-untagged} (traced runs only)
+//! worker → coordinator   dist.done     {id, values, claim, renewals}
 //! worker → coordinator   dist.fail     {id, error}
 //! coordinator → worker   dist.shutdown {}
 //! ```
@@ -55,31 +54,23 @@
 //! round-trip bit-exactly. See `docs/distributed.md` for the failure
 //! model and lease semantics.
 //!
-//! # Telemetry federation
+//! # Span shipping
 //!
-//! Workers piggyback **fire-and-forget** telemetry on the heartbeat
-//! cadence: each tick (and once more right before every `dist.done`)
-//! ships a `dist.telemetry` event carrying the counter/gauge/histogram/
-//! estimator *deltas* since the previous capture
-//! (see [`mps_obs::federation`]) plus any span records finished since,
-//! in one atomic socket write. The coordinator folds the deltas into
-//! [`mps_obs::federation::global`] — surfaced on `/metrics` as
-//! `worker="<id>"`-labeled series and a `worker="fleet"` aggregate — and
-//! re-emits shipped spans into its own trace sink, tagged with the
-//! worker id and with span ids namespaced by a worker-id hash so the
-//! fleet's trace parses as one tree. Telemetry never influences results:
-//! a worker that cannot ship (socket error, or the
-//! `MPS_DIST_DROP_TELEMETRY=1` fault hook) keeps computing cells and
-//! only the chunk counts toward the `lost` tally it reports on the next
-//! `dist.done` (the coordinator's `dist.telemetry.lost` counter).
-//! `MPS_DIST_TELEMETRY=0` disables shipping entirely. Artifacts stay
-//! byte-identical in every case.
+//! When the coordinator records a trace (a JSONL sink is installed when
+//! it starts), `dist.config` says so with `trace=1`, and each worker
+//! buffers its finished spans in the `mps-obs` span tap. Every heartbeat
+//! tick, and once more right before every `dist.done`, the worker writes
+//! the spans finished since into its stream. The coordinator re-emits
+//! them into its own trace, tagged with the worker id and with span ids
+//! namespaced by a worker-id hash, so the fleet's trace parses as one
+//! tree. Shipping is fire-and-forget: a failed write loses spans, never
+//! a cell. Without a trace (`trace=0`) workers record no spans at all.
+//! Artifacts are byte-identical either way.
 
 use crate::runner::StudyContext;
 use crate::scale::Scale;
 use mps_badco::BadcoModel;
 use mps_metrics::ThroughputMetric;
-use mps_obs::federation::{delta_since, InstrumentSnapshot, TelemetryDelta};
 use mps_obs::jsonl::{encode_event, encode_span_tagged, parse as parse_jsonl, Record};
 use mps_sampling::{
     empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, PairData,
@@ -92,7 +83,7 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -110,20 +101,6 @@ const WORKER_WAIT: Duration = Duration::from_secs(10);
 /// before reporting its N-th completed cell. Mirrors the cell-record
 /// `MPS_ABORT_AFTER_CELLS` fault-injection hook.
 const EXIT_AFTER_ENV: &str = "MPS_DIST_EXIT_AFTER_CELLS";
-
-/// `=0` disables worker→coordinator telemetry shipping entirely (no
-/// chunks built, nothing counted lost). Results are unaffected either
-/// way — telemetry is monitoring only.
-const TELEMETRY_ENV: &str = "MPS_DIST_TELEMETRY";
-
-/// Test hook: `=1` severs a worker's telemetry writes — chunks are still
-/// built (and tallied as lost) but never reach the socket. The worker
-/// keeps computing cells; artifacts must stay byte-identical.
-const DROP_TELEMETRY_ENV: &str = "MPS_DIST_DROP_TELEMETRY";
-
-/// EWMA smoothing factor for the coordinator's per-worker cell-latency
-/// estimate behind the `dist.straggler.ratio` gauge.
-const STRAGGLER_ALPHA: f64 = 0.3;
 
 // ---------------------------------------------------------------------
 // Cell descriptors
@@ -613,8 +590,6 @@ pub struct Coordinator {
     pool: Arc<WorkerPool>,
     children: Mutex<Vec<Child>>,
     prov: Mutex<Provenance>,
-    /// Per-worker EWMA cell latency (µs) feeding `dist.straggler.ratio`.
-    ewma_latency: Mutex<BTreeMap<String, f64>>,
     expect_workers: bool,
 }
 
@@ -684,6 +659,7 @@ impl Coordinator {
         config.push(("spec", spec.clone()));
         config.push(("jobs", worker_jobs.to_string()));
         config.push(("ttl_ms", opts.lease_ttl.as_millis().to_string()));
+        config.push(("trace", u8::from(mps_obs::sink_installed()).to_string()));
         let mut config_line = encode_event("dist.config", &config);
         config_line.push('\n');
 
@@ -702,14 +678,8 @@ impl Coordinator {
                     let Ok(stream) = stream else { continue };
                     if let Some(conn) = handshake(stream, &config_line) {
                         mps_obs::counter("dist.workers.attached").incr();
-                        let mut conns = lock(&accept_pool.conns);
-                        conns.push(Arc::new(conn));
-                        mps_obs::gauge("dist.workers.live").set(
-                            conns
-                                .iter()
-                                .filter(|w| w.alive.load(Ordering::Acquire))
-                                .count() as i64,
-                        );
+                        lock(&accept_pool.conns).push(Arc::new(conn));
+                        crate::heartbeat::set_live_workers(accept_pool.live().len());
                     }
                 }
             })
@@ -745,7 +715,6 @@ impl Coordinator {
             pool,
             children: Mutex::new(children),
             prov: Mutex::new(Provenance::default()),
-            ewma_latency: Mutex::new(BTreeMap::new()),
             expect_workers: opts.workers > 0 || opts.explicit_addr,
         }))
     }
@@ -783,7 +752,6 @@ impl Coordinator {
                 queue.push(i);
             }
         }
-        mps_obs::gauge("dist.queue.depth").set(queue.len() as i64);
         // Cells a worker *reported* failing (as opposed to dying): they
         // go straight to the local fallback rather than bouncing between
         // workers.
@@ -813,7 +781,6 @@ impl Coordinator {
         while let Some(i) = queue.pop() {
             leftovers.push(i);
         }
-        mps_obs::gauge("dist.queue.depth").set(0);
         for i in leftovers {
             let cell = &cells[i];
             // Best-effort lease: a zombie worker may still hold it; the
@@ -870,29 +837,6 @@ impl Coordinator {
         Ok(out)
     }
 
-    /// Folds one coordinator-observed cell round-trip into the worker's
-    /// EWMA latency and refreshes the `dist.straggler.ratio` gauge: the
-    /// slowest worker's EWMA over the fleet median, in permille (1000 =
-    /// perfectly balanced). Needs two live estimates to mean anything.
-    fn note_latency(&self, worker: &str, took: Duration) {
-        let us = took.as_micros() as f64;
-        let mut map = lock(&self.ewma_latency);
-        map.entry(worker.to_owned())
-            .and_modify(|e| *e = (1.0 - STRAGGLER_ALPHA) * *e + STRAGGLER_ALPHA * us)
-            .or_insert(us);
-        if map.len() < 2 {
-            return;
-        }
-        let mut ewmas: Vec<f64> = map.values().copied().collect();
-        drop(map);
-        ewmas.sort_by(f64::total_cmp);
-        let median = ewmas[ewmas.len() / 2];
-        let slowest = ewmas[ewmas.len() - 1];
-        if median > 0.0 {
-            mps_obs::gauge("dist.straggler.ratio").set((slowest / median * 1000.0) as i64);
-        }
-    }
-
     fn count_claim(&self, stolen: bool) {
         mps_obs::counter("dist.leases.claimed").incr();
         if stolen {
@@ -914,17 +858,14 @@ impl Coordinator {
         local_only: &Mutex<Vec<usize>>,
     ) {
         while let Some(i) = queue.pop() {
-            mps_obs::gauge("dist.queue.depth").set(queue.len() as i64);
             let cell = &cells[i];
             let started = Instant::now();
-            mps_obs::gauge("dist.leases.held").set(1);
             match self.exchange(w, grid, cell) {
                 Ok(done) => {
                     self.count_claim(done.stolen);
                     mps_obs::counter("dist.cells.remote").incr();
                     mps_obs::counter("dist.renewals").add(u64::from(done.renewals));
                     crate::heartbeat::cell_finished(started.elapsed());
-                    self.note_latency(&w.id, started.elapsed());
                     ctx.record_cell(grid, &cell.desc, &done.values);
                     let mut prov = lock(&self.prov);
                     prov.cells_remote += 1;
@@ -950,15 +891,13 @@ impl Coordinator {
                     w.alive.store(false, Ordering::Release);
                     mps_obs::counter("dist.workers.lost").incr();
                     mps_obs::counter("dist.cells.requeued").incr();
-                    mps_obs::gauge("dist.workers.live").set(self.pool.live().len() as i64);
+                    crate::heartbeat::set_live_workers(self.pool.live().len());
                     lock(&self.prov).requeued += 1;
                     queue.requeue(i);
-                    mps_obs::gauge("dist.queue.depth").set(queue.len() as i64);
                     break;
                 }
             }
         }
-        mps_obs::gauge("dist.leases.held").set(0);
     }
 
     /// One task round trip. Renew lines reset the liveness clock; the
@@ -996,8 +935,8 @@ impl Coordinator {
                     counters,
                     ..
                 }) => {
-                    // A shipped trace span riding the telemetry stream:
-                    // re-emit it into the coordinator's sink, worker-tagged.
+                    // A shipped worker span: re-emit it into the
+                    // coordinator's sink, worker-tagged.
                     ship_span(&w.id, id, parent, &name, start_us, dur_us, &counters);
                     continue;
                 }
@@ -1008,22 +947,7 @@ impl Coordinator {
                     mps_obs::counter("dist.renewals").incr();
                     continue;
                 }
-                "dist.telemetry" => {
-                    match TelemetryDelta::from_fields(&fields) {
-                        Some(d) => {
-                            mps_obs::counter("dist.telemetry.chunks").incr();
-                            mps_obs::federation::global().apply(&d);
-                        }
-                        // A garbled chunk is dropped whole — monitoring
-                        // only, never worth failing the task over.
-                        None => mps_obs::counter("dist.telemetry.lost").incr(),
-                    }
-                    continue;
-                }
                 "dist.done" if fields.get("id") == Some(&cell.id) => {
-                    if let Some(lost) = fields.get("lost").and_then(|l| l.parse::<u64>().ok()) {
-                        mps_obs::counter("dist.telemetry.lost").add(lost);
-                    }
                     let values = fields
                         .get("values")
                         .and_then(|v| parse_values(v))
@@ -1079,7 +1003,7 @@ impl Drop for Coordinator {
             let mut writer = lock(&w.writer);
             let _ = send_line(&mut writer, "dist.shutdown", &[]);
         }
-        mps_obs::gauge("dist.workers.live").set(0);
+        crate::heartbeat::set_live_workers(0);
         for child in lock(&self.children).iter_mut() {
             // Workers exit on shutdown (or on EOF when the socket drops);
             // give them a moment, then make sure.
@@ -1109,7 +1033,7 @@ fn handshake(stream: TcpStream, config_line: &str) -> Option<WorkerConn> {
     let mut line = String::new();
     reader.read_line(&mut line).ok()?;
     let Ok(Record::Event { name, fields }) = parse_jsonl(line.trim_end()) else {
-        return None; // a metrics scrape or the shutdown nudge, not a worker
+        return None; // a stray connection or the shutdown nudge, not a worker
     };
     if name != "dist.hello" {
         return None;
@@ -1152,7 +1076,7 @@ fn claim_patiently(
 }
 
 // ---------------------------------------------------------------------
-// Telemetry federation
+// Span shipping
 // ---------------------------------------------------------------------
 
 /// A 16-bit FNV-1a hash of the worker id, never zero — the id-space
@@ -1203,77 +1127,22 @@ fn ship_span(
     mps_obs::counter("dist.spans.shipped").incr();
 }
 
-/// Worker-side telemetry shipper: captures registry deltas against a
-/// baseline snapshot and writes each chunk (one `dist.telemetry` event
-/// plus any finished span lines) to the coordinator in a single socket
-/// write, so chunks never interleave with `dist.renew`/`dist.done`
-/// lines from the other thread. Strictly fire-and-forget: a failed or
-/// severed write only bumps the `lost` tally that rides the next
-/// `dist.done`.
-struct TelemetryShipper {
-    worker: String,
-    baseline: Mutex<(InstrumentSnapshot, u64)>,
-    lost: AtomicU64,
-    sever: bool,
-    enabled: bool,
-}
-
-impl TelemetryShipper {
-    fn new(worker: &str) -> Self {
-        let enabled = mps_obs::enabled() && std::env::var(TELEMETRY_ENV).map_or(true, |v| v != "0");
-        if enabled {
-            // Buffer finished spans for shipping (bounded; monitoring
-            // only, so overflow drops the newest).
-            mps_obs::install_span_tap();
-        }
-        TelemetryShipper {
-            worker: worker.to_owned(),
-            baseline: Mutex::new((InstrumentSnapshot::default(), 0)),
-            lost: AtomicU64::new(0),
-            sever: std::env::var(DROP_TELEMETRY_ENV).is_ok_and(|v| v == "1"),
-            enabled,
-        }
+/// Writes the spans this worker finished since the previous call to the
+/// coordinator in one socket write, so they never interleave with a
+/// `dist.renew` or `dist.done` line. Nothing to write unless the span tap
+/// is installed (the coordinator records a trace). `gate` orders the
+/// heartbeat thread's calls with the task loop's: spans one call drained
+/// are on the wire before the other call returns, so a cell's spans
+/// precede its `dist.done`. A failed write loses the spans, nothing else.
+fn ship_spans(gate: &Mutex<()>, writer: &mut TcpStream) {
+    let _held = lock(gate);
+    let spans = mps_obs::drain_span_tap();
+    if spans.is_empty() {
+        return;
     }
-
-    /// Ships everything that changed since the previous flush. Callable
-    /// from any thread (the heartbeat tick and the pre-`dist.done`
-    /// flush); the baseline lock serializes captures.
-    fn flush(&self, writer: &mut TcpStream) {
-        if !self.enabled {
-            return;
-        }
-        let cur = mps_obs::telemetry_snapshot();
-        let mut chunk = String::new();
-        {
-            let mut base = lock(&self.baseline);
-            let seq = base.1 + 1;
-            let delta = delta_since(&base.0, &cur, &self.worker, seq);
-            let spans = mps_obs::drain_span_tap();
-            if delta.is_empty() && spans.is_empty() {
-                return;
-            }
-            *base = (cur, seq);
-            if !delta.is_empty() {
-                let owned = delta.to_fields();
-                let fields: Vec<(&str, String)> =
-                    owned.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                chunk.push_str(&encode_event("dist.telemetry", &fields));
-                chunk.push('\n');
-            }
-            for s in spans {
-                chunk.push_str(&s);
-                chunk.push('\n');
-            }
-        }
-        if self.sever || writer.write_all(chunk.as_bytes()).is_err() {
-            self.lost.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Takes (and resets) the lost-chunk tally for the next `dist.done`.
-    fn take_lost(&self) -> u64 {
-        self.lost.swap(0, Ordering::Relaxed)
-    }
+    let mut chunk = spans.join("\n");
+    chunk.push('\n');
+    let _ = writer.write_all(chunk.as_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -1344,14 +1213,17 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
     );
     let store = Arc::new(Store::open(store_path)?);
     let ctx = StudyContext::assemble(scale, jobs, Some(store.clone()));
+    if fields.get("trace").is_some_and(|t| t == "1") {
+        mps_obs::install_span_tap();
+    }
 
     // Heartbeat: renew the held lease and ping the coordinator every
     // quarter-TTL while a task is in flight (including the claim wait),
-    // and piggyback a telemetry flush on every tick, task or not.
+    // and ship finished spans on every tick, task or not.
     let current: CurrentTask = Arc::new(Mutex::new(None));
-    let shipper = Arc::new(TelemetryShipper::new(&id));
+    let ship_gate = Arc::new(Mutex::new(()));
     let hb_current = Arc::clone(&current);
-    let hb_shipper = Arc::clone(&shipper);
+    let hb_gate = Arc::clone(&ship_gate);
     let hb_writer = writer
         .try_clone()
         .map_err(|e| Error::Io(format!("clone stream: {e}")))?;
@@ -1379,7 +1251,7 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
                         return; // coordinator gone; main loop sees EOF too
                     }
                 }
-                hb_shipper.flush(&mut hb_writer);
+                ship_spans(&hb_gate, &mut hb_writer);
             }
         })
         .map_err(|e| Error::Io(format!("spawn heartbeat thread: {e}")))?;
@@ -1460,12 +1332,8 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
                 continue;
             }
         };
-        let started = Instant::now();
         match eval_cell(&ctx, &desc, &mut memo) {
             Ok(values) => {
-                // The worker's own latency view, shipped via telemetry so
-                // `/metrics` can break grid.cell.latency_us down per worker.
-                crate::heartbeat::cell_finished(started.elapsed());
                 completed += 1;
                 if exit_after == Some(completed) {
                     // Fault injection: vanish mid-task with the lease
@@ -1477,19 +1345,15 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
                 if let Some(l) = lease {
                     l.release();
                 }
-                // Ship the cell's telemetry before its result so the
-                // coordinator's fleet view is current when the cell lands.
-                shipper.flush(&mut writer);
-                let mut done_fields = vec![
+                // Ship the cell's spans before its result, while the
+                // coordinator still reads this stream.
+                ship_spans(&ship_gate, &mut writer);
+                let done_fields = [
                     ("id", task_id.clone()),
                     ("values", join_values(&values)),
                     ("claim", claim.to_owned()),
                     ("renewals", renewals.to_string()),
                 ];
-                let lost = shipper.take_lost();
-                if lost > 0 {
-                    done_fields.push(("lost", lost.to_string()));
-                }
                 if send_line(&mut writer, "dist.done", &done_fields).is_err() {
                     return Ok(()); // coordinator gone
                 }

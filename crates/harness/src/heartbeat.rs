@@ -3,69 +3,125 @@
 //!
 //! The experiment grids (figures 3, 6, 7) call [`grid_add_total`] when
 //! they learn how many cells a figure will evaluate, then
-//! [`cell_finished`] / [`cell_replayed`] per cell. The accounting lives
-//! in ordinary `mps-obs` gauges, counters and the
-//! `grid.cell.latency_us` histogram, so it shows up in `/metrics` for
-//! free; with the `obs` feature off everything here is inert.
+//! [`cell_finished`] / [`cell_replayed`] per cell. The distributed
+//! coordinator reports its live worker count through
+//! [`set_live_workers`], and convergence probes their last running `cv`
+//! through [`set_cv`]. The accounting is a handful of plain atomics
+//! here; only `grid.cells.replayed` is also an `mps-obs` counter.
 //!
 //! [`start`] spawns one detached thread that, every period:
 //!
 //! * appends a `heartbeat` event to the JSONL sink (fields: `cells_done`,
 //!   `cells_total`, `replayed`, `eta_s`, `cv` — the last running
-//!   coefficient of variation any convergence probe reported), and
+//!   coefficient of variation any convergence probe reported — and
+//!   `workers`), and
 //! * when stderr is a terminal, rewrites a single `\r`-anchored progress
 //!   line (never a growing scroll; nothing at all when piped to a file).
 //!
-//! The ETA is `remaining cells × mean cell latency` from the
-//! `grid.cell.latency_us` histogram — cells run sequentially at the grid
-//! level (the worker pool parallelizes *inside* a cell), so no jobs
-//! division is needed. It is absent until the first cell completes.
+//! The ETA is `remaining cells × mean computed-cell latency`, divided by
+//! the live worker lanes (one without workers): cells run sequentially
+//! at the grid level (the worker pool parallelizes *inside* a cell), and
+//! under `--workers N` each live worker is one lane. It is absent until
+//! the first cell is computed.
 
 use std::io::{IsTerminal, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Name of the per-cell latency histogram (shared with `/metrics`).
-pub const CELL_LATENCY_HIST: &str = "grid.cell.latency_us";
+/// The run's progress accounting; [`PROGRESS`] is the process-wide one.
+struct Progress {
+    done: AtomicU64,
+    total: AtomicU64,
+    replayed: AtomicU64,
+    /// Sum and count of computed-cell latencies, in µs: their exact
+    /// mean drives the ETA.
+    latency_sum_us: AtomicU64,
+    latency_cells: AtomicU64,
+    live_workers: AtomicU64,
+    /// The last finite running `cv` a convergence probe reported, in
+    /// permille.
+    cv_permille: AtomicU64,
+}
+
+static PROGRESS: Progress = Progress::new();
+
+impl Progress {
+    const fn new() -> Self {
+        Progress {
+            done: AtomicU64::new(0),
+            total: AtomicU64::new(0),
+            replayed: AtomicU64::new(0),
+            latency_sum_us: AtomicU64::new(0),
+            latency_cells: AtomicU64::new(0),
+            live_workers: AtomicU64::new(0),
+            cv_permille: AtomicU64::new(0),
+        }
+    }
+
+    fn cell_finished(&self, took: Duration) {
+        let us = u64::try_from(took.as_micros()).unwrap_or(u64::MAX);
+        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
+        self.latency_cells.fetch_add(1, Ordering::Relaxed);
+        self.done.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn cell_replayed(&self) {
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+        self.done.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One progress snapshot: `(done, total, replayed, eta_seconds,
+    /// workers)`. `workers` is the live distributed worker count (0 =
+    /// single-process). Under `--workers N` cells complete concurrently —
+    /// the coordinator's dispatch threads record each remote cell through
+    /// [`cell_finished`] — so the ETA divides by the lanes actually
+    /// running.
+    fn snapshot(&self) -> (u64, u64, u64, Option<f64>, u64) {
+        let done = self.done.load(Ordering::Relaxed);
+        let total = self.total.load(Ordering::Relaxed);
+        let workers = self.live_workers.load(Ordering::Relaxed);
+        let computed = self.latency_cells.load(Ordering::Relaxed);
+        let eta = (computed > 0 && total > done).then(|| {
+            let mean_us = self.latency_sum_us.load(Ordering::Relaxed) as f64 / computed as f64;
+            (total - done) as f64 * mean_us / 1e6 / workers.max(1) as f64
+        });
+        let replayed = self.replayed.load(Ordering::Relaxed);
+        (done, total, replayed, eta, workers)
+    }
+}
 
 /// Adds `n` cells to the run-wide expected total (figures call this as
 /// soon as a grid's size is known; totals accumulate across figures).
 pub fn grid_add_total(n: u64) {
-    mps_obs::gauge("grid.cells.total").add(n as i64);
+    PROGRESS.total.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Marks one cell computed, recording its latency.
 pub fn cell_finished(took: Duration) {
-    mps_obs::histogram(CELL_LATENCY_HIST).record_duration(took);
-    mps_obs::gauge("grid.cells.done").add(1);
+    PROGRESS.cell_finished(took);
 }
 
 /// Marks one cell served from the store (its record was written by an
-/// earlier run): done, but not counted into the latency histogram.
+/// earlier run): done, but not counted into the latency mean.
 pub fn cell_replayed() {
     mps_obs::counter("grid.cells.replayed").incr();
-    mps_obs::gauge("grid.cells.done").add(1);
+    PROGRESS.cell_replayed();
 }
 
-/// One progress snapshot: `(done, total, replayed, eta_seconds, workers)`.
-/// `workers` is the live distributed worker count (0 = single-process).
-/// Under `--workers N` cells complete concurrently — the coordinator's
-/// dispatch threads record each remote cell into the same done gauge and
-/// latency histogram — so the ETA divides by the lanes actually running.
-fn snapshot() -> (i64, i64, u64, Option<f64>, i64) {
-    let done = mps_obs::gauge("grid.cells.done").get();
-    let total = mps_obs::gauge("grid.cells.total").get();
-    let replayed = mps_obs::counter("grid.cells.replayed").get();
-    let workers = mps_obs::gauge("dist.workers.live").get().max(0);
-    let lanes = workers.max(1) as f64;
-    let eta = mps_obs::histograms_snapshot()
-        .into_iter()
-        .find(|h| h.name == CELL_LATENCY_HIST)
-        .filter(|h| h.count() > 0 && total > done)
-        .map(|h| (total - done) as f64 * h.approx_mean() / 1e6 / lanes);
-    (done, total, replayed, eta, workers)
+/// Sets the live distributed worker count (0 = single-process).
+pub fn set_live_workers(n: usize) {
+    PROGRESS.live_workers.store(n as u64, Ordering::Relaxed);
+}
+
+/// Records a convergence probe's latest running coefficient of
+/// variation; non-finite values are ignored.
+pub fn set_cv(cv: f64) {
+    if cv.is_finite() {
+        let permille = (cv.abs() * 1000.0) as u64;
+        PROGRESS.cv_permille.store(permille, Ordering::Relaxed);
+    }
 }
 
 static STARTED: AtomicBool = AtomicBool::new(false);
@@ -119,7 +175,7 @@ pub fn finish() {
     }
     STARTED.store(false, Ordering::SeqCst);
     if WROTE_TTY.swap(false, Ordering::SeqCst) {
-        let (done, total, replayed, _, _) = snapshot();
+        let (done, total, replayed, _, _) = PROGRESS.snapshot();
         let _ = writeln!(
             std::io::stderr().lock(),
             "\rmps: {done}/{total} cells done, {replayed} replayed.                    "
@@ -136,12 +192,12 @@ fn lock_thread() -> std::sync::MutexGuard<'static, Option<JoinHandle<()>>> {
 
 /// Emits one heartbeat now (the thread's body; separate for tests).
 pub fn beat() {
-    let (done, total, replayed, eta, workers) = snapshot();
+    let (done, total, replayed, eta, workers) = PROGRESS.snapshot();
     if total == 0 {
         return; // nothing grid-shaped is running yet
     }
     let eta_s = eta.map_or_else(|| "-".to_owned(), |e| format!("{e:.0}"));
-    let cv = mps_obs::gauge("convergence.cv_permille").get();
+    let cv = PROGRESS.cv_permille.load(Ordering::Relaxed);
     let cv_s = if cv > 0 {
         format!("{:.2}", cv as f64 / 1000.0)
     } else {
@@ -179,33 +235,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accounting_flows_into_obs() {
-        if !mps_obs::enabled() {
-            return; // inert without the feature: nothing to assert
-        }
-        mps_obs::reset();
-        grid_add_total(10);
-        cell_finished(Duration::from_micros(1500));
-        cell_finished(Duration::from_micros(2500));
-        cell_replayed();
-        let (done, total, replayed, eta, workers) = snapshot();
-        assert_eq!(done, 3);
-        assert_eq!(total, 10);
-        assert_eq!(replayed, 1);
+    fn accounting_gives_the_exact_eta() {
+        // A private instance: grids run by other tests in this binary
+        // feed the process-wide one concurrently.
+        let p = Progress::new();
+        p.total.fetch_add(10, Ordering::Relaxed);
+        p.cell_finished(Duration::from_micros(1500));
+        p.cell_finished(Duration::from_micros(2500));
+        p.cell_replayed();
+        let (done, total, replayed, eta, workers) = p.snapshot();
+        assert_eq!((done, total, replayed), (3, 10, 1));
         assert_eq!(workers, 0, "single-process run has no live workers");
-        let eta = eta.expect("two recorded latencies give an ETA");
-        assert!(eta > 0.0, "eta {eta}");
+        // 7 cells left at the 2,000 µs mean.
+        let eta = eta.expect("two computed cells give an ETA");
+        assert!((eta - 0.014).abs() < 1e-12, "eta {eta}");
         // With two live workers the same backlog drains twice as fast.
-        mps_obs::gauge("dist.workers.live").set(2);
-        let (_, _, _, dist_eta, workers) = snapshot();
+        p.live_workers.store(2, Ordering::Relaxed);
+        let (_, _, _, dist_eta, workers) = p.snapshot();
         assert_eq!(workers, 2);
         let dist_eta = dist_eta.expect("eta still present");
-        assert!(
-            (dist_eta - eta / 2.0).abs() < 1e-9,
-            "{dist_eta} vs {}",
-            eta / 2.0
-        );
-        mps_obs::gauge("dist.workers.live").set(0);
+        assert!((dist_eta - 0.007).abs() < 1e-12, "eta {dist_eta}");
         beat(); // exercises the event path; sinkless runs just aggregate
     }
 

@@ -49,7 +49,6 @@ where
     T: Send + 'static,
     F: Fn() -> Result<T> + Send + Sync,
 {
-    let attempt_hist = mps_obs::histogram("isolate.attempt.latency_us");
     let mut last_err: Option<Error> = None;
     for attempt in 0..=opts.retries {
         if attempt > 0 {
@@ -59,7 +58,6 @@ where
                 &[("what", what.to_owned()), ("attempt", attempt.to_string())],
             );
         }
-        let started = std::time::Instant::now();
         let outcome = std::thread::scope(|s| -> Result<T> {
             let (tx, rx) = mpsc::channel();
             let work = &work;
@@ -112,7 +110,6 @@ where
                 },
             }
         });
-        attempt_hist.record_duration(started.elapsed());
         match outcome {
             Ok(v) => return Ok(v),
             Err(e) => {

@@ -4,7 +4,6 @@
 //! mps-harness [run] <experiment...> [--scale test|small|full] [--out DIR]
 //!                   [--jobs N] [--store DIR] [--no-store]
 //!                   [--timeout SECS] [--retries N] [--trace FILE]
-//!                   [--metrics-addr HOST:PORT]
 //! mps-harness trace <FILE> [--folded] [--worker ID]
 //! mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]
 //! mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]
@@ -13,7 +12,6 @@
 //!                      [--no-store] [--out DIR] [--trace FILE]
 //!                      [--fail-on THRESHOLDS] [--baseline FILE]
 //!                      [--write-baseline FILE] [--perturb FACTOR]
-//!                      [--metrics-addr HOST:PORT]
 //!
 //! experiments:
 //!   table1 table2 table3 table4
@@ -42,11 +40,10 @@
 //! reported and skipped; the exit code is nonzero if any failed.
 //! --trace FILE (run and validate) streams structured JSONL span/event
 //! records to FILE; spans are recorded only while it is installed. It
-//! needs the `obs` feature (on by default).
-//! --metrics-addr HOST:PORT (or MPS_METRICS_ADDR) serves live
-//! OpenMetrics-style text — counters, gauges, histogram quantiles, run
-//! metadata — on a background thread for the run's lifetime; port 0
-//! picks an ephemeral port (printed to stderr). Needs the `obs` feature.
+//! needs the `obs` feature (on by default). Every MPS_HEARTBEAT_SECS
+//! seconds (default 5, 0 = off) a run reports its grid-cell progress: a
+//! `heartbeat` trace event, and a progress line when stderr is a
+//! terminal.
 //!
 //! The `trace` subcommand analyzes a JSONL file offline: a span-tree
 //! summary with inclusive/exclusive times (or folded flamegraph stacks
@@ -394,7 +391,6 @@ struct Options {
     workers: usize,
     dist_addr: Option<String>,
     lease_ttl: Option<Duration>,
-    metrics_addr: Option<String>,
     /// `--trace FILE`: the JSONL sink for span and event records.
     trace: Option<String>,
 }
@@ -404,15 +400,12 @@ struct Options {
 struct Env {
     /// `MPS_STORE`.
     store: Option<PathBuf>,
-    /// `MPS_METRICS_ADDR`.
-    metrics_addr: Option<String>,
 }
 
 impl Env {
     fn read() -> Env {
         Env {
             store: std::env::var_os("MPS_STORE").map(PathBuf::from),
-            metrics_addr: std::env::var("MPS_METRICS_ADDR").ok(),
         }
     }
 }
@@ -486,7 +479,6 @@ fn parse_options(
         workers: 0,
         dist_addr: None,
         lease_ttl: None,
-        metrics_addr: env.metrics_addr,
         trace: None,
     };
     let mut no_store = false;
@@ -530,14 +522,6 @@ fn parse_options(
                 })?;
                 o.lease_ttl = Some(Duration::from_secs(secs));
             }
-            "--metrics-addr" => {
-                o.metrics_addr = Some(flag_value(
-                    flag,
-                    args.next(),
-                    "HOST:PORT (port 0 = ephemeral)",
-                    |_| true,
-                )?);
-            }
             "--trace" => o.trace = Some(flag_value(flag, args.next(), "a file path", |_| true)?),
             "--help" | "-h" => return Err(CliError::Help),
             _ if valued.contains(&flag) => own.push((arg.clone(), args.next().cloned())),
@@ -568,8 +552,7 @@ impl Options {
     }
 
     /// Builds the study context these options describe (`extra` adds a
-    /// subcommand's own builder settings), records the run metadata of
-    /// the /metrics `mps_run_info` line, and serves /metrics when asked.
+    /// subcommand's own builder settings).
     fn open(
         &self,
         extra: impl FnOnce(mps_harness::StudyBuilder) -> mps_harness::StudyBuilder,
@@ -587,20 +570,7 @@ impl Options {
         if let Some(ttl) = self.lease_ttl {
             builder = builder.lease_ttl(ttl);
         }
-        let ctx = extra(builder).build()?;
-        mps_obs::set_meta("schema", mps_store::SCHEMA.to_string());
-        mps_obs::set_meta("kernel_rev", mps_store::KERNEL_REV.to_string());
-        mps_obs::set_meta("jobs", ctx.jobs().to_string());
-        mps_obs::set_meta("scale", self.scale.spec_string());
-        mps_obs::set_meta("store", self.store.is_some().to_string());
-        mps_obs::set_meta("workers", self.workers.to_string());
-        if let Some(addr) = &self.metrics_addr {
-            match mps_obs::serve_metrics(addr) {
-                Ok(bound) => eprintln!("metrics: serving http://{bound}/metrics"),
-                Err(e) => eprintln!("note: metrics server disabled ({e})"),
-            }
-        }
-        Ok(ctx)
+        extra(builder).build()
     }
 }
 
@@ -608,8 +578,7 @@ const VALIDATE_USAGE: &str = "usage: mps-harness validate [--scale test|small|fu
                               [--store DIR] [--no-store] [--out DIR] [--trace FILE] \
                               [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
                               [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
-                              [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] \
-                              [--metrics-addr HOST:PORT]";
+                              [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR]";
 
 /// A parsed `validate` command line.
 #[derive(Debug)]
@@ -918,7 +887,7 @@ fn worker_cli(args: &[String]) -> i32 {
 const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|dw|all> \
      [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] \
      [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
-     [--lease-ttl SECS] [--trace FILE] [--metrics-addr HOST:PORT]\n\
+     [--lease-ttl SECS] [--trace FILE]\n\
      \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
      \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]\n\
      \x20      mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]\n\
@@ -927,7 +896,6 @@ const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|ove
      [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR] [--trace FILE] \
      (see validate --help)\n\
      \x20      mps-harness worker --connect HOST:PORT [--id NAME]\n\
-     --metrics-addr (or MPS_METRICS_ADDR) serves live /metrics; \
      MPS_HEARTBEAT_SECS tunes progress heartbeats (0 = off)\n\
      --jobs 0 (or omitting the flag) means auto: MPS_JOBS, else all available cores\n\
      --store DIR (or MPS_STORE=DIR) persists artifacts and grid cells, so a rerun \
@@ -1296,21 +1264,6 @@ fn run_cli(args: &[String]) -> i32 {
                 format!("{}", c.confidence),
             );
         }
-        if let Some(h) = mps_obs::histograms_snapshot()
-            .into_iter()
-            .find(|h| h.name == mps_harness::heartbeat::CELL_LATENCY_HIST)
-        {
-            let sparse: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, c)| format!("{i}:{c}"))
-                .collect();
-            if !sparse.is_empty() {
-                rec.set("hist.grid.cell.latency_us", sparse.join(","));
-            }
-        }
         record_provenance(&mut rec, &ctx);
         match ledger.append(&rec) {
             Ok(()) => eprintln!("ledger: run recorded in {}", ledger.path().display()),
@@ -1353,8 +1306,7 @@ mod tests {
     #[test]
     fn shared_flags_parse_the_same_under_run_and_validate() {
         let shared = "--scale full --jobs 3 --store st --out o --workers 2 \
-                      --dist-addr 0.0.0.0:7000 --lease-ttl 9 --metrics-addr 127.0.0.1:0 \
-                      --trace t.jsonl";
+                      --dist-addr 0.0.0.0:7000 --lease-ttl 9 --trace t.jsonl";
         let want = Options {
             scale: Scale::full(),
             jobs: Some(3),
@@ -1363,7 +1315,6 @@ mod tests {
             workers: 2,
             dist_addr: Some("0.0.0.0:7000".to_owned()),
             lease_ttl: Some(Duration::from_secs(9)),
-            metrics_addr: Some("127.0.0.1:0".to_owned()),
             trace: Some("t.jsonl".to_owned()),
         };
         assert_eq!(run(&format!("fig3 {shared}")).unwrap().opts, want);
@@ -1378,7 +1329,6 @@ mod tests {
             ("--workers", "4"),
             ("--dist-addr", "h:1"),
             ("--lease-ttl", "1"),
-            ("--metrics-addr", "h:2"),
             ("--trace", "t.jsonl"),
         ] {
             let line = format!("{flag} {value}");
@@ -1400,7 +1350,6 @@ mod tests {
             "--workers",
             "--dist-addr",
             "--lease-ttl",
-            "--metrics-addr",
             "--trace",
         ] {
             assert!(usage_error(run(&format!("fig3 {flag}"))).starts_with(flag));
@@ -1435,7 +1384,6 @@ mod tests {
     fn no_store_beats_store_flag_and_environment() {
         let env = || Env {
             store: Some(PathBuf::from("from-env")),
-            metrics_addr: None,
         };
         for line in ["--no-store --store d", "--store d --no-store", "--no-store"] {
             assert_eq!(parse_run(&args(line), env()).unwrap().opts.store, None);
@@ -1479,6 +1427,18 @@ mod tests {
         assert_eq!(run("").unwrap().experiments, EXPERIMENTS);
         assert!(usage_error(run("fig9")).contains("unknown experiment 'fig9'"));
         assert_eq!(run("fig3 --help").unwrap_err(), CliError::Help);
+    }
+
+    #[test]
+    fn metrics_addr_is_an_unknown_argument() {
+        let msg = usage_error(run("fig3 --metrics-addr 127.0.0.1:0"));
+        assert!(msg.contains("unknown argument '--metrics-addr'"), "{msg}");
+        let msg = usage_error(validate("--metrics-addr 127.0.0.1:0"));
+        assert!(
+            msg.contains("unknown validate argument '--metrics-addr'"),
+            "{msg}"
+        );
+        assert!(!RUN_USAGE.contains("metrics") && !VALIDATE_USAGE.contains("metrics"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! HTML page with zero external dependencies: styling is an inline
 //! `<style>` block, every chart is inline SVG (run-over-run duration
 //! trend, per-experiment duration bars, store hit-ratio sparkline,
-//! cell-latency histogram) and the §VII convergence diagnostics appear as
-//! a plain table. The output is a pure function of the records — no
+//! worker lanes) and the §VII convergence diagnostics appear as a plain
+//! table. The output is a pure function of the records — no
 //! timestamps, hostnames or RNG at render time — so the same ledger
 //! produces a byte-identical page whatever machine or `--jobs` setting
 //! renders it (the CLI's `report` command and CI both rely on that).
@@ -192,17 +192,6 @@ fn worker_lanes(rec: &RunRecord) -> Vec<WorkerLane> {
         .collect()
 }
 
-/// Parses the sparse `i:count,i:count` histogram field.
-fn parse_hist(field: &str) -> Vec<(usize, u64)> {
-    field
-        .split(',')
-        .filter_map(|pair| {
-            let (i, c) = pair.split_once(':')?;
-            Some((i.parse().ok()?, c.parse().ok()?))
-        })
-        .collect()
-}
-
 /// Renders the dashboard for the given ledger records (oldest first).
 ///
 /// Deterministic: the output is byte-identical for identical records.
@@ -327,32 +316,6 @@ pub fn render_dashboard(records: &[RunRecord]) -> String {
         out.push_str("</table>\n");
     }
 
-    // Cell-latency histogram of the latest run.
-    out.push_str("<h2>Latest run: grid-cell latency</h2>\n");
-    let hist = latest
-        .get("hist.grid.cell.latency_us")
-        .map(parse_hist)
-        .unwrap_or_default();
-    if hist.is_empty() {
-        out.push_str("<p class=\"meta\">No cell-latency histogram recorded.</p>\n");
-    } else {
-        out.push_str(
-            "<p class=\"meta\">Cells per power-of-two latency bucket (&micro;s upper bound).</p>\n",
-        );
-        let rows: Vec<(String, f64, String)> = hist
-            .iter()
-            .map(|&(i, c)| {
-                (
-                    format!("<= {} us", mps_obs::hist::bucket_upper_bound(i)),
-                    c as f64,
-                    c.to_string(),
-                )
-            })
-            .collect();
-        out.push_str(&hbars(&rows, "#e8590c"));
-        out.push('\n');
-    }
-
     // Worker lanes: distributed provenance of the latest run.
     out.push_str("<h2>Latest run: worker lanes</h2>\n");
     let lanes = worker_lanes(latest);
@@ -427,7 +390,6 @@ mod tests {
         r.set("conv.convergence.fig3.c2.cv", "0.4");
         r.set("conv.convergence.fig3.c2.required_w", "2");
         r.set("conv.convergence.fig3.c2.confidence", "0.9999997133484281");
-        r.set("hist.grid.cell.latency_us", "3:5,7:12,9:1");
         r.set("dist.fig3.w0.cells", "7");
         r.set("dist.fig3.w0.renewals", "2");
         r.set("dist.fig3.w0.wall_us", "1500000");
@@ -473,6 +435,16 @@ mod tests {
             render_dashboard(&records),
             "byte-identical across calls"
         );
+    }
+
+    #[test]
+    fn a_retired_latency_histogram_field_changes_nothing() {
+        // Ledgers written before the field was retired still carry it.
+        let mut old = sample_record(5000, 0.9);
+        old.set("hist.grid.cell.latency_us", "3:5,7:12,9:1");
+        let records = [sample_record(9000, 0.2), sample_record(5000, 0.9)];
+        let with_field = [sample_record(9000, 0.2), old];
+        assert_eq!(render_dashboard(&with_field), render_dashboard(&records));
     }
 
     #[test]

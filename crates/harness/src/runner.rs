@@ -940,12 +940,9 @@ impl StudyContext {
                     let refs = self.cached_badco_refs(cores);
                     let models = self.cached_models(cores);
                     let workloads: Vec<Workload> = pop.workloads().to_vec();
-                    let cell_hist = mps_obs::histogram("table.cell.latency_us");
                     let rows = mps_par::par_map_indexed(self.jobs, &workloads, |_, w| {
                         self.invariant_rows.row(RowSim::Badco, cores, w, || {
-                            let started = std::time::Instant::now();
                             let r = Self::badco_sim(&models, cores, policy, w);
-                            cell_hist.record_duration(started.elapsed());
                             (r.ipc, r.uncore_stats.llc_evictions)
                         })
                     });
@@ -997,12 +994,9 @@ impl StudyContext {
             crate::persist::encode_perf_table,
             || {
                 let refs = self.cached_detailed_refs(cores);
-                let cell_hist = mps_obs::histogram("table.cell.latency_us");
                 let rows = mps_par::par_map_indexed(self.jobs, workloads, |_, w| {
                     self.invariant_rows.row(RowSim::Detailed, cores, w, || {
-                        let started = std::time::Instant::now();
                         let r = self.detailed_sim(cores, policy, w);
-                        cell_hist.record_duration(started.elapsed());
                         (r.ipc, r.uncore_stats.llc_evictions)
                     })
                 });

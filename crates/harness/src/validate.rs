@@ -319,15 +319,13 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     let results: IpcPairs = if !local {
         validate_distributed(ctx, opts, &cells, &per_cores)?
     } else {
-        let cell_hist = mps_obs::histogram("validate.cell.latency_us");
         let pairs = mps_par::par_map_indexed(ctx.jobs(), &cells, |i, cell| {
-            let started = Instant::now();
             let detailed = ctx.grid_cell(
                 "validate",
                 &cell.desc(opts.perturb, ValSide::Detailed),
                 || cell.evaluate(ctx, ValSide::Detailed, &per_cores),
             );
-            let pair = detailed.and_then(|det| {
+            detailed.and_then(|det| {
                 let bad = match &badco_stored[i] {
                     Some(values) => values.clone(),
                     None => {
@@ -338,16 +336,14 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
                     }
                 };
                 Ok((det, bad))
-            });
-            cell_hist.record_duration(started.elapsed());
-            pair
+            })
         });
         pairs.into_iter().collect::<Result<_, _>>()?
     };
 
     // Merge in cell order (index-ordered by construction) and aggregate —
     // all statistics and estimator recordings happen here, on one thread,
-    // in draw order, which is what keeps the report and the /metrics
+    // in draw order, which is what keeps the report and the ledger's
     // estimators byte-stable across --jobs.
     let mut groups: Vec<GroupValidation> = Vec::new();
     let mut stratum_errs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];

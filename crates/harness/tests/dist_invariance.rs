@@ -65,16 +65,6 @@ fn artifacts_are_worker_process_invariant() {
     let base = std::env::temp_dir().join(format!("mps-dist-invariance-{}", std::process::id()));
     for workers in [1usize, 2, 4] {
         for jobs in [1usize, 4] {
-            // Telemetry federation is fire-and-forget: whether it
-            // is disabled outright or severed mid-flight must not change
-            // a single artifact byte, so two combos run degraded. Safe to
-            // toggle here: this is the only worker-spawning test in this
-            // binary, and the vars only affect distributed runs.
-            match (workers, jobs) {
-                (2, 4) => std::env::set_var("MPS_DIST_TELEMETRY", "0"),
-                (4, 1) => std::env::set_var("MPS_DIST_DROP_TELEMETRY", "1"),
-                _ => {}
-            }
             let dir = base.join(format!("w{workers}j{jobs}"));
             let _ = std::fs::remove_dir_all(&dir);
             let ctx = StudyContext::builder()
@@ -103,8 +93,6 @@ fn artifacts_are_worker_process_invariant() {
                 "workers={workers}/jobs={jobs}: no cell was computed remotely"
             );
             drop(ctx); // shuts the coordinator and its workers down
-            std::env::remove_var("MPS_DIST_TELEMETRY");
-            std::env::remove_var("MPS_DIST_DROP_TELEMETRY");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

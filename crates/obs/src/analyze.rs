@@ -72,8 +72,8 @@ pub struct TraceSummary {
     pub counters: BTreeMap<String, u64>,
     /// Event occurrences per event name.
     pub events: BTreeMap<String, u64>,
-    /// Span counts per worker tag for federated fleet traces
-    /// (worker-tagged spans shipped over `dist.telemetry`); untagged
+    /// Span counts per worker tag for distributed traces (spans shipped
+    /// by workers into the coordinator's trace); untagged
     /// locally-recorded spans are not listed.
     pub workers: BTreeMap<String, u64>,
     /// Number of span records.

@@ -4,8 +4,8 @@
 //! snapshot carries the paper's §VII convergence diagnostics (running
 //! `cv`, 95% CI half-width, achieved confidence, required `W = 8·cv²`).
 //! The live handle lives in the `enabled`/`noop` backends; this module
-//! holds the snapshot type, which is feature-independent so trace
-//! consumers and the `/metrics` renderer share one definition.
+//! holds the snapshot type, which is feature-independent so both
+//! backends and the run ledger share one definition.
 
 use mps_stats::estimator::Convergence;
 

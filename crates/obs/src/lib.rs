@@ -44,33 +44,24 @@
 pub mod alloc;
 pub mod analyze;
 pub mod estimator;
-pub mod federation;
-pub mod hist;
 pub mod jsonl;
 
 #[cfg(feature = "obs")]
 pub(crate) mod enabled;
 #[cfg(feature = "obs")]
-mod serve;
-#[cfg(feature = "obs")]
 pub use enabled::{
-    counter, counters_snapshot, drain_span_tap, estimator, estimators_moments, estimators_snapshot,
-    event, flush, gauge, gauges_snapshot, histogram, histograms_snapshot, install_span_tap,
-    meta_snapshot, remove_span_tap, reset, set_meta, set_sink_path, sink_line, span,
-    telemetry_snapshot, Counter, Estimator, Gauge, Histogram, Span,
+    counter, counters_snapshot, drain_span_tap, estimator, estimators_snapshot, event, flush,
+    install_span_tap, remove_span_tap, reset, set_sink_path, sink_installed, sink_line, span,
+    Counter, Estimator, Span,
 };
-#[cfg(feature = "obs")]
-pub use serve::{render_metrics, serve_metrics, shutdown_metrics};
 
 #[cfg(not(feature = "obs"))]
 mod noop;
 #[cfg(not(feature = "obs"))]
 pub use noop::{
-    counter, counters_snapshot, drain_span_tap, estimator, estimators_moments, estimators_snapshot,
-    event, flush, gauge, gauges_snapshot, histogram, histograms_snapshot, install_span_tap,
-    meta_snapshot, remove_span_tap, render_metrics, reset, serve_metrics, set_meta, set_sink_path,
-    shutdown_metrics, sink_line, span, telemetry_snapshot, Counter, Estimator, Gauge, Histogram,
-    Span,
+    counter, counters_snapshot, drain_span_tap, estimator, estimators_snapshot, event, flush,
+    install_span_tap, remove_span_tap, reset, set_sink_path, sink_installed, sink_line, span,
+    Counter, Estimator, Span,
 };
 
 /// Whether instrumentation is compiled in.

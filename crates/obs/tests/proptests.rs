@@ -1,8 +1,6 @@
-//! Property tests for the pure, always-compiled halves of `mps-obs`:
-//! the JSONL codec (every sink-writable record must parse back exactly,
-//! including escaped strings and counter-delta maps) and the histogram
-//! bucket math (merge is associative and commutative, statistics respect
-//! the documented error bounds).
+//! Property tests for the pure, always-compiled half of `mps-obs`: the
+//! JSONL codec (every sink-writable record must parse back exactly,
+//! including escaped strings and counter-delta maps).
 //!
 //! No `obs` feature gating: nothing here touches the live registry, so
 //! the tests run identically in both build configurations.
@@ -10,10 +8,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-use mps_obs::federation::{delta_since, Federation, InstrumentSnapshot, TelemetryDelta};
-use mps_obs::hist::{bucket_index, bucket_upper_bound, HistogramSnapshot, BUCKETS};
 use mps_obs::jsonl::{encode_event, encode_span, parse, parse_all, Record};
-use mps_stats::Moments;
 
 /// Characters the string generator draws from — deliberately front-loaded
 /// with everything the JSONL escaper has to handle: quotes, backslashes,
@@ -146,185 +141,5 @@ proptest! {
                 _ => prop_assert!(false, "record kind flipped in transit"),
             }
         }
-    }
-
-    // Histogram merge is commutative: a∪b == b∪a, bucket for bucket.
-    #[test]
-    fn histogram_merge_commutes(
-        va in prop::collection::vec(0u64..u64::MAX, 0..64),
-        vb in prop::collection::vec(0u64..u64::MAX, 0..64),
-    ) {
-        let mut a = HistogramSnapshot::new("h");
-        let mut b = HistogramSnapshot::new("h");
-        for &v in &va { a.record(v); }
-        for &v in &vb { b.record(v); }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab.buckets[..], &ba.buckets[..]);
-        prop_assert_eq!(ab.count(), (va.len() + vb.len()) as u64);
-    }
-
-    // …and associative: (a∪b)∪c == a∪(b∪c), so per-thread shards can be
-    // combined in any order.
-    #[test]
-    fn histogram_merge_is_associative(
-        va in prop::collection::vec(0u64..u64::MAX, 0..48),
-        vb in prop::collection::vec(0u64..u64::MAX, 0..48),
-        vc in prop::collection::vec(0u64..u64::MAX, 0..48),
-    ) {
-        let hist = |vals: &[u64]| {
-            let mut h = HistogramSnapshot::new("h");
-            for &v in vals { h.record(v); }
-            h
-        };
-        let (a, b, c) = (hist(&va), hist(&vb), hist(&vc));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left.buckets[..], &right.buckets[..]);
-    }
-
-    // Federation merge is order-invariant: whatever order worker deltas
-    // arrive in (network interleaving, retries), the fleet view is the
-    // same — counter totals and histogram buckets bit-exact, merged
-    // estimator moments equal up to FP rounding (Chan's merge is
-    // mathematically associative but not exactly so in floats).
-    #[test]
-    fn federation_merge_is_order_invariant(
-        incs in prop::collection::vec(0u64..1000, 1..16),
-        obs in prop::collection::vec(0u64..100_000, 1..16),
-        rot in 0usize..16,
-    ) {
-        let deltas: Vec<TelemetryDelta> = incs
-            .iter()
-            .enumerate()
-            .map(|(i, &inc)| {
-                let mut d = TelemetryDelta {
-                    worker: format!("w{}", i % 3),
-                    seq: (i / 3 + 1) as u64,
-                    ..Default::default()
-                };
-                if inc > 0 {
-                    d.counters.push(("c".to_owned(), inc));
-                }
-                d.gauges.push(("g".to_owned(), i as i64));
-                let v = obs[i % obs.len()];
-                d.hists.push(("h".to_owned(), vec![(bucket_index(v), 1)]));
-                let mut m = Moments::new();
-                m.push(v as f64);
-                d.estimators.push(("e".to_owned(), m));
-                d
-            })
-            .collect();
-
-        let mut in_order = Federation::new();
-        for d in &deltas {
-            in_order.apply(d);
-        }
-        let mut shuffled: Vec<&TelemetryDelta> = deltas.iter().collect();
-        shuffled.reverse();
-        let turn = rot % shuffled.len();
-        shuffled.rotate_left(turn);
-        let mut reordered = Federation::new();
-        for d in shuffled {
-            reordered.apply(d);
-        }
-
-        let (a, b) = (in_order.fleet_snapshot(), reordered.fleet_snapshot());
-        prop_assert_eq!(&a.counters, &b.counters);
-        // Per-worker gauges are seq-gated, so the highest level wins in
-        // any arrival order and the fleet sum matches.
-        prop_assert_eq!(&a.gauges, &b.gauges);
-        prop_assert_eq!(a.hists.len(), 1);
-        prop_assert_eq!(&a.hists[0].buckets[..], &b.hists[0].buckets[..]);
-        let (ma, mb) = (a.estimators[0].1, b.estimators[0].1);
-        prop_assert_eq!(ma.count(), mb.count());
-        prop_assert!((ma.mean() - mb.mean()).abs() <= 1e-9 * ma.mean().abs().max(1.0));
-        prop_assert!((ma.m2() - mb.m2()).abs() <= 1e-6 * ma.m2().abs().max(1.0));
-    }
-
-    // Delta shipping is idempotent over re-chunking: slicing one worker's
-    // instrument history into different-sized `delta_since` chunks (every
-    // heartbeat vs. batched) federates to the same final state as the
-    // worker's own cumulative snapshot.
-    #[test]
-    fn federation_deltas_are_rechunking_invariant(
-        incs in prop::collection::vec(0u64..1000, 1..24),
-        chunk in 1usize..8,
-    ) {
-        // Cumulative registry snapshot after the first `upto` steps.
-        let snap_at = |upto: usize| {
-            let mut s = InstrumentSnapshot::default();
-            let total: u64 = incs[..upto].iter().sum();
-            if total > 0 {
-                s.counters.push(("c".to_owned(), total));
-            }
-            if upto > 0 {
-                s.gauges.push(("g".to_owned(), upto as i64));
-                let mut h = HistogramSnapshot::new("h");
-                let mut m = Moments::new();
-                for &v in &incs[..upto] {
-                    h.record(v);
-                    m.push(v as f64);
-                }
-                s.hists.push(h);
-                s.estimators.push(("e".to_owned(), m));
-            }
-            s
-        };
-
-        let ship = |step: usize| {
-            let mut fed = Federation::new();
-            let mut prev = InstrumentSnapshot::default();
-            let mut seq = 0u64;
-            let mut at = 0usize;
-            while at < incs.len() {
-                let next = (at + step).min(incs.len());
-                let cur = snap_at(next);
-                seq += 1;
-                let d = delta_since(&prev, &cur, "w", seq);
-                if !d.is_empty() {
-                    fed.apply(&d);
-                }
-                prev = cur;
-                at = next;
-            }
-            fed.worker_snapshot("w").unwrap_or_default()
-        };
-
-        let (fine, coarse, truth) = (ship(1), ship(chunk), snap_at(incs.len()));
-        prop_assert_eq!(&fine.counters, &truth.counters);
-        prop_assert_eq!(&coarse.counters, &truth.counters);
-        prop_assert_eq!(&fine.gauges, &truth.gauges);
-        prop_assert_eq!(&coarse.gauges, &truth.gauges);
-        prop_assert_eq!(&fine.hists[0].buckets[..], &truth.hists[0].buckets[..]);
-        prop_assert_eq!(&coarse.hists[0].buckets[..], &truth.hists[0].buckets[..]);
-        for rebuilt in [&fine, &coarse] {
-            let (m, t) = (rebuilt.estimators[0].1, truth.estimators[0].1);
-            prop_assert_eq!(m.count(), t.count());
-            prop_assert!((m.mean() - t.mean()).abs() <= 1e-9 * t.mean().abs().max(1.0));
-            prop_assert!((m.m2() - t.m2()).abs() <= 1e-6 * t.m2().abs().max(1.0));
-        }
-    }
-
-    // Layout invariants: every value maps into exactly the bucket whose
-    // bounds bracket it, and quantiles never undershoot the data's bucket.
-    #[test]
-    fn bucket_layout_brackets_every_value(v in 0u64..u64::MAX) {
-        let i = bucket_index(v);
-        prop_assert!(i < BUCKETS);
-        prop_assert!(v <= bucket_upper_bound(i));
-        if i > 0 {
-            prop_assert!(v > bucket_upper_bound(i - 1));
-        }
-        let mut h = HistogramSnapshot::new("h");
-        h.record(v);
-        prop_assert!(h.quantile(1.0) >= v, "max quantile covers the value");
     }
 }

@@ -40,12 +40,8 @@
 //!
 //! Each call updates `mps-obs` counters (`par.calls`, `par.items`,
 //! `par.workers`, `par.steals`, `par.stolen_items`,
-//! `par.imbalance_permille`), records every steal's size into the
-//! `par.steal.size` histogram, and tracks the pool-wide remaining-item
-//! count in the `par.queue.depth` gauge (updated at call start/end and at
-//! every steal — the natural rebalancing points) so `--trace` files and
-//! the live `/metrics` endpoint can show parallel efficiency; see
-//! `docs/observability.md`.
+//! `par.imbalance_permille`) so `--trace` files can show parallel
+//! efficiency; see `docs/observability.md`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,12 +256,6 @@ where
     // huge grids, fine enough (≤ remaining/2 via steals) for balance.
     let chunk = ((n / (workers * 8)) as u32).max(1);
 
-    // Steals are rare (rebalancing points), so updating the depth gauge
-    // and steal-size histogram there costs nothing on the hot path.
-    let steal_size_hist = mps_obs::histogram("par.steal.size");
-    let queue_depth = mps_obs::gauge("par.queue.depth");
-    queue_depth.set(n as i64);
-
     struct WorkerOutcome<R> {
         /// `(index, result)` pairs in execution order.
         results: Vec<(u32, R)>,
@@ -299,9 +289,6 @@ where
                 Some(range) => {
                     out.steals += 1;
                     out.stolen_items += u64::from(range.end - range.start);
-                    steal_size_hist.record(u64::from(range.end - range.start));
-                    let depth: u32 = (0..workers).map(|w| deques[w].remaining()).sum();
-                    queue_depth.set(i64::from(depth) + i64::from(range.end - range.start));
                     deques[me].refill(&range);
                 }
                 // No stealable work anywhere: since the item set is fixed
@@ -351,7 +338,6 @@ where
         let capacity = (workers * max_per_worker) as u64;
         stats.imbalance_permille = 1000 - (n as u64 * 1000) / capacity;
     }
-    queue_depth.set(0);
     mps_obs::counter("par.workers").add(workers as u64);
     mps_obs::counter("par.steals").add(stats.steals);
     mps_obs::counter("par.stolen_items").add(stats.stolen_items);

@@ -144,7 +144,7 @@ impl CellJournal {
         };
         if values.len() == want {
             let values = values.to_vec();
-            self.tally.hit(ENTRY_HEAD + 8 * want + ENTRY_TAIL);
+            self.tally.hit();
             return Some(values);
         }
         let why = Error::Corrupt {
@@ -191,7 +191,7 @@ impl CellJournal {
         let written = file.write_all(&entry).and_then(|()| file.sync_data());
         let _ = file.unlock();
         written.map_err(io)?;
-        self.tally.put(entry.len());
+        self.tally.put();
         state.insert(key, values.iter().copied());
         Ok(())
     }

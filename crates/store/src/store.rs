@@ -43,6 +43,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, SystemTime};
 
 /// Current on-disk schema revision: 3 since record footers carry
 /// [`payload_checksum`].
@@ -62,6 +63,11 @@ pub const MIN_SCHEMA: u32 = 1;
 /// value feeds stored values too: a change to what a sampler draws or an
 /// estimator returns needs a bump as well.
 pub const KERNEL_REV: u32 = 3;
+
+/// How old a `.tmp-` file in `artifacts/` must be before [`Store::open`]
+/// treats it as abandoned. A writer holds its temp file for one write and
+/// fsync, far less than this, so a younger one may still be in flight.
+const TEMP_FILE_MAX_AGE: Duration = Duration::from_secs(10 * 60);
 
 /// Identifies one artifact: a `kind` (namespace, e.g. `"perf-table"`) and
 /// a canonical `spec` string carrying every input the artifact depends on
@@ -124,8 +130,6 @@ pub(crate) struct Tally {
     obs_put: mps_obs::Counter,
     obs_corrupt: mps_obs::Counter,
     obs_evict: mps_obs::Counter,
-    obs_read_bytes: mps_obs::Histogram,
-    obs_write_bytes: mps_obs::Histogram,
 }
 
 impl Tally {
@@ -141,16 +145,13 @@ impl Tally {
             obs_put: mps_obs::counter("store.put"),
             obs_corrupt: mps_obs::counter("store.corrupt"),
             obs_evict: mps_obs::counter("store.evict"),
-            obs_read_bytes: mps_obs::histogram("store.read.bytes"),
-            obs_write_bytes: mps_obs::histogram("store.write.bytes"),
         }
     }
 
-    /// One artifact (or cell) served from `bytes` read bytes.
-    pub(crate) fn hit(&self, bytes: usize) {
+    /// One artifact (or cell) served from the store.
+    pub(crate) fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.obs_hit.incr();
-        self.obs_read_bytes.record(bytes as u64);
     }
 
     /// One lookup that found no valid, current value.
@@ -159,11 +160,10 @@ impl Tally {
         self.obs_miss.incr();
     }
 
-    /// One artifact (or cell) made durable in `bytes` written bytes.
-    pub(crate) fn put(&self, bytes: usize) {
+    /// One artifact (or cell) made durable.
+    pub(crate) fn put(&self) {
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.obs_put.incr();
-        self.obs_write_bytes.record(bytes as u64);
     }
 
     /// One poisoned artifact (or cell entry) found in `path`.
@@ -299,7 +299,7 @@ impl Store {
             let _ = fs::remove_file(&tmp);
             Error::Io(format!("write {}: {e}", path.display()))
         })?;
-        self.tally.put(bytes.len());
+        self.tally.put();
         Ok(())
     }
 
@@ -343,7 +343,7 @@ impl Store {
                     self.tally.miss();
                     return None;
                 }
-                self.tally.hit(bytes.len());
+                self.tally.hit();
                 Some(payload.to_vec())
             }
             Err(Error::SchemaVersion { .. }) => {
@@ -370,15 +370,27 @@ impl Store {
         move_to_quarantine(&self.root, &self.tally, path, why);
     }
 
-    /// Removes temp files abandoned by killed writers.
+    /// Removes temp files abandoned by killed writers: those last written
+    /// more than [`TEMP_FILE_MAX_AGE`] ago. A younger one may belong to a
+    /// live `put` or journal append of another handle or process on the
+    /// same root, which still has to rename or hard-link it into place.
     fn sweep_temp_files(&self) {
         let Ok(entries) = fs::read_dir(self.root.join("artifacts")) else {
             return;
         };
+        let now = SystemTime::now();
         for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.contains(".tmp-") {
+            if !entry.file_name().to_string_lossy().contains(".tmp-") {
+                continue;
+            }
+            let stale = entry
+                .metadata()
+                .and_then(|md| md.modified())
+                .is_ok_and(|t| {
+                    now.duration_since(t)
+                        .is_ok_and(|age| age > TEMP_FILE_MAX_AGE)
+                });
+            if stale {
                 let _ = fs::remove_file(entry.path());
             }
         }
@@ -568,6 +580,32 @@ mod tests {
         assert_eq!(s.get(&k).unwrap(), b"payload");
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.puts), (1, 1, 1));
+    }
+
+    #[test]
+    fn open_sweeps_only_stale_temp_files() {
+        let s = tmp_store("sweep");
+        let k = ArtifactKey::new("demo", "in-flight");
+        let (fresh, stale) = (
+            temp_path(&s.artifact_path(&k)),
+            temp_path(&s.artifact_path(&k)),
+        );
+        fs::write(&fresh, b"a live writer's half-written record").unwrap();
+        fs::write(&stale, b"a killed writer's leftover").unwrap();
+        let old = SystemTime::now() - TEMP_FILE_MAX_AGE - Duration::from_secs(60);
+        fs::File::options()
+            .write(true)
+            .open(&stale)
+            .and_then(|f| f.set_modified(old))
+            .unwrap();
+        // A second handle on the same root: another study, or a worker
+        // attaching mid-run.
+        Store::open(s.root()).unwrap();
+        assert!(
+            fresh.exists(),
+            "another handle's in-flight temp file survives"
+        );
+        assert!(!stale.exists(), "an abandoned temp file is swept");
     }
 
     #[test]
