@@ -102,6 +102,47 @@ fn resample(c: &mut Criterion) {
     group.finish();
 }
 
+/// One confidence cell at the `Scale::small` shape: 1,000 resamples of
+/// 500 workloads on one thread, over an 800-workload 4-core sample. A
+/// stratum then holds tens to hundreds of members and receives as many
+/// draws, so the per-stratum draw, not the estimator, sets the cost.
+fn resample_user_scale(c: &mut Criterion) {
+    let mut rng = Rng::new(6);
+    let pop = Population::subsampled(22, 4, 800, &mut rng);
+    let t_x: Vec<f64> = (0..pop.len())
+        .map(|_| 1.0 + 0.2 * rng.next_gaussian())
+        .collect();
+    let t_y: Vec<f64> = t_x
+        .iter()
+        .map(|&x| x + 0.01 + 0.02 * rng.next_gaussian())
+        .collect();
+    let data = PairData::new(ThroughputMetric::IpcThroughput, t_x, t_y);
+    let bench_strata = BenchmarkStratification::new(
+        mps_workloads::suite()
+            .iter()
+            .map(|b| b.nominal_class.index())
+            .collect(),
+    );
+    let workload_strata = WorkloadStratification::with_defaults(&data.differences());
+    let cases: Vec<(&str, &dyn Sampler)> = vec![
+        ("bench_strata", &bench_strata),
+        ("workload_strata", &workload_strata),
+    ];
+    let mut group = c.benchmark_group("resample_1000_w500");
+    for (name, s) in cases {
+        group.bench_function(name, |b| {
+            let mut base = 0u64;
+            b.iter(|| {
+                base += 1;
+                black_box(empirical_confidence_seeded(
+                    s, &pop, &data, 500, 1_000, base, 1,
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn strata_build(c: &mut Criterion) {
     let mut rng = Rng::new(4);
     let d: Vec<f64> = (0..12_650).map(|_| rng.next_gaussian() * 0.02).collect();
@@ -120,6 +161,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = rank_unrank, draws, resample, strata_build
+    targets = rank_unrank, draws, resample, resample_user_scale, strata_build
 }
 criterion_main!(benches);

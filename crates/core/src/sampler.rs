@@ -113,6 +113,8 @@ pub struct DrawBuf {
     sample: DrawnSample,
     pool: Vec<u16>,
     picks: Vec<usize>,
+    /// Bitset scratch for [`Rng::sample_indices_into`].
+    bits: Vec<u64>,
 }
 
 impl<'a> DrawPlan<'a> {
@@ -195,6 +197,7 @@ impl<'a> DrawPlan<'a> {
             sample,
             pool,
             picks,
+            bits,
         } = buf;
         match &self.0 {
             PlanKind::Uniform { len, w } => {
@@ -210,7 +213,7 @@ impl<'a> DrawPlan<'a> {
             } => {
                 pool.clear();
                 pool.extend_from_slice(base_pool);
-                rng.sample_indices_into(*benchmarks, *remainder, picks);
+                rng.sample_indices_into(*benchmarks, *remainder, picks, bits);
                 pool.extend(picks.iter().map(|&bench| bench as u16));
                 rng.shuffle(pool);
                 let out = plain(sample);
@@ -227,7 +230,7 @@ impl<'a> DrawPlan<'a> {
                     *weight = s.weight;
                     let members = &s.members;
                     if s.n <= members.len() {
-                        rng.sample_indices_into(members.len(), s.n, picked);
+                        rng.sample_indices_into(members.len(), s.n, picked, bits);
                         for i in picked.iter_mut() {
                             *i = members[*i];
                         }

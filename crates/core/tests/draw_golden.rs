@@ -139,16 +139,26 @@ fn floyd_reference(rng: &mut Rng, len: usize, n: usize) -> Vec<usize> {
     chosen.into_iter().collect()
 }
 
+// Lengths up to 5,000 span many bitset words. `edge` forces `n` to 0, 1,
+// `len − 1` and `len` in an eighth of the cases each; the other half
+// pick `n` uniformly.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn sample_indices_matches_btreeset_floyd(
-        len in 0usize..400,
+        len in 0usize..5_000,
+        edge in 0u8..8,
         pick in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let n = (pick % (len as u64 + 1)) as usize;
+        let n = match edge {
+            0 => 0,
+            1 => len.min(1),
+            2 => len.saturating_sub(1),
+            3 => len,
+            _ => (pick % (len as u64 + 1)) as usize,
+        };
         let mut fast = Rng::new(seed);
         let mut reference = fast.clone();
         let got = fast.sample_indices(len, n);

@@ -72,11 +72,17 @@ impl ConvergenceProbe {
     /// with the running diagnostics evaluated *at the cell's sample size
     /// `w`* (that is what equation (5) asks: the confidence an architect
     /// gets from drawing `w` workloads given the observed `cv`), and
-    /// refreshes the running `cv` the heartbeat line shows. `samples` is
+    /// refreshes the running `cv` the heartbeat line shows; without a
+    /// trace sink only the latter. `samples` is
     /// the number of Monte-Carlo resamples the cell averaged over —
     /// context, not part of the formulas.
     pub fn cell(&self, sampler: &str, w: usize, samples: usize) {
         if !mps_obs::enabled() {
+            return;
+        }
+        // Without a sink the event would be dropped: skip building it.
+        if !mps_obs::sink_installed() {
+            crate::heartbeat::set_cv(self.est.cv());
             return;
         }
         let c = self.est.convergence();

@@ -79,6 +79,7 @@ use mps_sampling::{
 use mps_store::{Claim, Error, Lease, LeaseBoard, Store};
 use mps_uncore::PolicyKind;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -162,6 +163,14 @@ pub enum PrefetchKind {
 }
 
 impl PrefetchKind {
+    fn cores(&self) -> usize {
+        match *self {
+            PrefetchKind::Table { cores, .. }
+            | PrefetchKind::DetailedTable { cores, .. }
+            | PrefetchKind::Refs { cores } => cores,
+        }
+    }
+
     fn tag(&self) -> String {
         match *self {
             PrefetchKind::Table { cores, policy } => format!("table;c{cores};{policy}"),
@@ -221,9 +230,17 @@ impl CellDesc {
         }
     }
 
-    /// Encodes the descriptor as `dist.task` event fields (also the key
-    /// of the cell's store record).
+    /// Encodes the descriptor as `dist.task` event fields.
     pub(crate) fn fields(&self) -> Vec<(&'static str, String)> {
+        let mut out = Vec::new();
+        self.for_each_field(&mut |k, v| out.push((k, v.to_string())));
+        out
+    }
+
+    /// Calls `f` with each `dist.task` field of the descriptor in wire
+    /// order, formatting nothing: [`CellDesc::fields`] collects them, the
+    /// cell journal hashes them into the cell's key.
+    pub(crate) fn for_each_field(&self, f: &mut dyn FnMut(&'static str, &dyn fmt::Display)) {
         match self {
             CellDesc::Confidence {
                 source,
@@ -232,23 +249,22 @@ impl CellDesc {
                 samples,
                 base,
             } => {
-                let mut f = vec![("kind", "conf".to_owned())];
-                match *source {
+                f("kind", &"conf");
+                match source {
                     ConfSource::Fig3 { cores } => {
-                        f.push(("src", "fig3".to_owned()));
-                        f.push(("cores", cores.to_string()));
+                        f("src", &"fig3");
+                        f("cores", cores);
                     }
                     ConfSource::Fig6 { pair } => {
-                        f.push(("src", "fig6".to_owned()));
-                        f.push(("pair", pair.to_string()));
+                        f("src", &"fig6");
+                        f("pair", pair);
                     }
-                    ConfSource::Fig7 => f.push(("src", "fig7".to_owned())),
+                    ConfSource::Fig7 => f("src", &"fig7"),
                 }
-                f.push(("method", method.clone()));
-                f.push(("w", w.to_string()));
-                f.push(("samples", samples.to_string()));
-                f.push(("base", format!("{base:016x}")));
-                f
+                f("method", method);
+                f("w", w);
+                f("samples", samples);
+                f("base", &format_args!("{base:016x}"));
             }
             CellDesc::Validate {
                 cores,
@@ -257,40 +273,37 @@ impl CellDesc {
                 widx,
                 perturb,
                 side,
-            } => vec![
-                ("kind", "val".to_owned()),
-                ("cores", cores.to_string()),
-                ("policy", policy.short_name().to_owned()),
-                ("pidx", p_idx.to_string()),
-                ("widx", widx.to_string()),
-                ("perturb", format!("{:016x}", perturb.to_bits())),
-                (
-                    "side",
-                    match side {
-                        ValSide::Detailed => "det".to_owned(),
-                        ValSide::Badco => "badco".to_owned(),
-                    },
-                ),
-            ],
+            } => {
+                f("kind", &"val");
+                f("cores", cores);
+                f("policy", &policy.short_name());
+                f("pidx", p_idx);
+                f("widx", widx);
+                f("perturb", &format_args!("{:016x}", perturb.to_bits()));
+                let side = match side {
+                    ValSide::Detailed => "det",
+                    ValSide::Badco => "badco",
+                };
+                f("side", &side);
+            }
             CellDesc::Prefetch { what } => {
-                let mut f = vec![("kind", "pre".to_owned())];
-                match *what {
+                f("kind", &"pre");
+                match what {
                     PrefetchKind::Table { cores, policy } => {
-                        f.push(("what", "table".to_owned()));
-                        f.push(("cores", cores.to_string()));
-                        f.push(("policy", policy.short_name().to_owned()));
+                        f("what", &"table");
+                        f("cores", cores);
+                        f("policy", &policy.short_name());
                     }
                     PrefetchKind::DetailedTable { cores, policy } => {
-                        f.push(("what", "dtable".to_owned()));
-                        f.push(("cores", cores.to_string()));
-                        f.push(("policy", policy.short_name().to_owned()));
+                        f("what", &"dtable");
+                        f("cores", cores);
+                        f("policy", &policy.short_name());
                     }
                     PrefetchKind::Refs { cores } => {
-                        f.push(("what", "refs".to_owned()));
-                        f.push(("cores", cores.to_string()));
+                        f("what", &"refs");
+                        f("cores", cores);
                     }
                 }
-                f
             }
         }
     }
@@ -484,21 +497,34 @@ pub fn prefetch(
     if ctx.coordinator().is_none() || kinds.is_empty() {
         return Ok(());
     }
-    let cells: Vec<DistCell> = kinds
-        .iter()
-        .map(|k| DistCell {
-            id: format!("prefetch;{}", k.tag()),
-            desc: CellDesc::Prefetch { what: *k },
-        })
-        .collect();
-    run_grid(ctx, grid, &cells, &|_, cell| {
-        let CellDesc::Prefetch { what } = &cell.desc else {
-            unreachable!("prefetch grid contains only prefetch cells");
-        };
-        eval_prefetch(ctx, what)?;
-        Ok(Vec::new())
-    })
-    .map(|_| ())
+    // Every kind needs its core count's traces and models. The first kind
+    // of each core count runs in a round of its own, so those are built
+    // once and stored before any other cell of that count asks for them.
+    let (mut first, mut rest) = (Vec::new(), Vec::new());
+    for k in kinds {
+        if first.iter().any(|f: &PrefetchKind| f.cores() == k.cores()) {
+            rest.push(*k);
+        } else {
+            first.push(*k);
+        }
+    }
+    for round in [first, rest] {
+        let cells: Vec<DistCell> = round
+            .iter()
+            .map(|k| DistCell {
+                id: format!("prefetch;{}", k.tag()),
+                desc: CellDesc::Prefetch { what: *k },
+            })
+            .collect();
+        run_grid(ctx, grid, &cells, &|_, cell| {
+            let CellDesc::Prefetch { what } = &cell.desc else {
+                unreachable!("prefetch grid contains only prefetch cells");
+            };
+            eval_prefetch(ctx, what)?;
+            Ok(Vec::new())
+        })?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

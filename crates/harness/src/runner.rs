@@ -42,20 +42,24 @@ use mps_uncore::{PolicyKind, Uncore, UncoreConfig};
 use mps_workloads::{suite, BenchmarkSpec, TraceBuffer, TraceCursor, TraceSource};
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A grid cell's key within its journal: the FNV-1a64 of every field of
-/// its descriptor — the fields a worker evaluates it from — so together
-/// with the journal's own key it covers every input of the value.
+/// its descriptor — the fields a worker evaluates it from — as
+/// `k=v;k=v;…`, so together with the journal's own key it covers every
+/// input of the value. The text is hashed as it is formatted, never built.
 fn cell_key(desc: &CellDesc) -> u64 {
-    let fields: Vec<String> = desc
-        .fields()
-        .into_iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    mps_store::fnv1a64(fields.join(";").as_bytes())
+    let mut h = mps_store::Fnv1a64::default();
+    let mut sep = "";
+    desc.for_each_field(&mut |k, v| {
+        // Writing into a hash state cannot fail.
+        let _ = write!(h, "{sep}{k}={v}");
+        sep = ";";
+    });
+    h.finish()
 }
 
 /// LLC capacity divisor used by all experiments (see
@@ -1044,6 +1048,68 @@ mod tests {
 
     fn ctx() -> StudyContext {
         StudyContext::new(Scale::test())
+    }
+
+    /// The key as first defined: the joined `k=v` strings, hashed whole.
+    fn cell_key_formatted(desc: &CellDesc) -> u64 {
+        let fields: Vec<String> = desc
+            .fields()
+            .into_iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        mps_store::fnv1a64(fields.join(";").as_bytes())
+    }
+
+    #[test]
+    fn cell_keys_match_the_formatted_key_for_every_variant() {
+        use crate::dist::{ConfSource, PrefetchKind, ValSide};
+        let conf = |source| CellDesc::Confidence {
+            source,
+            method: "workload-strata".to_owned(),
+            w: 40,
+            samples: 1_000,
+            base: 0x0123_4567_89ab_cdef,
+        };
+        let val = |side| CellDesc::Validate {
+            cores: 4,
+            policy: PolicyKind::Drrip,
+            p_idx: 2,
+            widx: 17,
+            perturb: 1.05,
+            side,
+        };
+        let pre = |what| CellDesc::Prefetch { what };
+        let descs = [
+            conf(ConfSource::Fig3 { cores: 8 }),
+            conf(ConfSource::Fig6 { pair: 3 }),
+            conf(ConfSource::Fig7),
+            val(ValSide::Detailed),
+            val(ValSide::Badco),
+            pre(PrefetchKind::Table {
+                cores: 2,
+                policy: PolicyKind::Dip,
+            }),
+            pre(PrefetchKind::DetailedTable {
+                cores: 2,
+                policy: PolicyKind::Lru,
+            }),
+            pre(PrefetchKind::Refs { cores: 4 }),
+        ];
+        // Keys that journals on disk already hold for these descriptors.
+        let stored: [u64; 8] = [
+            0x08a4_36c6_1aef_805d,
+            0xe0fb_8681_55f7_b139,
+            0xefd8_1330_7a01_af7f,
+            0x5c09_bed4_b69f_3f65,
+            0xbc42_480b_7894_1595,
+            0x7fa0_660c_548a_da1e,
+            0x272a_ff37_f0c9_d358,
+            0x3377_31fc_645e_1105,
+        ];
+        for (desc, key) in descs.iter().zip(stored) {
+            assert_eq!(cell_key(desc), cell_key_formatted(desc), "{desc:?}");
+            assert_eq!(cell_key(desc), key, "{desc:?}");
+        }
     }
 
     #[test]

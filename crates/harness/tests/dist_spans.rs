@@ -5,12 +5,16 @@
 //! shipped span's parent resolves inside its own worker's namespace. An
 //! untraced run must ship nothing: workers record no spans at all. In
 //! both legs the artifacts are byte-identical to a single-process run.
-//! This file holds exactly one test: the trace sink and the counters it
-//! reads are process-global.
+//! The prefetch rounds that warm the store must train each core count's
+//! BADCO models exactly once across all processes. The trace sink and the
+//! counters are process-global, so each test holds [`SERIAL`].
 
 use mps_harness::export::CsvExport;
 use mps_harness::{experiments as exp, Scale, StudyContext};
 use mps_obs::jsonl::Record;
+use std::sync::Mutex;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Trimmed like the invariance suite's `mini()`: the point is the
 /// shipping path, not simulation volume.
@@ -46,6 +50,7 @@ fn run_fig3(dir: &std::path::Path) -> (String, String, mps_harness::dist::Proven
 
 #[test]
 fn traced_runs_ship_worker_spans_and_untraced_runs_ship_none() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let reference = {
         let ctx = StudyContext::builder()
             .scale(mini())
@@ -120,5 +125,59 @@ fn traced_runs_ship_worker_spans_and_untraced_runs_ship_none() {
         0,
         "an untraced run shipped spans"
     );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A figure rendered as text and CSV.
+fn render(report: impl std::fmt::Display + CsvExport) -> (String, String) {
+    (report.to_string(), report.csv())
+}
+
+#[test]
+fn prefetch_trains_each_core_counts_models_once() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    type Figure = fn(&StudyContext) -> (String, String);
+    let figures: [(&str, Figure, usize); 2] = [
+        ("fig3", |ctx| render(exp::fig3(ctx).unwrap()), 44),
+        ("fig6", |ctx| render(exp::fig6(ctx).unwrap()), 22),
+    ];
+    std::env::set_var("MPS_WORKER_CMD", env!("CARGO_BIN_EXE_mps-harness"));
+    let base = std::env::temp_dir().join(format!("mps-dist-prefetch-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let trace = base.join("trace.jsonl");
+    let store = base.join("store");
+    for (name, figure, models) in figures {
+        let local = StudyContext::builder().scale(Scale::test()).jobs(1);
+        let reference = figure(&local.build().unwrap());
+        for run in 0..5 {
+            let _ = std::fs::remove_dir_all(&store);
+            mps_obs::reset();
+            mps_obs::set_sink_path(trace.to_str().unwrap()).unwrap();
+            let ctx = StudyContext::builder()
+                .scale(Scale::test())
+                .jobs(1)
+                .workers(2)
+                .store(&store)
+                .build()
+                .unwrap();
+            let artifact = figure(&ctx);
+            drop(ctx); // shuts the coordinator and its workers down
+            mps_obs::reset(); // flushes and closes the sink
+            assert_eq!(
+                artifact, reference,
+                "{name} run {run}: 2-worker artifact differs"
+            );
+            if !mps_obs::enabled() {
+                continue;
+            }
+            let body = std::fs::read_to_string(&trace).unwrap();
+            let records = mps_obs::jsonl::parse_all(&body).expect("the trace parses");
+            let builds = records
+                .iter()
+                .filter(|r| matches!(r, Record::Span { name, .. } if name == "badco.model.build"))
+                .count();
+            assert_eq!(builds, models, "{name} run {run}: badco.model.build spans");
+        }
+    }
     let _ = std::fs::remove_dir_all(&base);
 }

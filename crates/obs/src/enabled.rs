@@ -88,6 +88,12 @@ impl Estimator {
         Convergence::of(&lock(self.cell))
     }
 
+    /// The running coefficient of variation alone, without the rest of
+    /// [`Estimator::convergence`]'s statistics.
+    pub fn cv(self) -> f64 {
+        lock(self.cell).cv()
+    }
+
     /// Materializes this estimator's named snapshot.
     pub fn snapshot(self) -> EstimatorSnapshot {
         EstimatorSnapshot::new(self.name, self.convergence())

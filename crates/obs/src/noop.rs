@@ -56,6 +56,12 @@ impl Estimator {
         Convergence::of(&Moments::new())
     }
 
+    /// Always NaN, the empty-moments `cv`.
+    #[inline(always)]
+    pub fn cv(self) -> f64 {
+        f64::NAN
+    }
+
     /// An empty-named, empty-stats snapshot (never aggregated).
     #[inline(always)]
     pub fn snapshot(self) -> EstimatorSnapshot {

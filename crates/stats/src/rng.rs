@@ -150,28 +150,46 @@ impl Rng {
     /// Panics if `n > len`.
     pub fn sample_indices(&mut self, len: usize, n: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(n);
-        self.sample_indices_into(len, n, &mut out);
+        self.sample_indices_into(len, n, &mut out, &mut Vec::new());
         out
     }
 
     /// [`Rng::sample_indices`] into a caller-owned buffer, which is cleared
-    /// first: a resample loop reuses one allocation for every draw.
+    /// first. `bits` is scratch for a bitset over `0..len` (`len / 64`
+    /// words, grown on first use): a resample loop passes the same two
+    /// buffers to every draw and allocates nothing after the first.
     ///
     /// # Panics
     ///
     /// Panics if `n > len`.
-    pub fn sample_indices_into(&mut self, len: usize, n: usize, out: &mut Vec<usize>) {
+    pub fn sample_indices_into(
+        &mut self,
+        len: usize,
+        n: usize,
+        out: &mut Vec<usize>,
+        bits: &mut Vec<u64>,
+    ) {
         assert!(n <= len, "cannot sample {n} distinct from {len}");
         out.clear();
-        // Floyd's algorithm: n draws, unbiased. `out` stays sorted: `j`
-        // exceeds every earlier pick, so a collision appends it at the end.
-        // Inserting `t` shifts the tail, O(n²) moves at worst — a few
-        // microseconds at the hundreds of workloads a sample holds.
+        bits.clear();
+        bits.resize(len.div_ceil(64), 0);
+        // Floyd's algorithm: n draws, unbiased. `j` exceeds every earlier
+        // pick, so on a collision it is always new. The picks are the set
+        // bits, read out in ascending order: O(n + len/64) per draw.
         for j in (len - n)..len {
             let t = self.index(j + 1);
-            match out.binary_search(&t) {
-                Ok(_) => out.push(j),
-                Err(pos) => out.insert(pos, t),
+            let pick = if bits[t / 64] & (1 << (t % 64)) != 0 {
+                j
+            } else {
+                t
+            };
+            bits[pick / 64] |= 1 << (pick % 64);
+        }
+        for (i, &word) in bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push(i * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
             }
         }
     }
@@ -299,6 +317,18 @@ mod tests {
         let all = r.sample_indices(5, 5);
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
         assert!(r.sample_indices(5, 0).is_empty());
+    }
+
+    #[test]
+    fn sample_indices_into_reuses_scratch_across_lengths() {
+        let (mut out, mut bits) = (Vec::new(), Vec::new());
+        for (len, n) in [(5_000, 300), (70, 69), (0, 0), (129, 1), (4_097, 4_097)] {
+            let mut reused = Rng::new(len as u64);
+            let mut fresh = reused.clone();
+            reused.sample_indices_into(len, n, &mut out, &mut bits);
+            assert_eq!(out, fresh.sample_indices(len, n), "len={len} n={n}");
+            assert_eq!(reused, fresh);
+        }
     }
 
     #[test]

@@ -208,12 +208,43 @@ impl<'a> Dec<'a> {
 /// checksum and the record checksum of schemas 1 and 2. It reads one byte
 /// per multiply, so it is only fit for short inputs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] fed piecewise: the hash of everything written so far, in
+/// order. As a [`std::fmt::Write`] it hashes formatted text without
+/// building it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Appends `bytes` to the hashed input.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of the input written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;

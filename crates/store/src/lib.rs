@@ -39,7 +39,7 @@ mod ledger;
 #[allow(clippy::module_inception)]
 mod store;
 
-pub use codec::{fnv1a64, payload_checksum, Dec, Enc};
+pub use codec::{fnv1a64, payload_checksum, Dec, Enc, Fnv1a64};
 pub use error::{Error, Result};
 pub use journal::{read_journal, CellJournal, JournalEntry};
 pub use lease::{Claim, Lease, LeaseBoard, LEASE_SCHEMA};

@@ -203,17 +203,47 @@ fn badco_run_does_not_allocate_per_node() {
     }
 }
 
-#[test]
-fn resampling_does_not_allocate_per_draw() {
-    let _guard = SERIAL.lock().unwrap();
-    let pop = Population::full(10, 3); // 220 workloads
-    let n = pop.len();
+/// Pair data over `n` workloads whose difference `d(w)` has many levels.
+fn pair_data(n: usize) -> (Vec<f64>, PairData) {
     let d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 0.05).collect();
     let t_x: Vec<f64> = (0..n)
         .map(|i| 1.0 + 0.1 * (i as f64 * 0.91).cos())
         .collect();
     let t_y: Vec<f64> = t_x.iter().zip(&d).map(|(x, d)| x + d).collect();
-    let data = PairData::new(ThroughputMetric::IpcThroughput, t_x, t_y);
+    (d, PairData::new(ThroughputMetric::IpcThroughput, t_x, t_y))
+}
+
+/// Checks that 100 and 1,000 resamples of `w` workloads make as many
+/// allocations, for every `w` in `sizes`.
+fn assert_resampling_flat(
+    name: &str,
+    sampler: &dyn Sampler,
+    pop: &Population,
+    data: &PairData,
+    sizes: &[usize],
+) {
+    for &w in sizes {
+        let run = |samples: u64| {
+            count_allocations(|| {
+                let samples = samples as usize;
+                empirical_confidence_seeded(sampler, pop, data, w, samples, 7, 1)
+            })
+            .1
+        };
+        // Registers the obs counters and span names once.
+        run(10);
+        // Per-call set-up (the plan, the verdict vector, the first
+        // draw's buffers) is allowed; anything per draw is not.
+        assert_allocations_flat(&format!("{name} w={w}, resamples"), 100, 1_000, run);
+    }
+}
+
+#[test]
+fn resampling_does_not_allocate_per_draw() {
+    let _guard = SERIAL.lock().unwrap();
+    let pop = Population::full(10, 3); // 220 workloads
+    let n = pop.len();
+    let (d, data) = pair_data(n);
     let samplers: Vec<(&str, Box<dyn Sampler>)> = vec![
         ("random", Box::new(RandomSampling)),
         ("bal-random", Box::new(BalancedRandomSampling)),
@@ -234,19 +264,18 @@ fn resampling_does_not_allocate_per_draw() {
     ];
     // The second size draws with replacement inside every stratum.
     for (name, sampler) in &samplers {
-        for w in [20, n + 10] {
-            let run = |samples: u64| {
-                count_allocations(|| {
-                    let samples = samples as usize;
-                    empirical_confidence_seeded(sampler.as_ref(), &pop, &data, w, samples, 7, 1)
-                })
-                .1
-            };
-            // Registers the obs counters and span names once.
-            run(10);
-            // Per-call set-up (the plan, the verdict vector, the first
-            // draw's buffers) is allowed; anything per draw is not.
-            assert_allocations_flat(&format!("{name} w={w}, resamples"), 100, 1_000, run);
-        }
+        assert_resampling_flat(name, sampler.as_ref(), &pop, &data, &[20, n + 10]);
     }
+
+    // One stratum of 4,845 workloads: the draw's bitset spans 76 words.
+    let pop = Population::full(17, 4);
+    let (_, data) = pair_data(pop.len());
+    let one_class = BenchmarkStratification::new(vec![0; 17]);
+    assert_resampling_flat(
+        "bench-strata, one class",
+        &one_class,
+        &pop,
+        &data,
+        &[20, 500],
+    );
 }
