@@ -9,12 +9,19 @@
 //! journal, keyed by the descriptor). An experiment enumerates its cells
 //! up front as [`DistCell`] descriptors (each carrying its pre-drawn RNG
 //! base, so the value is a pure function of the descriptor), then calls
-//! [`run_grid`]:
+//! [`run_grid`] with a [`CellInputs`] memo.
 //!
-//! * without a coordinator, cells evaluate sequentially in-process via
-//!   the caller's `local_eval` closure, each through
-//!   `StudyContext::grid_cell`: served from its grid's cell journal when
-//!   recorded there, else computed and appended;
+//! One evaluator computes every cell, in every process: `eval_cell`
+//! reads the descriptor and the inputs it names (pair data, population
+//! and sampler of a confidence source; the model set of a validation
+//! core count) from a [`CellInputs`], which builds each of them once.
+//! Every cell found in its grid's cell journal is served from there;
+//! the rest are computed and appended:
+//!
+//! * without a coordinator, the missed cells' inputs are resolved
+//!   serially (so model training and table builds use the whole pool),
+//!   then the cells evaluate in parallel across `--jobs`, one thread
+//!   each;
 //! * with a coordinator, one dispatcher thread per connected worker pops
 //!   cell indices off a shared [`mps_par::CellQueue`] and round-trips
 //!   them over TCP. Workers claim each cell's **lease** (see
@@ -23,7 +30,8 @@
 //!   dies or stalls stops renewing: the coordinator requeues its
 //!   in-flight cell, and the next claimant steals the lapsed lease. Any
 //!   cells still unassigned when every worker is gone are computed by the
-//!   coordinator itself, so a run *always* completes.
+//!   coordinator itself, through the same evaluator, so a run *always*
+//!   completes. A worker keeps one [`CellInputs`] per connection.
 //!
 //! The coordinator alone reads and appends to cell journals and performs
 //! the same index-ordered merge as the local path, so artifacts are
@@ -74,7 +82,7 @@ use mps_metrics::ThroughputMetric;
 use mps_obs::jsonl::{encode_event, encode_span_tagged, parse as parse_jsonl, Record};
 use mps_sampling::{
     empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, PairData,
-    Population, RandomSampling, Sampler, Workload, WorkloadSpace, WorkloadStratification,
+    Population, RandomSampling, Sampler, WorkloadStratification,
 };
 use mps_store::{Claim, Error, Lease, LeaseBoard, Store};
 use mps_uncore::PolicyKind;
@@ -85,7 +93,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Default lease time-to-live (and worker read timeout); `--lease-ttl`
@@ -110,7 +118,7 @@ const EXIT_AFTER_ENV: &str = "MPS_DIST_EXIT_AFTER_CELLS";
 /// Which pair data a confidence cell resamples. The tag fully determines
 /// outcome data, strata source and population, so a worker can rebuild
 /// the inputs from its own store-backed context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfSource {
     /// Figure 3: BADCO DIP-vs-DRRIP under WSU at `cores`.
     Fig3 {
@@ -443,47 +451,51 @@ fn send_line(stream: &mut TcpStream, name: &str, fields: &[(&str, String)]) -> s
 // The run_grid seam
 // ---------------------------------------------------------------------
 
-/// A caller's single-process evaluator for one cell:
-/// `(index, cell)` → the cell's values.
-pub type LocalEval<'a> = &'a dyn Fn(usize, &DistCell) -> Result<Vec<f64>, Error>;
-
 /// Evaluates a grid of cells and returns their values **in cell order**
 /// (one `Vec<f64>` per cell, [`CellDesc::value_count`] values each).
 ///
-/// Without a coordinator this is the classic sequential loop, each cell
-/// through `StudyContext::grid_cell` (its journal entry, else
-/// `local_eval` and a new entry), and prefetch cells are skipped (the
-/// local path warms its caches lazily anyway). With a coordinator the
-/// cells are sharded across the connected workers; see the module docs
-/// for the failure model. Either way the returned vector
-/// is index-ordered, which is what keeps artifacts byte-identical for
-/// any worker count.
-///
-/// `LocalEval` is the caller's single-process evaluator for one cell:
-/// `(index, cell)` → the cell's values.
+/// Every cell recorded in the grid's journal is served from there.
+/// Without a coordinator, the missed cells' inputs are then resolved
+/// through `inputs`, one cell after another, and the cells evaluate in
+/// parallel across `ctx.jobs()`, each on one thread and appended to the
+/// journal when done; prefetch cells are skipped (the local path warms
+/// its caches lazily anyway). With a coordinator the cells are sharded
+/// across the connected workers; see the module docs for the failure
+/// model. Either way the returned vector is index-ordered, which is what
+/// keeps artifacts byte-identical for any worker count.
 ///
 /// # Errors
 ///
-/// Propagates `local_eval` failures (and, distributed, lease-board I/O
-/// errors).
+/// An input that cannot be built (an unknown sampling method, say) and,
+/// distributed, lease-board I/O errors.
 pub fn run_grid(
     ctx: &StudyContext,
     grid: &'static str,
     cells: &[DistCell],
-    local_eval: LocalEval<'_>,
+    inputs: &CellInputs,
 ) -> Result<Vec<Vec<f64>>, Error> {
     if let Some(co) = ctx.coordinator() {
-        return co.run_grid(ctx, grid, cells, local_eval);
+        return co.run_grid(ctx, grid, cells, inputs);
     }
-    let mut out = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        if matches!(cell.desc, CellDesc::Prefetch { .. }) {
-            out.push(Vec::new());
-            continue;
-        }
-        out.push(ctx.grid_cell(grid, &cell.desc, || local_eval(i, cell))?);
+    let mut out: Vec<Option<Vec<f64>>> = cells
+        .iter()
+        .map(|cell| match cell.desc {
+            CellDesc::Prefetch { .. } => Some(Vec::new()),
+            _ => ctx.replayed_cell(grid, &cell.desc),
+        })
+        .collect();
+    let misses: Vec<usize> = (0..cells.len()).filter(|&i| out[i].is_none()).collect();
+    for &i in &misses {
+        inputs.resolve(ctx, &cells[i].desc)?;
     }
-    Ok(out)
+    let fresh = mps_par::par_map_indexed(ctx.jobs(), &misses, |_, &i| {
+        let desc = &cells[i].desc;
+        ctx.fresh_cell(grid, desc, || eval_cell(ctx, inputs, desc, 1))
+    });
+    for (&i, values) in misses.iter().zip(fresh) {
+        out[i] = Some(values?);
+    }
+    Ok(out.into_iter().flatten().collect())
 }
 
 /// Warms the shared store with expensive artifacts through the workers.
@@ -516,13 +528,7 @@ pub fn prefetch(
                 desc: CellDesc::Prefetch { what: *k },
             })
             .collect();
-        run_grid(ctx, grid, &cells, &|_, cell| {
-            let CellDesc::Prefetch { what } = &cell.desc else {
-                unreachable!("prefetch grid contains only prefetch cells");
-            };
-            eval_prefetch(ctx, what)?;
-            Ok(Vec::new())
-        })?;
+        run_grid(ctx, grid, &cells, &CellInputs::default())?;
     }
     Ok(())
 }
@@ -760,7 +766,7 @@ impl Coordinator {
         ctx: &StudyContext,
         grid: &'static str,
         cells: &[DistCell],
-        local_eval: LocalEval<'_>,
+        inputs: &CellInputs,
     ) -> Result<Vec<Vec<f64>>, Error> {
         let board = LeaseBoard::open(&self.store, grid, &self.spec)?;
         let results: Vec<Mutex<Option<Vec<f64>>>> =
@@ -769,10 +775,9 @@ impl Coordinator {
         for (i, cell) in cells.iter().enumerate() {
             let recorded = match cell.desc {
                 CellDesc::Prefetch { .. } => None,
-                _ => ctx.recorded_cell(grid, &cell.desc),
+                _ => ctx.replayed_cell(grid, &cell.desc),
             };
             if let Some(values) = recorded {
-                crate::heartbeat::cell_replayed();
                 *lock(&results[i]) = Some(values);
             } else {
                 queue.push(i);
@@ -824,13 +829,10 @@ impl Coordinator {
                 self.count_claim(*stolen);
             }
             let started = Instant::now();
-            let values = if matches!(cell.desc, CellDesc::Prefetch { .. }) {
-                local_eval(i, cell)?
-            } else {
-                let v = local_eval(i, cell)?;
-                crate::heartbeat::cell_finished(started.elapsed());
-                ctx.record_cell(grid, &cell.desc, &v);
-                v
+            let eval = || eval_cell(ctx, inputs, &cell.desc, ctx.jobs());
+            let values = match cell.desc {
+                CellDesc::Prefetch { .. } => eval()?,
+                _ => ctx.fresh_cell(grid, &cell.desc, eval)?,
             };
             if let Some((l, _)) = lease {
                 l.release();
@@ -1111,16 +1113,9 @@ fn claim_patiently(
 /// folding the namespace into the top 16 bits keeps every worker's
 /// parent links intact while separating fleets of up to 2⁴⁸ spans each.
 fn worker_namespace(worker: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in worker.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    let h16 = h & 0xFFFF;
-    if h16 == 0 {
-        1
-    } else {
-        h16
+    match mps_store::fnv1a64(worker.as_bytes()) & 0xFFFF {
+        0 => 1,
+        h16 => h16,
     }
 }
 
@@ -1287,7 +1282,7 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
         .and_then(|v| v.parse().ok());
     let mut completed = 0u64;
     let mut boards: HashMap<String, LeaseBoard> = HashMap::new();
-    let mut memo = WorkerMemo::default();
+    let inputs = CellInputs::default();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -1358,7 +1353,7 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
                 continue;
             }
         };
-        match eval_cell(&ctx, &desc, &mut memo) {
+        match eval_cell(&ctx, &inputs, &desc, ctx.jobs()) {
             Ok(values) => {
                 completed += 1;
                 if exit_after == Some(completed) {
@@ -1395,131 +1390,163 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
 }
 
 // ---------------------------------------------------------------------
-// Worker-side cell evaluation
+// Cell evaluation
 // ---------------------------------------------------------------------
 
-/// Per-connection memo of rebuilt confidence inputs and perturbed model
-/// sets, so a worker decodes each shared artifact once per grid instead
-/// of once per cell.
-#[derive(Default)]
-struct WorkerMemo {
-    conf: HashMap<String, Arc<ConfInputs>>,
-    models: HashMap<(usize, u64), Vec<Arc<BadcoModel>>>,
+/// The inputs of a grid's cells beyond their descriptors, each built once
+/// and shared by every cell that reads it: per confidence source its
+/// population, pair data and samplers, and per `(cores, perturb)` the
+/// BADCO model set a validation cell runs. [`run_grid`] resolves a grid's
+/// missed cells through one value before evaluating any of them, so the
+/// builds run one at a time with the whole pool; a worker keeps one per
+/// connection.
+#[derive(Debug, Default)]
+pub struct CellInputs {
+    conf: Mutex<HashMap<ConfSource, Arc<ConfInputs>>>,
+    models: Mutex<HashMap<(usize, u64), ModelSet>>,
 }
 
-struct ConfInputs {
-    pop: Population,
-    data: PairData,
-    strata_diffs: Vec<f64>,
+/// One BADCO model per suite benchmark.
+type ModelSet = Arc<[Arc<BadcoModel>]>;
+
+/// What every cell of one confidence source resamples.
+#[derive(Debug)]
+pub(crate) struct ConfInputs {
+    /// The population the cells draw from.
+    pub(crate) pop: Population,
+    /// The pair data whose sign the cells estimate.
+    pub(crate) data: PairData,
+    /// The BADCO differences Figure 7's workload strata are cut from;
+    /// every other source cuts them from its pair data's own.
+    strata_diffs: Option<Vec<f64>>,
+    bench_strata: OnceLock<BenchmarkStratification>,
+    workload_strata: OnceLock<WorkloadStratification>,
 }
 
-fn conf_key(source: &ConfSource) -> String {
-    match *source {
-        ConfSource::Fig3 { cores } => format!("fig3;c{cores}"),
-        ConfSource::Fig6 { pair } => format!("fig6;p{pair}"),
-        ConfSource::Fig7 => "fig7".to_owned(),
+impl CellInputs {
+    /// The inputs of confidence source `source`, built on first request.
+    pub(crate) fn conf(
+        &self,
+        ctx: &StudyContext,
+        source: ConfSource,
+    ) -> Result<Arc<ConfInputs>, Error> {
+        let mut conf = lock(&self.conf);
+        if let Some(inputs) = conf.get(&source) {
+            return Ok(Arc::clone(inputs));
+        }
+        let inputs = Arc::new(ConfInputs::build(ctx, source)?);
+        conf.insert(source, Arc::clone(&inputs));
+        Ok(inputs)
     }
-}
 
-fn conf_inputs(
-    ctx: &StudyContext,
-    source: &ConfSource,
-    memo: &mut WorkerMemo,
-) -> Result<Arc<ConfInputs>, Error> {
-    let key = conf_key(source);
-    if let Some(inputs) = memo.conf.get(&key) {
-        return Ok(Arc::clone(inputs));
-    }
-    let inputs = match *source {
-        ConfSource::Fig3 { cores } => {
-            let data = ctx.badco_pair_data(
-                cores,
-                PolicyKind::Dip,
-                PolicyKind::Drrip,
-                ThroughputMetric::WeightedSpeedup,
-            )?;
-            let strata_diffs = data.differences();
-            ConfInputs {
-                pop: ctx.population(cores)?,
-                data,
-                strata_diffs,
-            }
+    /// The BADCO model set of `cores` with every model's coefficients
+    /// scaled by `perturb` (the context's own set when it is 1), built on
+    /// first request and never written into the context's model cache.
+    fn models(&self, ctx: &StudyContext, cores: usize, perturb: f64) -> Result<ModelSet, Error> {
+        let mut memo = lock(&self.models);
+        if let Some(models) = memo.get(&(cores, perturb.to_bits())) {
+            return Ok(Arc::clone(models));
         }
-        ConfSource::Fig6 { pair } => {
-            let pairs = crate::experiments::confidence::fig6_pairs();
-            let &(x, y) = pairs.get(pair).ok_or_else(|| {
-                Error::InvalidInput(format!("fig6 pair index {pair} out of range"))
-            })?;
-            let data = ctx.badco_pair_data(4, x, y, ThroughputMetric::IpcThroughput)?;
-            let strata_diffs = data.differences();
-            ConfInputs {
-                pop: ctx.population(4)?,
-                data,
-                strata_diffs,
-            }
-        }
-        ConfSource::Fig7 => {
-            let metric = ThroughputMetric::IpcThroughput;
-            let (x, y) = (PolicyKind::Lru, PolicyKind::Dip);
-            let pop = ctx.population(2)?;
-            let workloads = pop.workloads().to_vec();
-            let tx = ctx.detailed_table(2, x, &workloads)?.throughputs(metric);
-            let ty = ctx.detailed_table(2, y, &workloads)?.throughputs(metric);
-            let strata_diffs = ctx.badco_pair_data(2, x, y, metric)?.differences();
-            ConfInputs {
-                pop,
-                data: PairData::new(metric, tx, ty),
-                strata_diffs,
-            }
-        }
-    };
-    let inputs = Arc::new(inputs);
-    memo.conf.insert(key, Arc::clone(&inputs));
-    Ok(inputs)
-}
-
-fn build_sampler(
-    ctx: &StudyContext,
-    method: &str,
-    inputs: &ConfInputs,
-) -> Result<Box<dyn Sampler>, Error> {
-    match method {
-        "random" => Ok(Box::new(RandomSampling)),
-        "bal-random" => Ok(Box::new(BalancedRandomSampling)),
-        "bench-strata" => {
-            let classes: Vec<usize> = ctx
-                .suite()
+        let models = ctx.models(cores)?;
+        let models: ModelSet = if perturb == 1.0 {
+            models.into()
+        } else {
+            models
                 .iter()
-                .map(|b| b.nominal_class.index())
-                .collect();
-            Ok(Box::new(BenchmarkStratification::new(classes)))
+                .map(|m| Arc::new(m.perturbed(perturb)))
+                .collect()
+        };
+        memo.insert((cores, perturb.to_bits()), Arc::clone(&models));
+        Ok(models)
+    }
+
+    /// Builds whatever evaluating `desc` reads, so that evaluating it
+    /// only looks its inputs up.
+    fn resolve(&self, ctx: &StudyContext, desc: &CellDesc) -> Result<(), Error> {
+        match desc {
+            CellDesc::Confidence { source, method, .. } => {
+                self.conf(ctx, *source)?.sampler(ctx, method)?;
+            }
+            CellDesc::Validate {
+                cores,
+                perturb,
+                side: ValSide::Badco,
+                ..
+            } => {
+                self.models(ctx, *cores, *perturb)?;
+            }
+            CellDesc::Validate { .. } | CellDesc::Prefetch { .. } => {}
         }
-        "workload-strata" => Ok(Box::new(WorkloadStratification::with_defaults(
-            &inputs.strata_diffs,
-        ))),
-        other => Err(Error::InvalidInput(format!(
-            "unknown sampling method '{other}'"
-        ))),
+        Ok(())
     }
 }
 
-/// Re-derives a validation cell's workload from the same seed stream the
-/// sweep enumeration used (`widx + 1` draws from the per-(cores, policy)
-/// stream; the workload is the last).
-fn validate_workload(
-    ctx: &StudyContext,
-    cores: usize,
-    p_idx: usize,
-) -> impl FnMut(usize) -> Workload + '_ {
-    let space = WorkloadSpace::new(ctx.suite().len(), cores);
-    let mut rng =
-        ctx.rng(crate::validate::VALIDATE_STREAM ^ ((cores as u64) << 20) ^ (p_idx as u64));
-    let mut drawn: Vec<Workload> = Vec::new();
-    move |widx: usize| {
-        while drawn.len() <= widx {
-            drawn.push(space.random_workload(&mut rng));
-        }
-        drawn[widx].clone()
+impl ConfInputs {
+    fn build(ctx: &StudyContext, source: ConfSource) -> Result<ConfInputs, Error> {
+        let (pop, data, strata_diffs) = match source {
+            ConfSource::Fig3 { cores } => {
+                let data = ctx.badco_pair_data(
+                    cores,
+                    PolicyKind::Dip,
+                    PolicyKind::Drrip,
+                    ThroughputMetric::WeightedSpeedup,
+                )?;
+                (ctx.population(cores)?, data, None)
+            }
+            ConfSource::Fig6 { pair } => {
+                let pairs = crate::experiments::confidence::fig6_pairs();
+                let &(x, y) = pairs.get(pair).ok_or_else(|| {
+                    Error::InvalidInput(format!("fig6 pair index {pair} out of range"))
+                })?;
+                let data = ctx.badco_pair_data(4, x, y, ThroughputMetric::IpcThroughput)?;
+                (ctx.population(4)?, data, None)
+            }
+            ConfSource::Fig7 => {
+                let metric = ThroughputMetric::IpcThroughput;
+                let (x, y) = (PolicyKind::Lru, PolicyKind::Dip);
+                let pop = ctx.population(2)?;
+                let workloads = pop.workloads().to_vec();
+                let tx = ctx.detailed_table(2, x, &workloads)?.throughputs(metric);
+                let ty = ctx.detailed_table(2, y, &workloads)?.throughputs(metric);
+                let diffs = ctx.badco_pair_data(2, x, y, metric)?.differences();
+                (pop, PairData::new(metric, tx, ty), Some(diffs))
+            }
+        };
+        Ok(ConfInputs {
+            pop,
+            data,
+            strata_diffs,
+            bench_strata: OnceLock::new(),
+            workload_strata: OnceLock::new(),
+        })
+    }
+
+    /// The sampler named `method`, a stratified one built on first use.
+    fn sampler(&self, ctx: &StudyContext, method: &str) -> Result<&dyn Sampler, Error> {
+        Ok(match method {
+            "random" => &RandomSampling,
+            "bal-random" => &BalancedRandomSampling,
+            "bench-strata" => self.bench_strata.get_or_init(|| {
+                let classes = ctx.suite().iter().map(|b| b.nominal_class.index());
+                BenchmarkStratification::new(classes.collect())
+            }),
+            "workload-strata" => self.workload_strata.get_or_init(|| {
+                let own;
+                let diffs = match &self.strata_diffs {
+                    Some(badco) => badco,
+                    None => {
+                        own = self.data.differences();
+                        &own
+                    }
+                };
+                WorkloadStratification::with_defaults(diffs)
+            }),
+            other => {
+                return Err(Error::InvalidInput(format!(
+                    "unknown sampling method '{other}'"
+                )))
+            }
+        })
     }
 }
 
@@ -1542,12 +1569,16 @@ fn eval_prefetch(ctx: &StudyContext, what: &PrefetchKind) -> Result<(), Error> {
     Ok(())
 }
 
-/// Evaluates one cell descriptor against a (store-backed) context. Pure:
-/// the same descriptor yields bit-identical values on any process.
+/// Evaluates one cell descriptor against a (store-backed) context, with
+/// up to `jobs` threads inside the cell: the one evaluator of every grid
+/// cell, in process, on the coordinator and on workers. Pure: the same
+/// descriptor yields bit-identical values on any process and for any
+/// `jobs`.
 fn eval_cell(
     ctx: &StudyContext,
+    inputs: &CellInputs,
     desc: &CellDesc,
-    memo: &mut WorkerMemo,
+    jobs: usize,
 ) -> Result<Vec<f64>, Error> {
     match desc {
         CellDesc::Confidence {
@@ -1557,16 +1588,15 @@ fn eval_cell(
             samples,
             base,
         } => {
-            let inputs = conf_inputs(ctx, source, memo)?;
-            let sampler = build_sampler(ctx, method, &inputs)?;
+            let conf = inputs.conf(ctx, *source)?;
             Ok(vec![empirical_confidence_seeded(
-                sampler.as_ref(),
-                &inputs.pop,
-                &inputs.data,
+                conf.sampler(ctx, method)?,
+                &conf.pop,
+                &conf.data,
                 *w,
                 *samples,
                 *base,
-                ctx.jobs(),
+                jobs,
             )])
         }
         CellDesc::Validate {
@@ -1577,29 +1607,15 @@ fn eval_cell(
             perturb,
             side,
         } => {
-            let mut workload_at = validate_workload(ctx, *cores, *p_idx);
-            let workload = workload_at(*widx);
+            let workload = crate::validate::group_workloads(ctx, *cores, *p_idx)
+                .nth(*widx)
+                .expect("the workload stream is endless");
             match side {
                 ValSide::Detailed => ctx.validation_detailed_ipcs(*cores, *policy, &workload),
                 ValSide::Badco => {
-                    let key = (*cores, perturb.to_bits());
-                    let models = match memo.models.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            let models = ctx.models(*cores)?;
-                            let models = if *perturb == 1.0 {
-                                models
-                            } else {
-                                models
-                                    .iter()
-                                    .map(|m| Arc::new(m.perturbed(*perturb)))
-                                    .collect()
-                            };
-                            e.insert(models)
-                        }
-                    };
+                    let models = inputs.models(ctx, *cores, *perturb)?;
                     Ok(StudyContext::badco_run_with(
-                        models, *cores, *policy, &workload,
+                        &models, *cores, *policy, &workload,
                     ))
                 }
             }

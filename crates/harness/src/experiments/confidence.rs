@@ -1,13 +1,9 @@
 //! Figures 1, 3, 6 and 7: degrees of confidence.
 
 use crate::convergence::ConvergenceProbe;
-use crate::dist::{self, CellDesc, ConfSource, DistCell, PrefetchKind};
+use crate::dist::{self, CellDesc, CellInputs, ConfSource, DistCell, PrefetchKind};
 use crate::runner::StudyContext;
-use mps_metrics::ThroughputMetric;
-use mps_sampling::{
-    analytic_confidence, empirical_confidence_seeded, BalancedRandomSampling,
-    BenchmarkStratification, PairData, RandomSampling, Sampler, WorkloadStratification,
-};
+use mps_sampling::analytic_confidence;
 use mps_store::Error;
 use mps_uncore::PolicyKind;
 
@@ -137,7 +133,6 @@ impl std::fmt::Display for Fig3Report {
 /// journal, so the rerun of a killed run serves the completed cells from
 /// the store and continues bit-identically.
 pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
-    let metric = ThroughputMetric::WeightedSpeedup;
     // The paper validates on 2, 4 and 8 cores; the 8-core population is
     // included once the scale gives it a meaningful sample.
     let cores_list = if ctx.scale.pop_8core >= 100 {
@@ -155,49 +150,32 @@ pub fn fig3(ctx: &StudyContext) -> Result<Fig3Report, Error> {
     dist::prefetch(ctx, "fig3", &prefetch)?;
 
     let samples = ctx.scale.confidence_samples;
-    let mut inputs = Vec::new(); // per core count: (pop, data, probe)
+    let inputs = CellInputs::default();
     let mut cells = Vec::new();
-    let mut meta = Vec::new(); // (inputs index, cores, w, analytic)
+    let mut meta = Vec::new(); // (probe, cores, w, analytic)
     for &cores in &cores_list {
-        let data = ctx.badco_pair_data(cores, PolicyKind::Dip, PolicyKind::Drrip, metric)?;
-        let pop = ctx.population(cores)?;
+        let source = ConfSource::Fig3 { cores };
+        let conf = inputs.conf(ctx, source)?;
+        let data = &conf.data;
         let probe = ConvergenceProbe::new("fig3", &format!("c{cores}"), &data.differences());
         let mut rng = ctx.rng(0xF163 ^ cores as u64);
         for &w in &ctx.scale.sample_sizes {
             let base = rng.next_u64();
             cells.push(confidence_cell(
                 format!("c{cores};w{w}"),
-                ConfSource::Fig3 { cores },
+                source,
                 "random",
                 w,
                 samples,
                 base,
             ));
-            meta.push((inputs.len(), cores, w, analytic_confidence(&data, w)));
+            meta.push((probe, cores, w, analytic_confidence(data, w)));
         }
-        inputs.push((pop, data, probe));
     }
-    let values = dist::run_grid(ctx, "fig3", &cells, &|i, cell| {
-        let CellDesc::Confidence {
-            w, samples, base, ..
-        } = &cell.desc
-        else {
-            unreachable!("fig3 grid contains only confidence cells");
-        };
-        let (pop, data, _) = &inputs[meta[i].0];
-        Ok(vec![empirical_confidence_seeded(
-            &RandomSampling,
-            pop,
-            data,
-            *w,
-            *samples,
-            *base,
-            ctx.jobs(),
-        )])
-    })?;
+    let values = dist::run_grid(ctx, "fig3", &cells, &inputs)?;
     let mut points = Vec::new();
-    for (&(input, cores, w, analytic), empirical) in meta.iter().zip(&values) {
-        inputs[input].2.cell("random", w, samples);
+    for (&(probe, cores, w, analytic), empirical) in meta.iter().zip(&values) {
+        probe.cell("random", w, samples);
         points.push((cores, w, analytic, empirical[0]));
     }
     Ok(Fig3Report {
@@ -305,56 +283,45 @@ pub fn fig6_pairs() -> [(PolicyKind, PolicyKind); 4] {
     ]
 }
 
-/// Evaluates all applicable sampling methods on `data` over the given
-/// population, producing one panel. The `(method, W)` grid goes through
-/// [`dist::run_grid`], so with a coordinator attached the cells are
-/// sharded across worker processes (which rebuild `pop`/`data` from
-/// `source` against the shared store) and evaluated bit-identically.
+/// One panel of Figure 6 or 7: every applicable sampling method at every
+/// size of `sizes` the population admits, over `source`'s inputs. The
+/// `(method, W)` grid goes through [`dist::run_grid`], so with a
+/// coordinator attached the cells are sharded across worker processes
+/// (which rebuild the inputs from `source` against the shared store) and
+/// evaluated bit-identically.
 #[allow(clippy::too_many_arguments)]
 fn panel(
     ctx: &StudyContext,
-    experiment: &'static str,
-    cell_prefix: &str,
+    grid: &'static str,
+    label: &str,
     source: ConfSource,
-    pop: &mps_sampling::Population,
-    data: &PairData,
-    x: PolicyKind,
-    y: PolicyKind,
+    (x, y): (PolicyKind, PolicyKind),
+    sizes: &[usize],
     samples: usize,
     stream: u64,
 ) -> Result<ConfidencePanel, Error> {
-    let probe = ConvergenceProbe::new(experiment, cell_prefix, &data.differences());
-    let classes: Vec<usize> = ctx
-        .suite()
-        .iter()
-        .map(|b| b.nominal_class.index())
-        .collect();
-    let bench_strata = BenchmarkStratification::new(classes);
-    let workload_strata = WorkloadStratification::with_defaults(&data.differences());
-    let mut methods: Vec<(&str, &dyn Sampler)> = vec![
-        ("random", &RandomSampling),
-        ("bench-strata", &bench_strata),
-        ("workload-strata", &workload_strata),
-    ];
-    let balanced = BalancedRandomSampling;
-    if pop.is_full() {
+    let inputs = CellInputs::default();
+    let conf = inputs.conf(ctx, source)?;
+    let probe = ConvergenceProbe::new(grid, label, &conf.data.differences());
+    let mut methods = vec!["random", "bench-strata", "workload-strata"];
+    if conf.pop.is_full() {
         // The balanced construction needs the full population (paper
         // footnote 6 hits the same restriction).
-        methods.insert(1, ("bal-random", &balanced));
+        methods.insert(1, "bal-random");
     }
-    let sizes = ctx.scale.sample_sizes.clone();
-    let eligible = sizes.iter().filter(|&&w| w <= pop.len()).count();
-    crate::heartbeat::grid_add_total((methods.len() * eligible) as u64);
+    let sizes: Vec<usize> = sizes
+        .iter()
+        .copied()
+        .filter(|&w| w <= conf.pop.len())
+        .collect();
+    crate::heartbeat::grid_add_total((methods.len() * sizes.len()) as u64);
     let mut cells = Vec::new();
-    for (name, _) in &methods {
-        let mut rng = ctx.rng(stream ^ fxhash(name));
+    for name in &methods {
+        let mut rng = ctx.rng(stream ^ mps_store::fnv1a64(name.as_bytes()));
         for &w in &sizes {
-            if w > pop.len() {
-                continue;
-            }
             let base = rng.next_u64();
             cells.push(confidence_cell(
-                format!("{cell_prefix};{name};w{w}"),
+                format!("{label};{name};w{w}"),
                 source,
                 name,
                 w,
@@ -363,32 +330,7 @@ fn panel(
             ));
         }
     }
-    let values = dist::run_grid(ctx, experiment, &cells, &|_, cell| {
-        let CellDesc::Confidence {
-            method,
-            w,
-            samples,
-            base,
-            ..
-        } = &cell.desc
-        else {
-            unreachable!("confidence panels contain only confidence cells");
-        };
-        let sampler = methods
-            .iter()
-            .find(|(n, _)| n == method)
-            .expect("cell methods come from this panel's method list")
-            .1;
-        Ok(vec![empirical_confidence_seeded(
-            sampler,
-            pop,
-            data,
-            *w,
-            *samples,
-            *base,
-            ctx.jobs(),
-        )])
-    })?;
+    let values = dist::run_grid(ctx, grid, &cells, &inputs)?;
     let mut series = Vec::new();
     for (cell, v) in cells.iter().zip(&values) {
         let CellDesc::Confidence {
@@ -403,19 +345,10 @@ fn panel(
     Ok(ConfidencePanel { x, y, series })
 }
 
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-    })
-}
-
 /// Figure 6: confidence of the four sampling methods on four policy
 /// pairs, estimated with BADCO (4 cores, IPCT).
 pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     let cores = 4;
-    let metric = ThroughputMetric::IpcThroughput;
-    let pop = ctx.population(cores)?;
-    let samples = ctx.scale.confidence_samples;
     let mut prefetch: Vec<PrefetchKind> = Vec::new();
     for policy in fig6_pairs().into_iter().flat_map(|(x, y)| [x, y]) {
         let kind = PrefetchKind::Table { cores, policy };
@@ -425,18 +358,15 @@ pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     }
     dist::prefetch(ctx, "fig6", &prefetch)?;
     let mut panels = Vec::new();
-    for (i, (x, y)) in fig6_pairs().into_iter().enumerate() {
-        let data = ctx.badco_pair_data(cores, x, y, metric)?;
+    for (i, pair) in fig6_pairs().into_iter().enumerate() {
         panels.push(panel(
             ctx,
             "fig6",
             &format!("p{i}"),
             ConfSource::Fig6 { pair: i },
-            &pop,
-            &data,
-            x,
-            y,
-            samples,
+            pair,
+            &ctx.scale.sample_sizes,
+            ctx.scale.confidence_samples,
             0xF166 + i as u64,
         )?);
     }
@@ -455,7 +385,6 @@ pub fn fig6(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
 /// detailed one).
 pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
     let cores = 2;
-    let metric = ThroughputMetric::IpcThroughput;
     let (x, y) = (PolicyKind::Lru, PolicyKind::Dip);
     // The detailed tables dominate this figure's cost: with a
     // coordinator, warm them (and the BADCO strata tables) through the
@@ -470,36 +399,6 @@ pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
             PrefetchKind::DetailedTable { cores, policy: y },
         ],
     )?;
-    let pop = ctx.population(cores)?;
-    let workloads = pop.workloads().to_vec();
-
-    // Detailed-simulator throughputs over the full 253-workload population.
-    let tx = ctx
-        .detailed_table(cores, x, &workloads)?
-        .throughputs(metric);
-    let ty = ctx
-        .detailed_table(cores, y, &workloads)?
-        .throughputs(metric);
-    let detailed_data = PairData::new(metric, tx, ty);
-
-    // Strata are defined from the approximate (BADCO) differences.
-    let badco_data = ctx.badco_pair_data(cores, x, y, metric)?;
-    let workload_strata = WorkloadStratification::with_defaults(&badco_data.differences());
-
-    let classes: Vec<usize> = ctx
-        .suite()
-        .iter()
-        .map(|b| b.nominal_class.index())
-        .collect();
-    let bench_strata = BenchmarkStratification::new(classes);
-    let balanced = BalancedRandomSampling;
-    let methods: Vec<(&str, &dyn Sampler)> = vec![
-        ("random", &RandomSampling),
-        ("bal-random", &balanced),
-        ("bench-strata", &bench_strata),
-        ("workload-strata", &workload_strata),
-    ];
-
     // The paper uses 100 samples per size for this figure.
     let samples = (ctx.scale.confidence_samples / 10).max(100);
     let sizes: Vec<usize> = ctx
@@ -509,65 +408,21 @@ pub fn fig7(ctx: &StudyContext) -> Result<ConfidenceCurves, Error> {
         .copied()
         .filter(|&w| w <= 50)
         .collect();
-    crate::heartbeat::grid_add_total((methods.len() * sizes.len()) as u64);
-    let probe = ConvergenceProbe::new("fig7", "p0", &detailed_data.differences());
-    let mut cells = Vec::new();
-    for (name, _) in &methods {
-        let mut rng = ctx.rng(0xF167 ^ fxhash(name));
-        for &w in &sizes {
-            let base = rng.next_u64();
-            cells.push(confidence_cell(
-                format!("{name};w{w}"),
-                ConfSource::Fig7,
-                name,
-                w,
-                samples,
-                base,
-            ));
-        }
-    }
-    let values = dist::run_grid(ctx, "fig7", &cells, &|_, cell| {
-        let CellDesc::Confidence {
-            method,
-            w,
-            samples,
-            base,
-            ..
-        } = &cell.desc
-        else {
-            unreachable!("fig7 grid contains only confidence cells");
-        };
-        let sampler = methods
-            .iter()
-            .find(|(n, _)| n == method)
-            .expect("cell methods come from fig7's method list")
-            .1;
-        Ok(vec![empirical_confidence_seeded(
-            sampler,
-            &pop,
-            &detailed_data,
-            *w,
-            *samples,
-            *base,
-            ctx.jobs(),
-        )])
-    })?;
-    let mut series = Vec::new();
-    for (cell, v) in cells.iter().zip(&values) {
-        let CellDesc::Confidence {
-            method, w, samples, ..
-        } = &cell.desc
-        else {
-            unreachable!("fig7 grid contains only confidence cells");
-        };
-        probe.cell(method, *w, *samples);
-        series.push((method.clone(), *w, v[0]));
-    }
+    let panel = panel(
+        ctx,
+        "fig7",
+        "p0",
+        ConfSource::Fig7,
+        (x, y),
+        &sizes,
+        samples,
+        0xF167,
+    )?;
     Ok(ConfidenceCurves {
         figure: 7,
         cores,
         simulator: "detailed",
-        panels: vec![ConfidencePanel { x, y, series }],
+        panels: vec![panel],
     })
 }
 

@@ -19,7 +19,7 @@
 //! across processes*: a second run (or the rerun of a killed one) hits
 //! the store instead of re-simulating. Every completed experiment-grid
 //! cell is appended to its grid's cell journal in the store as well (see
-//! `StudyContext::grid_cell`), so a rerun recomputes only the cells it
+//! `StudyContext::fresh_cell`), so a rerun recomputes only the cells it
 //! lacks. A poisoned artifact file or journal entry degrades to a
 //! recompute (the store quarantines it), never to a wrong result. The
 //! public accessors return `Result<_, mps::Error>`; the panicking
@@ -504,73 +504,58 @@ impl StudyContext {
         Some(journal)
     }
 
-    /// The recorded values of the grid cell `desc` of `grid`, if its
-    /// journal holds them.
-    pub(crate) fn recorded_cell(&self, grid: &str, desc: &CellDesc) -> Option<Vec<f64>> {
-        self.journal(grid)?.get(cell_key(desc), desc.value_count())
-    }
-
     /// Records a computed grid cell in its grid's journal (a no-op
     /// without a store). The `MPS_ABORT_AFTER_CELLS=<n>` environment
     /// variable aborts the process right after the n-th synced cell entry
     /// — the hook the kill-and-rerun tests use to stop a grid at a known
-    /// point. A failed append (a full disk, say) is a warning, never an
-    /// error: it must not kill a running study.
+    /// point. While it is set, one process-wide lock spans each append and
+    /// its count, so no thread appends entry n+1 before entry n aborts.
+    /// A failed append (a full disk, say) is a warning, never an error: it
+    /// must not kill a running study.
     pub(crate) fn record_cell(&self, grid: &str, desc: &CellDesc, values: &[f64]) {
         let Some(journal) = self.journal(grid) else {
             return;
         };
-        if let Err(e) = journal.append(cell_key(desc), values) {
-            eprintln!("warning: could not persist a {grid} cell: {e}");
-            return;
-        }
-        static RECORDED: AtomicU64 = AtomicU64::new(0);
         static LIMIT: OnceLock<Option<u64>> = OnceLock::new();
-        let limit = LIMIT.get_or_init(|| {
+        static RECORDED: Mutex<u64> = Mutex::new(0);
+        let limit = *LIMIT.get_or_init(|| {
             std::env::var("MPS_ABORT_AFTER_CELLS")
                 .ok()
                 .and_then(|v| v.parse().ok())
         });
-        if let Some(limit) = *limit {
-            if RECORDED.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
+        let recorded = limit.map(|_| {
+            RECORDED
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        });
+        if let Err(e) = journal.append(cell_key(desc), values) {
+            eprintln!("warning: could not persist a {grid} cell: {e}");
+            return;
+        }
+        if let (Some(limit), Some(mut recorded)) = (limit, recorded) {
+            *recorded += 1;
+            if *recorded >= limit {
                 eprintln!("MPS_ABORT_AFTER_CELLS={limit}: simulating a killed run");
                 std::process::abort();
             }
         }
     }
 
-    /// The values of one grid cell: served from its grid's journal when
-    /// recorded there, else computed with `compute` and recorded. This is
-    /// the single persistence path of every cell evaluated in this
-    /// process, so the rerun of a killed grid is an ordinary cache hit
-    /// for each cell the killed run completed.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `compute` returns.
-    pub(crate) fn grid_cell(
-        &self,
-        grid: &str,
-        desc: &CellDesc,
-        compute: impl FnOnce() -> Result<Vec<f64>, Error>,
-    ) -> Result<Vec<f64>, Error> {
-        match self.replayed_cell(grid, desc) {
-            Some(values) => Ok(values),
-            None => self.fresh_cell(grid, desc, compute),
-        }
-    }
-
-    /// The first half of [`Self::grid_cell`]: the recorded values of the
-    /// cell `desc` of `grid`, counted as a replayed cell, if the journal
-    /// holds them.
+    /// The recorded values of the cell `desc` of `grid`, counted as a
+    /// replayed cell, if the journal holds them. With [`Self::fresh_cell`]
+    /// this is the single persistence path of every grid cell, so the
+    /// rerun of a killed grid is an ordinary cache hit for each cell the
+    /// killed run completed.
     pub(crate) fn replayed_cell(&self, grid: &str, desc: &CellDesc) -> Option<Vec<f64>> {
-        let values = self.recorded_cell(grid, desc)?;
+        let values = self
+            .journal(grid)?
+            .get(cell_key(desc), desc.value_count())?;
         crate::heartbeat::cell_replayed();
         Some(values)
     }
 
-    /// The second half of [`Self::grid_cell`], after the journal missed:
-    /// computes the cell with `compute` and records it.
+    /// After [`Self::replayed_cell`] missed: computes the cell with
+    /// `compute` and records it.
     ///
     /// # Errors
     ///
@@ -1227,7 +1212,7 @@ mod tests {
         };
         let values = [f64::NAN, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let recorded = |c: &StudyContext, grid, widx| c.recorded_cell(grid, &desc(widx));
+        let recorded = |c: &StudyContext, grid, widx| c.replayed_cell(grid, &desc(widx));
         let c = open();
         assert_eq!(recorded(&c, "validate", 0), None);
         c.record_cell("validate", &desc(0), &values);

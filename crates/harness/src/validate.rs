@@ -30,16 +30,14 @@
 //! `docs/validation.md` for the methodology and the re-baselining
 //! procedure.
 
-use crate::dist::{self, CellDesc, DistCell, ValSide};
+use crate::dist::{self, CellDesc, CellInputs, DistCell, ValSide};
 use crate::runner::{experiment_uncore, StudyContext};
-use mps_badco::BadcoModel;
 use mps_sampling::{Workload, WorkloadSpace};
 use mps_stats::error_bounds::{kendall, relative_errors, ErrorStats, RankAgreement};
 use mps_store::Error;
 use mps_uncore::PolicyKind;
 use mps_workloads::MpkiClass;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema of the JSONL validation report. Bump when a field changes
@@ -48,10 +46,22 @@ use std::time::Instant;
 pub const VALIDATE_SCHEMA: u32 = 1;
 
 /// Seed stream tag for the validation grid's workload draws (distinct
-/// from every experiment stream). `pub(crate)` so distributed workers
-/// re-derive the same workloads from a cell descriptor (see
-/// [`crate::dist`]).
-pub(crate) const VALIDATE_STREAM: u64 = 0x5641_4C31;
+/// from every experiment stream).
+const VALIDATE_STREAM: u64 = 0x5641_4C31;
+
+/// The workloads of the sweep's `(cores, policy)` group in draw order:
+/// an endless stream seeded by the core count and the policy's index in
+/// the sweep. The sweep takes the first `workloads_per_group`; a cell's
+/// evaluator (see [`crate::dist`]) re-derives its own by index.
+pub(crate) fn group_workloads(
+    ctx: &StudyContext,
+    cores: usize,
+    p_idx: usize,
+) -> impl Iterator<Item = Workload> {
+    let space = WorkloadSpace::new(ctx.suite().len(), cores);
+    let mut rng = ctx.rng(VALIDATE_STREAM ^ ((cores as u64) << 20) ^ (p_idx as u64));
+    std::iter::repeat_with(move || space.random_workload(&mut rng))
+}
 
 /// Sizing and perturbation knobs of one validation sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +73,7 @@ pub struct ValidateOptions {
     /// Seeded random workloads per `(cores, policy)` cell.
     pub workloads_per_group: usize,
     /// Coefficient perturbation applied to every BADCO model via
-    /// [`BadcoModel::perturbed`]; `1.0` (the default) validates the
+    /// [`mps_badco::BadcoModel::perturbed`]; `1.0` (the default) validates the
     /// unmodified model. Any other value exists solely to prove the
     /// drift gate fires — see `docs/validation.md`.
     pub perturb: f64,
@@ -235,111 +245,61 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     // With a coordinator attached, warm the store's shared artifacts
     // (models, reference IPCs) through the workers first — every process
     // then loads the same bytes instead of re-simulating.
-    let mut refs: Vec<dist::PrefetchKind> = Vec::new();
+    let mut warm: Vec<dist::PrefetchKind> = Vec::new();
     for &cores in &opts.core_counts {
         let kind = dist::PrefetchKind::Refs { cores };
-        if !refs.contains(&kind) {
-            refs.push(kind);
+        if !warm.contains(&kind) {
+            warm.push(kind);
         }
     }
-    dist::prefetch(ctx, "validate", &refs)?;
+    dist::prefetch(ctx, "validate", &warm)?;
 
-    // Draw every cell's workloads up front from per-(cores, policy) seed
-    // streams: the grid contents are fixed before any parallelism starts.
+    // Draw every workload up front from its group's seed stream: the
+    // grid is fixed before any parallelism starts. Each workload is two
+    // cells, one per simulator.
     let suite = ctx.suite();
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut rows: Vec<(usize, PolicyKind, Workload)> = Vec::new();
+    let mut cells: Vec<DistCell> = Vec::new();
     for &cores in &opts.core_counts {
-        let space = WorkloadSpace::new(suite.len(), cores);
         for (p_idx, &policy) in opts.policies.iter().enumerate() {
-            let mut rng = ctx.rng(VALIDATE_STREAM ^ ((cores as u64) << 20) ^ (p_idx as u64));
-            for widx in 0..opts.workloads_per_group {
-                cells.push(Cell {
-                    cores,
-                    policy,
-                    p_idx,
-                    widx,
-                    workload: space.random_workload(&mut rng),
-                });
+            let workloads = group_workloads(ctx, cores, p_idx).take(opts.workloads_per_group);
+            for (widx, workload) in workloads.enumerate() {
+                for (model, side) in [("det", ValSide::Detailed), ("badco", ValSide::Badco)] {
+                    cells.push(DistCell {
+                        id: format!(
+                            "perturb={};c={cores};p={policy};w={widx};m={model}",
+                            opts.perturb
+                        ),
+                        desc: CellDesc::Validate {
+                            cores,
+                            policy,
+                            p_idx,
+                            widx,
+                            perturb: opts.perturb,
+                            side,
+                        },
+                    });
+                }
+                rows.push((cores, policy, workload));
             }
         }
     }
 
-    // In process, look up every cell's BADCO side first: a core count's
-    // model set is needed only if one of its BADCO sides is not stored.
-    // (A coordinator looks its cells up itself, and may fall back to
-    // evaluating any of them here.)
-    let local = ctx.coordinator().is_none();
-    let badco_stored: Vec<Option<Vec<f64>>> = cells
-        .iter()
-        .map(|cell| {
-            let desc = cell.desc(opts.perturb, ValSide::Badco);
-            local
-                .then(|| ctx.replayed_cell("validate", &desc))
-                .flatten()
-        })
-        .collect();
-
-    // Prefetch shared artifacts through the validated accessors so the
-    // parallel cells below cannot fail, and apply the perturbation once
-    // per core count (never into the context's model cache). The
-    // reference IPCs are fetched whatever the store holds: the
-    // aggregation below reads them.
-    let mut per_cores: Vec<(usize, PerCores)> = Vec::new();
+    // The reference IPCs the throughputs are normalized by, fetched
+    // whatever the store holds. `run_grid` fetches a core count's models
+    // only if one of its BADCO sides is not recorded, and perturbs a copy,
+    // never the context's cached set.
+    let mut refs: Vec<(usize, Vec<f64>, Vec<f64>)> = Vec::new();
     for &cores in &opts.core_counts {
-        if per_cores.iter().any(|(c, _)| *c == cores) {
-            continue;
+        if !refs.iter().any(|r| r.0 == cores) {
+            refs.push((
+                cores,
+                ctx.detailed_reference_ipcs(cores)?,
+                ctx.badco_reference_ipcs(cores)?,
+            ));
         }
-        let needs_models = !local
-            || cells
-                .iter()
-                .zip(&badco_stored)
-                .any(|(cell, stored)| cell.cores == cores && stored.is_none());
-        let models = if !needs_models {
-            None
-        } else if opts.perturb == 1.0 {
-            Some(ctx.models(cores)?)
-        } else {
-            Some(
-                ctx.models(cores)?
-                    .iter()
-                    .map(|m| Arc::new(m.perturbed(opts.perturb)))
-                    .collect(),
-            )
-        };
-        per_cores.push((
-            cores,
-            PerCores {
-                models,
-                detailed_refs: ctx.detailed_reference_ipcs(cores)?,
-                badco_refs: ctx.badco_reference_ipcs(cores)?,
-            },
-        ));
     }
-
-    let results: IpcPairs = if !local {
-        validate_distributed(ctx, opts, &cells, &per_cores)?
-    } else {
-        let pairs = mps_par::par_map_indexed(ctx.jobs(), &cells, |i, cell| {
-            let detailed = ctx.grid_cell(
-                "validate",
-                &cell.desc(opts.perturb, ValSide::Detailed),
-                || cell.evaluate(ctx, ValSide::Detailed, &per_cores),
-            );
-            detailed.and_then(|det| {
-                let bad = match &badco_stored[i] {
-                    Some(values) => values.clone(),
-                    None => {
-                        let desc = cell.desc(opts.perturb, ValSide::Badco);
-                        ctx.fresh_cell("validate", &desc, || {
-                            cell.evaluate(ctx, ValSide::Badco, &per_cores)
-                        })?
-                    }
-                };
-                Ok((det, bad))
-            })
-        });
-        pairs.into_iter().collect::<Result<_, _>>()?
-    };
+    let values = dist::run_grid(ctx, "validate", &cells, &CellInputs::default())?;
 
     // Merge in cell order (index-ordered by construction) and aggregate —
     // all statistics and estimator recordings happen here, on one thread,
@@ -347,20 +307,18 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
     // estimators byte-stable across --jobs.
     let mut groups: Vec<GroupValidation> = Vec::new();
     let mut stratum_errs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (cell, (det, bad)) in cells.iter().zip(&results) {
-        let pc = &per_cores
-            .iter()
-            .find(|(c, _)| *c == cell.cores)
-            .expect("prefetched above")
-            .1;
+    for ((cores, policy, workload), sides) in rows.iter().zip(values.chunks(2)) {
+        let (det, bad) = (&sides[0], &sides[1]);
+        let (_, detailed_refs, badco_refs) =
+            refs.iter().find(|r| r.0 == *cores).expect("fetched above");
         let need_new = groups
             .last()
-            .is_none_or(|g| g.cores != cell.cores || g.policy != cell.policy);
+            .is_none_or(|g| g.cores != *cores || g.policy != *policy);
         if need_new {
             groups.push(GroupValidation {
-                cores: cell.cores,
-                policy: cell.policy,
-                uncore_spec: experiment_uncore(cell.cores, cell.policy).spec_string(),
+                cores: *cores,
+                policy: *policy,
+                uncore_spec: experiment_uncore(*cores, *policy).spec_string(),
                 rows: Vec::new(),
                 ipc_err: ErrorStats::default(),
                 throughput_err: ErrorStats::default(),
@@ -368,7 +326,7 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
             });
         }
         let wsu = |ipcs: &[f64], refs: &[f64]| -> f64 {
-            cell.workload
+            workload
                 .benchmarks()
                 .iter()
                 .zip(ipcs)
@@ -376,18 +334,17 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
                 .sum()
         };
         let row = WorkloadValidation {
-            name: cell
-                .workload
+            name: workload
                 .benchmarks()
                 .iter()
                 .map(|&b| suite[b as usize].name())
                 .collect::<Vec<_>>()
                 .join("+"),
-            benchmarks: cell.workload.benchmarks().to_vec(),
+            benchmarks: workload.benchmarks().to_vec(),
             detailed_ipc: det.clone(),
             badco_ipc: bad.clone(),
-            detailed_throughput: wsu(det, &pc.detailed_refs),
-            badco_throughput: wsu(bad, &pc.badco_refs),
+            detailed_throughput: wsu(det, detailed_refs),
+            badco_throughput: wsu(bad, badco_refs),
         };
         for (err, &b) in row.thread_errors().iter().zip(&row.benchmarks) {
             stratum_errs[suite[b as usize].nominal_class.index()].push(*err);
@@ -437,101 +394,6 @@ pub fn run(ctx: &StudyContext, opts: &ValidateOptions) -> Result<ValidationRepor
         summary,
         wall_ms: t0.elapsed().as_millis(),
     })
-}
-
-struct PerCores {
-    /// `None` when the store holds every BADCO side of the core count.
-    models: Option<Vec<Arc<BadcoModel>>>,
-    detailed_refs: Vec<f64>,
-    badco_refs: Vec<f64>,
-}
-
-struct Cell {
-    cores: usize,
-    policy: PolicyKind,
-    /// Index of `policy` in the sweep's policy list — names the seed
-    /// stream the workload was drawn from, so a distributed worker can
-    /// re-derive `workload` from `(cores, p_idx, widx)` alone.
-    p_idx: usize,
-    widx: usize,
-    workload: Workload,
-}
-
-impl Cell {
-    /// The descriptor of one side of this cell: what keys its store
-    /// record and what a distributed worker evaluates it from.
-    fn desc(&self, perturb: f64, side: ValSide) -> CellDesc {
-        CellDesc::Validate {
-            cores: self.cores,
-            policy: self.policy,
-            p_idx: self.p_idx,
-            widx: self.widx,
-            perturb,
-            side,
-        }
-    }
-
-    /// The per-thread IPCs of one side, computed in this process.
-    fn evaluate(
-        &self,
-        ctx: &StudyContext,
-        side: ValSide,
-        per_cores: &[(usize, PerCores)],
-    ) -> Result<Vec<f64>, Error> {
-        Ok(match side {
-            ValSide::Detailed => {
-                ctx.validation_detailed_ipcs(self.cores, self.policy, &self.workload)?
-            }
-            ValSide::Badco => {
-                let models = &per_cores
-                    .iter()
-                    .find(|(c, _)| *c == self.cores)
-                    .expect("prefetched by the sweep")
-                    .1
-                    .models
-                    .as_deref()
-                    .expect("fetched for every core count with a BADCO side to compute");
-                StudyContext::badco_run_with(models, self.cores, self.policy, &self.workload)
-            }
-        })
-    }
-}
-
-/// One cell's per-thread IPCs from both simulators: `(detailed, badco)`.
-type IpcPairs = Vec<(Vec<f64>, Vec<f64>)>;
-
-/// Distributed evaluation of the validation grid: each `Cell` becomes
-/// two [`DistCell`]s (detailed side, BADCO side) with the descriptors the
-/// in-process path records under, so single-process, distributed and
-/// rerun sweeps all produce byte-identical reports.
-fn validate_distributed(
-    ctx: &StudyContext,
-    opts: &ValidateOptions,
-    cells: &[Cell],
-    per_cores: &[(usize, PerCores)],
-) -> Result<IpcPairs, Error> {
-    let mut dcells = Vec::with_capacity(cells.len() * 2);
-    for cell in cells {
-        for (model, side) in [("det", ValSide::Detailed), ("badco", ValSide::Badco)] {
-            dcells.push(DistCell {
-                id: format!(
-                    "perturb={};c={};p={};w={};m={model}",
-                    opts.perturb, cell.cores, cell.policy, cell.widx
-                ),
-                desc: cell.desc(opts.perturb, side),
-            });
-        }
-    }
-    let values = dist::run_grid(ctx, "validate", &dcells, &|i, dc| {
-        let CellDesc::Validate { side, .. } = dc.desc else {
-            unreachable!("validate grid contains only validate cells");
-        };
-        cells[i / 2].evaluate(ctx, side, per_cores)
-    })?;
-    Ok(values
-        .chunks(2)
-        .map(|pair| (pair[0].clone(), pair[1].clone()))
-        .collect())
 }
 
 fn pct(x: f64) -> f64 {

@@ -40,14 +40,23 @@ fn artifacts_are_worker_process_invariant() {
         workloads_per_group: 3,
         perturb: 1.0,
     };
+    // A perturbed sweep runs its BADCO sides on a model set that is
+    // rebuilt, not cached, wherever the cell is evaluated.
+    let perturbed = mps_harness::ValidateOptions {
+        perturb: 1.25,
+        ..opts.clone()
+    };
     let artifacts = |ctx: &StudyContext| -> Vec<(&'static str, String)> {
         let validate = mps_harness::validate::run(ctx, &opts).unwrap();
+        let validate_perturbed = mps_harness::validate::run(ctx, &perturbed).unwrap();
         vec![
             ("fig3.csv", exp::fig3(ctx).unwrap().csv()),
             ("fig6.csv", exp::fig6(ctx).unwrap().csv()),
             ("fig7.csv", exp::fig7(ctx).unwrap().csv()),
             ("validate.jsonl", validate.to_jsonl()),
             ("validate.csv", validate.csv()),
+            ("validate-perturbed.jsonl", validate_perturbed.to_jsonl()),
+            ("validate-perturbed.csv", validate_perturbed.csv()),
         ]
     };
     let reference = {
