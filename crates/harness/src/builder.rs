@@ -3,7 +3,7 @@
 //!
 //! Every run knob lives here — scale, jobs, store,
 //! isolation budget (timeout/retries) and distribution (workers,
-//! listen address, lease TTL):
+//! listen address):
 //!
 //! ```no_run
 //! use mps_harness::{Scale, StudyContext};
@@ -44,7 +44,6 @@ pub struct StudyBuilder {
     retries: u32,
     workers: usize,
     dist_addr: Option<String>,
-    lease_ttl: Option<Duration>,
 }
 
 impl StudyBuilder {
@@ -116,14 +115,6 @@ impl StudyBuilder {
         self
     }
 
-    /// Lease time-to-live for distributed cells (default:
-    /// [`crate::dist::DEFAULT_LEASE_TTL`]). A worker that stops renewing
-    /// for this long is considered dead and its cell is re-issued.
-    pub fn lease_ttl(mut self, ttl: Duration) -> Self {
-        self.lease_ttl = Some(ttl);
-        self
-    }
-
     /// Builds the context (and, when distribution was requested, starts
     /// its coordinator and local workers).
     ///
@@ -155,7 +146,6 @@ impl StudyBuilder {
                     .clone()
                     .unwrap_or_else(|| "127.0.0.1:0".to_owned()),
                 explicit_addr: self.dist_addr.is_some(),
-                lease_ttl: self.lease_ttl.unwrap_or(crate::dist::DEFAULT_LEASE_TTL),
             };
             let coordinator = Coordinator::start(&ctx, &opts)?;
             ctx.dist

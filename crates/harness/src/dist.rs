@@ -24,14 +24,16 @@
 //!   each;
 //! * with a coordinator, one dispatcher thread per connected worker pops
 //!   cell indices off a shared [`mps_par::CellQueue`] and round-trips
-//!   them over TCP. Workers claim each cell's **lease** (see
-//!   [`mps_store::LeaseBoard`]) before evaluating, renew it on a
-//!   heartbeat while computing, and release it when done. A worker that
-//!   dies or stalls stops renewing: the coordinator requeues its
-//!   in-flight cell, and the next claimant steals the lapsed lease. Any
-//!   cells still unassigned when every worker is gone are computed by the
-//!   coordinator itself, through the same evaluator, so a run *always*
-//!   completes. A worker keeps one [`CellInputs`] per connection.
+//!   them over TCP. The worker's stream is the only record of who
+//!   computes a cell: while a task is in flight the worker sends a
+//!   `dist.renew` every quarter of the silence timeout. A worker that
+//!   dies closes its stream (EOF) and one that stalls falls silent for the
+//!   whole timeout; either way the coordinator requeues its in-flight
+//!   cell. Any cells still unassigned when every worker is gone are
+//!   computed by the coordinator itself, through the same evaluator, so a
+//!   run *always* completes. A duplicate evaluation by a stalled worker
+//!   is benign: cells are pure and only the coordinator records them. A
+//!   worker keeps one [`CellInputs`] per connection.
 //!
 //! The coordinator alone reads and appends to cell journals and performs
 //! the same index-ordered merge as the local path, so artifacts are
@@ -49,18 +51,18 @@
 //!
 //! ```text
 //! worker → coordinator   dist.hello    {id, pid}
-//! coordinator → worker   dist.config   {tl,…,seed, store, spec, jobs, ttl_ms, trace}
-//! coordinator → worker   dist.task     {id, grid, kind, …descriptor fields}
+//! coordinator → worker   dist.config   {tl,…,seed, store, jobs, trace}
+//! coordinator → worker   dist.task     {id, kind, …descriptor fields}
 //! worker → coordinator   dist.renew    {id}              (liveness heartbeat)
 //! worker → coordinator   span records  {…, worker-untagged} (traced runs only)
-//! worker → coordinator   dist.done     {id, values, claim, renewals}
+//! worker → coordinator   dist.done     {id, values}
 //! worker → coordinator   dist.fail     {id, error}
 //! coordinator → worker   dist.shutdown {}
 //! ```
 //!
 //! Values travel as space-joined `f64` bit patterns in hex, so results
 //! round-trip bit-exactly. See `docs/distributed.md` for the failure
-//! model and lease semantics.
+//! model.
 //!
 //! # Span shipping
 //!
@@ -84,7 +86,7 @@ use mps_sampling::{
     empirical_confidence_seeded, BalancedRandomSampling, BenchmarkStratification, PairData,
     Population, RandomSampling, Sampler, WorkloadStratification,
 };
-use mps_store::{Claim, Error, Lease, LeaseBoard, Store};
+use mps_store::{Error, Store};
 use mps_uncore::PolicyKind;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -96,18 +98,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Default lease time-to-live (and worker read timeout); `--lease-ttl`
-/// overrides. Long enough that a healthy worker's heartbeat (sent every
-/// quarter-TTL) cannot plausibly miss it, short enough that a SIGKILLed
-/// worker's cells come back quickly.
-pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
+/// How long the coordinator waits on a worker's stream mid-task before
+/// it counts the worker dead and requeues the cell. A busy worker sends
+/// `dist.renew` every quarter of it, so a healthy one cannot plausibly
+/// miss it; a killed one closes its stream and is noticed at once.
+const WORKER_SILENCE: Duration = Duration::from_secs(30);
 
 /// How long `run_grid` waits for the first worker to connect before
-/// falling back to local evaluation.
+/// falling back to local evaluation. Once a worker has attached, a grid
+/// whose workers are all dead computes its cells at once.
 const WORKER_WAIT: Duration = Duration::from_secs(10);
 
-/// Test hook: a worker exits abruptly (leaving its lease held) just
-/// before reporting its N-th completed cell. Mirrors the cell-record
+/// Test hook: a worker exits abruptly, mid-task, just before reporting
+/// its N-th completed cell. Mirrors the cell-record
 /// `MPS_ABORT_AFTER_CELLS` fault-injection hook.
 const EXIT_AFTER_ENV: &str = "MPS_DIST_EXIT_AFTER_CELLS";
 
@@ -382,11 +385,11 @@ impl CellDesc {
     }
 }
 
-/// One distributable cell: a lease/wire id and the evaluation
-/// descriptor (which also keys the cell's store record).
+/// One distributable cell: a wire id and the evaluation descriptor
+/// (which also keys the cell's store record).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistCell {
-    /// Lease + wire identity; unique within its grid.
+    /// Wire identity; unique within its grid.
     pub id: String,
     /// How to evaluate the cell anywhere.
     pub desc: CellDesc,
@@ -466,8 +469,7 @@ fn send_line(stream: &mut TcpStream, name: &str, fields: &[(&str, String)]) -> s
 ///
 /// # Errors
 ///
-/// An input that cannot be built (an unknown sampling method, say) and,
-/// distributed, lease-board I/O errors.
+/// An input that cannot be built (an unknown sampling method, say).
 pub fn run_grid(
     ctx: &StudyContext,
     grid: &'static str,
@@ -548,8 +550,6 @@ pub struct DistOptions {
     /// Whether `addr` was chosen explicitly (then the coordinator waits
     /// for remote workers even with `workers == 0`).
     pub explicit_addr: bool,
-    /// Lease time-to-live.
-    pub lease_ttl: Duration,
 }
 
 impl Default for DistOptions {
@@ -558,7 +558,6 @@ impl Default for DistOptions {
             workers: 0,
             addr: "127.0.0.1:0".to_owned(),
             explicit_addr: false,
-            lease_ttl: DEFAULT_LEASE_TTL,
         }
     }
 }
@@ -568,15 +567,14 @@ impl Default for DistOptions {
 /// process computed which cells.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
-    /// `(grid, worker id)` → (cells computed, lease renewals observed,
-    /// coordinator-observed wall time summed over the cells, µs).
+    /// `(grid, worker id)` → (cells computed, `dist.renew` lines read
+    /// while they ran, coordinator-observed wall time summed over the
+    /// cells, µs).
     pub per_worker: BTreeMap<(String, String), (u64, u64, u64)>,
     /// Cells computed by remote/spawned workers.
     pub cells_remote: u64,
     /// Cells computed by the coordinator fallback.
     pub cells_local: u64,
-    /// Expired leases stolen (each one is a recovered dead-worker cell).
-    pub leases_stolen: u64,
     /// Cells re-issued after a worker died or stalled.
     pub requeued: u64,
 }
@@ -616,9 +614,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// the context (sending `dist.shutdown` and reaping children).
 pub struct Coordinator {
     addr: SocketAddr,
-    lease_ttl: Duration,
-    spec: String,
-    store: Arc<Store>,
     pool: Arc<WorkerPool>,
     children: Mutex<Vec<Child>>,
     prov: Mutex<Provenance>,
@@ -629,7 +624,6 @@ impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
             .field("addr", &self.addr)
-            .field("lease_ttl", &self.lease_ttl)
             .field("workers_live", &self.pool.live().len())
             .finish_non_exhaustive()
     }
@@ -682,15 +676,12 @@ impl Coordinator {
             .local_addr()
             .map_err(|e| Error::Io(format!("coordinator local addr: {e}")))?;
 
-        let spec = ctx.artifact_spec("");
         // Split the thread budget across local workers; remote workers
         // override with their own --jobs.
         let worker_jobs = (ctx.jobs() / opts.workers.max(1)).max(1);
         let mut config: Vec<(&str, String)> = scale_fields(&ctx.scale);
         config.push(("store", store.root().display().to_string()));
-        config.push(("spec", spec.clone()));
         config.push(("jobs", worker_jobs.to_string()));
-        config.push(("ttl_ms", opts.lease_ttl.as_millis().to_string()));
         config.push(("trace", u8::from(mps_obs::sink_installed()).to_string()));
         let mut config_line = encode_event("dist.config", &config);
         config_line.push('\n');
@@ -741,9 +732,6 @@ impl Coordinator {
 
         Ok(Arc::new(Coordinator {
             addr,
-            lease_ttl: opts.lease_ttl,
-            spec,
-            store,
             pool,
             children: Mutex::new(children),
             prov: Mutex::new(Provenance::default()),
@@ -768,7 +756,6 @@ impl Coordinator {
         cells: &[DistCell],
         inputs: &CellInputs,
     ) -> Result<Vec<Vec<f64>>, Error> {
-        let board = LeaseBoard::open(&self.store, grid, &self.spec)?;
         let results: Vec<Mutex<Option<Vec<f64>>>> =
             cells.iter().map(|_| Mutex::new(None)).collect();
         let queue = mps_par::CellQueue::new();
@@ -788,9 +775,11 @@ impl Coordinator {
         // workers.
         let local_only: Mutex<Vec<usize>> = Mutex::new(Vec::new());
 
+        // Wait for a worker only while none has ever attached: once every
+        // attached worker is dead, the leftovers are computed at once.
         if !queue.is_empty() && self.expect_workers {
             let deadline = Instant::now() + WORKER_WAIT;
-            while self.pool.live().is_empty() && Instant::now() < deadline {
+            while lock(&self.pool.conns).is_empty() && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
@@ -814,29 +803,12 @@ impl Coordinator {
         }
         for i in leftovers {
             let cell = &cells[i];
-            // Best-effort lease: a zombie worker may still hold it; the
-            // coordinator is the merger of record, so after waiting out
-            // the TTL it proceeds regardless (duplicate evaluation of a
-            // pure cell is benign).
-            let lease = claim_patiently(
-                &board,
-                &cell.id,
-                "coordinator",
-                self.lease_ttl,
-                self.lease_ttl * 2,
-            )?;
-            if let Some((_, stolen)) = &lease {
-                self.count_claim(*stolen);
-            }
             let started = Instant::now();
             let eval = || eval_cell(ctx, inputs, &cell.desc, ctx.jobs());
             let values = match cell.desc {
                 CellDesc::Prefetch { .. } => eval()?,
                 _ => ctx.fresh_cell(grid, &cell.desc, eval)?,
             };
-            if let Some((l, _)) = lease {
-                l.release();
-            }
             mps_obs::counter("dist.cells.local").incr();
             let mut prov = lock(&self.prov);
             prov.cells_local += 1;
@@ -849,7 +821,6 @@ impl Coordinator {
             *lock(&results[i]) = Some(values);
         }
 
-        board.clear();
         let mut out = Vec::with_capacity(cells.len());
         for (i, cell) in cells.iter().enumerate() {
             match lock(&results[i]).take() {
@@ -863,15 +834,6 @@ impl Coordinator {
             }
         }
         Ok(out)
-    }
-
-    fn count_claim(&self, stolen: bool) {
-        mps_obs::counter("dist.leases.claimed").incr();
-        if stolen {
-            mps_obs::counter("dist.leases.stolen").incr();
-            mps_obs::counter("dist.leases.expired").incr();
-            lock(&self.prov).leases_stolen += 1;
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -888,11 +850,9 @@ impl Coordinator {
         while let Some(i) = queue.pop() {
             let cell = &cells[i];
             let started = Instant::now();
-            match self.exchange(w, grid, cell) {
+            match self.exchange(w, cell) {
                 Ok(done) => {
-                    self.count_claim(done.stolen);
                     mps_obs::counter("dist.cells.remote").incr();
-                    mps_obs::counter("dist.renewals").add(u64::from(done.renewals));
                     crate::heartbeat::cell_finished(started.elapsed());
                     ctx.record_cell(grid, &cell.desc, &done.values);
                     let mut prov = lock(&self.prov);
@@ -902,7 +862,7 @@ impl Coordinator {
                         .entry((grid.to_owned(), w.id.clone()))
                         .or_default();
                     entry.0 += 1;
-                    entry.1 += u64::from(done.renewals);
+                    entry.1 += done.renewals;
                     entry.2 += started.elapsed().as_micros() as u64;
                     drop(prov);
                     *lock(&results[i]) = Some(done.values);
@@ -928,22 +888,21 @@ impl Coordinator {
         }
     }
 
-    /// One task round trip. Renew lines reset the liveness clock; the
-    /// worker claims/renews/releases the lease itself and reports the
-    /// claim outcome in `dist.done`.
-    fn exchange(&self, w: &WorkerConn, grid: &str, cell: &DistCell) -> Result<TaskDone, TaskError> {
+    /// One task round trip. Every line resets the silence clock; the
+    /// cell's `dist.renew` lines are counted into its [`TaskDone`].
+    fn exchange(&self, w: &WorkerConn, cell: &DistCell) -> Result<TaskDone, TaskError> {
         {
-            let mut fields: Vec<(&str, String)> =
-                vec![("id", cell.id.clone()), ("grid", grid.to_owned())];
+            let mut fields: Vec<(&str, String)> = vec![("id", cell.id.clone())];
             fields.extend(cell.desc.fields());
             let mut writer = lock(&w.writer);
             send_line(&mut writer, "dist.task", &fields)
                 .map_err(|e| TaskError::Dead(format!("send: {e}")))?;
         }
         let mut reader = lock(&w.reader);
-        // The worker heartbeats every quarter-TTL even while waiting on a
-        // contended lease, so a full TTL of silence means it is gone.
-        let _ = reader.get_ref().set_read_timeout(Some(self.lease_ttl));
+        // The worker renews every quarter of the timeout while the task
+        // runs, so a whole timeout of silence means it is gone.
+        let _ = reader.get_ref().set_read_timeout(Some(WORKER_SILENCE));
+        let mut renewals = 0;
         let mut line = String::new();
         loop {
             line.clear();
@@ -971,9 +930,9 @@ impl Coordinator {
                 Err(_) => continue,
             };
             match name.as_str() {
-                "dist.renew" => {
+                "dist.renew" if fields.get("id") == Some(&cell.id) => {
                     mps_obs::counter("dist.renewals").incr();
-                    continue;
+                    renewals += 1;
                 }
                 "dist.done" if fields.get("id") == Some(&cell.id) => {
                     let values = fields
@@ -987,14 +946,7 @@ impl Coordinator {
                             cell.desc.value_count()
                         )));
                     }
-                    return Ok(TaskDone {
-                        values,
-                        stolen: fields.get("claim").map(String::as_str) == Some("stolen"),
-                        renewals: fields
-                            .get("renewals")
-                            .and_then(|r| r.parse().ok())
-                            .unwrap_or(0),
-                    });
+                    return Ok(TaskDone { values, renewals });
                 }
                 "dist.fail" if fields.get("id") == Some(&cell.id) => {
                     return Err(TaskError::Reported(
@@ -1012,8 +964,8 @@ impl Coordinator {
 
 struct TaskDone {
     values: Vec<f64>,
-    stolen: bool,
-    renewals: u32,
+    /// The `dist.renew` lines read while the cell ran.
+    renewals: u64,
 }
 
 enum TaskError {
@@ -1077,30 +1029,6 @@ fn handshake(stream: TcpStream, config_line: &str) -> Option<WorkerConn> {
         reader: Mutex::new(reader),
         alive: AtomicBool::new(true),
     })
-}
-
-/// Claims `cell`, waiting out a live holder's deadline up to `max_wait`.
-/// `Ok(None)` means the holder kept renewing the whole time.
-fn claim_patiently(
-    board: &LeaseBoard,
-    cell: &str,
-    owner: &str,
-    ttl: Duration,
-    max_wait: Duration,
-) -> Result<Option<(Lease, bool)>, Error> {
-    let deadline = Instant::now() + max_wait;
-    loop {
-        match board.claim(cell, owner, ttl)? {
-            Claim::Acquired(l) => return Ok(Some((l, false))),
-            Claim::Stolen(l) => return Ok(Some((l, true))),
-            Claim::Held { .. } => {
-                if Instant::now() >= deadline {
-                    return Ok(None);
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1181,10 +1109,6 @@ pub fn worker_main(connect: &str, id: Option<String>) -> Result<(), Error> {
     worker_loop(stream, id)
 }
 
-/// State shared between the worker's task loop and its heartbeat thread:
-/// the in-flight task id and (once claimed) its lease.
-type CurrentTask = Arc<Mutex<Option<(String, Option<Lease>)>>>;
-
 /// Runs the worker protocol over an established stream until the
 /// coordinator sends `dist.shutdown` or the connection drops. Exposed
 /// (rather than private to `worker_main`) so tests can drive a worker
@@ -1224,49 +1148,30 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
     let store_path = fields
         .get("store")
         .ok_or_else(|| Error::InvalidInput("dist.config has no store path".to_owned()))?;
-    let spec = fields.get("spec").cloned().unwrap_or_default();
     let jobs: usize = fields.get("jobs").and_then(|j| j.parse().ok()).unwrap_or(1);
-    let ttl = Duration::from_millis(
-        fields
-            .get("ttl_ms")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(DEFAULT_LEASE_TTL.as_millis() as u64),
-    );
     let store = Arc::new(Store::open(store_path)?);
-    let ctx = StudyContext::assemble(scale, jobs, Some(store.clone()));
+    let ctx = StudyContext::assemble(scale, jobs, Some(store));
     if fields.get("trace").is_some_and(|t| t == "1") {
         mps_obs::install_span_tap();
     }
 
-    // Heartbeat: renew the held lease and ping the coordinator every
-    // quarter-TTL while a task is in flight (including the claim wait),
-    // and ship finished spans on every tick, task or not.
-    let current: CurrentTask = Arc::new(Mutex::new(None));
+    // Heartbeat: send `dist.renew` for the in-flight task every quarter
+    // of the coordinator's silence timeout, and ship finished spans on
+    // every tick, task or not.
+    let current: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let ship_gate = Arc::new(Mutex::new(()));
     let hb_current = Arc::clone(&current);
     let hb_gate = Arc::clone(&ship_gate);
     let hb_writer = writer
         .try_clone()
         .map_err(|e| Error::Io(format!("clone stream: {e}")))?;
-    let hb_interval = (ttl / 4).max(Duration::from_millis(50));
     std::thread::Builder::new()
         .name("mps-dist-heartbeat".to_owned())
         .spawn(move || {
             let mut hb_writer = hb_writer;
             loop {
-                std::thread::sleep(hb_interval);
-                let in_flight = {
-                    let mut cur = lock(&hb_current);
-                    match cur.as_mut() {
-                        Some((task_id, lease)) => {
-                            if let Some(l) = lease {
-                                let _ = l.renew(ttl);
-                            }
-                            Some(task_id.clone())
-                        }
-                        None => None,
-                    }
-                };
+                std::thread::sleep(WORKER_SILENCE / 4);
+                let in_flight = lock(&hb_current).clone();
                 if let Some(task_id) = in_flight {
                     if send_line(&mut hb_writer, "dist.renew", &[("id", task_id)]).is_err() {
                         return; // coordinator gone; main loop sees EOF too
@@ -1281,7 +1186,6 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
         .ok()
         .and_then(|v| v.parse().ok());
     let mut completed = 0u64;
-    let mut boards: HashMap<String, LeaseBoard> = HashMap::new();
     let inputs = CellInputs::default();
     loop {
         line.clear();
@@ -1301,89 +1205,31 @@ pub fn worker_loop(stream: TcpStream, id: Option<String>) -> Result<(), Error> {
         let Some(task_id) = fields.get("id").cloned() else {
             continue;
         };
-        let grid = fields.get("grid").cloned().unwrap_or_default();
-        *lock(&current) = Some((task_id.clone(), None));
-        let fail = |writer: &mut TcpStream, err: String| {
-            let _ = send_line(
-                writer,
-                "dist.fail",
-                &[("id", task_id.clone()), ("error", err)],
-            );
-        };
-        let desc = match CellDesc::from_fields(&fields) {
-            Ok(d) => d,
-            Err(e) => {
-                fail(&mut writer, e);
-                *lock(&current) = None;
-                continue;
+        *lock(&current) = Some(task_id.clone());
+        let result = CellDesc::from_fields(&fields).and_then(|desc| {
+            eval_cell(&ctx, &inputs, &desc, ctx.jobs()).map_err(|e| e.to_string())
+        });
+        if result.is_ok() {
+            completed += 1;
+            if exit_after == Some(completed) {
+                // Fault injection: vanish mid-task, exactly like a
+                // SIGKILL.
+                std::process::exit(86);
             }
-        };
-        let board = match boards.entry(grid.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                match LeaseBoard::open(&store, &grid, &spec) {
-                    Ok(b) => e.insert(b),
-                    Err(err) => {
-                        fail(&mut writer, err.to_string());
-                        *lock(&current) = None;
-                        continue;
-                    }
-                }
-            }
-        };
-        let claim = match claim_patiently(board, &task_id, &id, ttl, ttl * 2) {
-            Ok(Some((lease, stolen))) => {
-                if let Some(c) = lock(&current).as_mut() {
-                    c.1 = Some(lease);
-                }
-                if stolen {
-                    "stolen"
-                } else {
-                    "acquired"
-                }
-            }
-            Ok(None) => {
-                fail(&mut writer, format!("lease on '{task_id}' still held"));
-                *lock(&current) = None;
-                continue;
-            }
-            Err(e) => {
-                fail(&mut writer, e.to_string());
-                *lock(&current) = None;
-                continue;
-            }
-        };
-        match eval_cell(&ctx, &inputs, &desc, ctx.jobs()) {
+        }
+        *lock(&current) = None;
+        match result {
             Ok(values) => {
-                completed += 1;
-                if exit_after == Some(completed) {
-                    // Fault injection: vanish mid-task with the lease
-                    // held, exactly like a SIGKILL.
-                    std::process::exit(86);
-                }
-                let lease = lock(&current).take().and_then(|(_, l)| l);
-                let renewals = lease.as_ref().map_or(0, Lease::renewals);
-                if let Some(l) = lease {
-                    l.release();
-                }
                 // Ship the cell's spans before its result, while the
                 // coordinator still reads this stream.
                 ship_spans(&ship_gate, &mut writer);
-                let done_fields = [
-                    ("id", task_id.clone()),
-                    ("values", join_values(&values)),
-                    ("claim", claim.to_owned()),
-                    ("renewals", renewals.to_string()),
-                ];
-                if send_line(&mut writer, "dist.done", &done_fields).is_err() {
+                let done = [("id", task_id), ("values", join_values(&values))];
+                if send_line(&mut writer, "dist.done", &done).is_err() {
                     return Ok(()); // coordinator gone
                 }
             }
-            Err(e) => {
-                if let Some(l) = lock(&current).take().and_then(|(_, l)| l) {
-                    l.release();
-                }
-                fail(&mut writer, e.to_string());
+            Err(err) => {
+                let _ = send_line(&mut writer, "dist.fail", &[("id", task_id), ("error", err)]);
             }
         }
     }

@@ -28,7 +28,7 @@ use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The run's progress accounting; [`PROGRESS`] is the process-wide one.
 struct Progress {
@@ -143,16 +143,18 @@ pub fn start(period: Duration) {
     let handle = std::thread::Builder::new()
         .name("mps-heartbeat".to_owned())
         .spawn(move || loop {
-            // Sleep in short slices so finish() never waits a full period
-            // for the thread to notice the stop flag.
-            let mut left = period;
-            while !STOP.load(Ordering::SeqCst) && left > Duration::ZERO {
-                let slice = left.min(Duration::from_millis(100));
-                std::thread::sleep(slice);
-                left = left.saturating_sub(slice);
-            }
-            if STOP.load(Ordering::SeqCst) {
-                return;
+            // Park until the period is up; finish() unparks the thread,
+            // so it sees the stop flag at once.
+            let due = Instant::now() + period;
+            loop {
+                if STOP.load(Ordering::SeqCst) {
+                    return;
+                }
+                let left = due.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                std::thread::park_timeout(left);
             }
             beat();
         });
@@ -171,6 +173,7 @@ pub fn finish() {
     }
     STOP.store(true, Ordering::SeqCst);
     if let Some(h) = lock_thread().take() {
+        h.thread().unpark();
         let _ = h.join();
     }
     STARTED.store(false, Ordering::SeqCst);
@@ -258,8 +261,12 @@ mod tests {
         beat(); // exercises the event path; sinkless runs just aggregate
     }
 
+    /// Serializes the tests that start and stop the process-wide thread.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn start_and_finish_join_cleanly() {
+        let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         // Valid in both feature configs: start() is inert without obs and
         // finish() must be a clean no-op either way.
         finish(); // never started: no-op
@@ -272,5 +279,16 @@ mod tests {
             start(Duration::from_secs(3600));
             finish();
         }
+    }
+
+    #[test]
+    fn finish_wakes_a_parked_thread_at_once() {
+        let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        start(Duration::from_secs(60));
+        std::thread::sleep(Duration::from_millis(10));
+        let t = Instant::now();
+        finish();
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(50), "finish took {took:?}");
     }
 }

@@ -45,7 +45,7 @@ pub mod scale;
 pub mod validate;
 
 pub use builder::StudyBuilder;
-pub use dist::{Coordinator, DistOptions, Provenance, DEFAULT_LEASE_TTL};
+pub use dist::{Coordinator, DistOptions, Provenance};
 pub use isolate::{run_isolated, IsolateOptions};
 pub use mps_store::Error;
 pub use runner::{StudyCacheStats, StudyContext};

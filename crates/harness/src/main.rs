@@ -79,9 +79,10 @@
 //!
 //! Experiment grids can be sharded across worker *processes*:
 //! `--workers N` spawns N local workers, `--dist-addr HOST:PORT` also
-//! accepts remote `mps-harness worker --connect HOST:PORT` processes,
-//! and `--lease-ttl SECS` tunes dead-worker detection. Artifacts are
-//! byte-identical to a single-process run; see docs/distributed.md.
+//! accepts remote `mps-harness worker --connect HOST:PORT` processes.
+//! A worker that dies is noticed on its TCP stream and its cell re-issued.
+//! Artifacts are byte-identical to a single-process run; see
+//! docs/distributed.md.
 //! ```
 
 use mps_harness::experiments as exp;
@@ -390,7 +391,6 @@ struct Options {
     out: Option<PathBuf>,
     workers: usize,
     dist_addr: Option<String>,
-    lease_ttl: Option<Duration>,
     /// `--trace FILE`: the JSONL sink for span and event records.
     trace: Option<String>,
 }
@@ -478,7 +478,6 @@ fn parse_options(
         out: None,
         workers: 0,
         dist_addr: None,
-        lease_ttl: None,
         trace: None,
     };
     let mut no_store = false;
@@ -515,12 +514,6 @@ fn parse_options(
                     "HOST:PORT (port 0 = ephemeral)",
                     |_| true,
                 )?);
-            }
-            "--lease-ttl" => {
-                let secs = flag_value(flag, args.next(), "a positive number of seconds", |&s| {
-                    s > 0
-                })?;
-                o.lease_ttl = Some(Duration::from_secs(secs));
             }
             "--trace" => o.trace = Some(flag_value(flag, args.next(), "a file path", |_| true)?),
             "--help" | "-h" => return Err(CliError::Help),
@@ -567,16 +560,13 @@ impl Options {
         if let Some(addr) = &self.dist_addr {
             builder = builder.dist_addr(addr.clone());
         }
-        if let Some(ttl) = self.lease_ttl {
-            builder = builder.lease_ttl(ttl);
-        }
         extra(builder).build()
     }
 }
 
 const VALIDATE_USAGE: &str = "usage: mps-harness validate [--scale test|small|full] [--jobs N] \
                               [--store DIR] [--no-store] [--out DIR] [--trace FILE] \
-                              [--workers N] [--dist-addr HOST:PORT] [--lease-ttl SECS] \
+                              [--workers N] [--dist-addr HOST:PORT] \
                               [--fail-on mean-abs-err=PCT%,max-abs-err=PCT%,rank-inversions=N] \
                               [--baseline FILE] [--write-baseline FILE] [--perturb FACTOR]";
 
@@ -796,7 +786,7 @@ fn validate_cli(args: &[String]) -> i32 {
 }
 
 /// Appends distributed-run provenance to a ledger record: shard counts,
-/// lease steals/requeues, and per-(grid, worker) cell/renewal counts, so
+/// requeues, and per-(grid, worker) cell/renewal counts, so
 /// `runs show` attributes every remotely computed cell to the worker
 /// process that produced it.
 fn record_provenance(rec: &mut mps_store::RunRecord, ctx: &StudyContext) {
@@ -807,7 +797,6 @@ fn record_provenance(rec: &mut mps_store::RunRecord, ctx: &StudyContext) {
     rec.set("dist.cells.remote", prov.cells_remote.to_string());
     rec.set("dist.cells.local", prov.cells_local.to_string());
     rec.set("dist.cells.requeued", prov.requeued.to_string());
-    rec.set("dist.leases.stolen", prov.leases_stolen.to_string());
     let workers: std::collections::BTreeSet<&str> = prov
         .per_worker
         .keys()
@@ -887,7 +876,7 @@ fn worker_cli(args: &[String]) -> i32 {
 const RUN_USAGE: &str = "usage: mps-harness [run] <table1..table4|fig1..fig7|overhead|guideline|ablation|dw|all> \
      [--scale test|small|full] [--out DIR] [--jobs N] [--store DIR] \
      [--no-store] [--timeout SECS] [--retries N] [--workers N] [--dist-addr HOST:PORT] \
-     [--lease-ttl SECS] [--trace FILE]\n\
+     [--trace FILE]\n\
      \x20      mps-harness trace <FILE> [--folded] [--worker ID]\n\
      \x20      mps-harness trace diff <BASELINE> <CONTENDER> [--fail-on-regress PCT] [--json] [--worker ID]\n\
      \x20      mps-harness runs list|show <N|last> [--ledger FILE] [--store DIR]\n\
@@ -1306,7 +1295,7 @@ mod tests {
     #[test]
     fn shared_flags_parse_the_same_under_run_and_validate() {
         let shared = "--scale full --jobs 3 --store st --out o --workers 2 \
-                      --dist-addr 0.0.0.0:7000 --lease-ttl 9 --trace t.jsonl";
+                      --dist-addr 0.0.0.0:7000 --trace t.jsonl";
         let want = Options {
             scale: Scale::full(),
             jobs: Some(3),
@@ -1314,7 +1303,6 @@ mod tests {
             out: Some(PathBuf::from("o")),
             workers: 2,
             dist_addr: Some("0.0.0.0:7000".to_owned()),
-            lease_ttl: Some(Duration::from_secs(9)),
             trace: Some("t.jsonl".to_owned()),
         };
         assert_eq!(run(&format!("fig3 {shared}")).unwrap().opts, want);
@@ -1328,7 +1316,6 @@ mod tests {
             ("--out", "d"),
             ("--workers", "4"),
             ("--dist-addr", "h:1"),
-            ("--lease-ttl", "1"),
             ("--trace", "t.jsonl"),
         ] {
             let line = format!("{flag} {value}");
@@ -1349,18 +1336,12 @@ mod tests {
             "--out",
             "--workers",
             "--dist-addr",
-            "--lease-ttl",
             "--trace",
         ] {
             assert!(usage_error(run(&format!("fig3 {flag}"))).starts_with(flag));
             assert!(usage_error(validate(flag)).starts_with(flag));
         }
-        for (flag, bad) in [
-            ("--scale", "huge"),
-            ("--jobs", "-1"),
-            ("--workers", "two"),
-            ("--lease-ttl", "0"),
-        ] {
+        for (flag, bad) in [("--scale", "huge"), ("--jobs", "-1"), ("--workers", "two")] {
             let line = format!("{flag} {bad}");
             let msg = usage_error(run(&line));
             assert!(msg.starts_with(flag) && msg.contains(bad), "{msg}");
@@ -1439,6 +1420,19 @@ mod tests {
             "{msg}"
         );
         assert!(!RUN_USAGE.contains("metrics") && !VALIDATE_USAGE.contains("metrics"));
+    }
+
+    #[test]
+    fn lease_ttl_is_an_unknown_argument() {
+        let msg = usage_error(run("fig3 --lease-ttl 5"));
+        assert!(msg.contains("unknown argument '--lease-ttl'"), "{msg}");
+        let msg = usage_error(validate("--lease-ttl 5"));
+        assert!(
+            msg.contains("unknown validate argument '--lease-ttl'"),
+            "{msg}"
+        );
+        assert_eq!(CliError::Usage(msg).report(VALIDATE_USAGE), 2);
+        assert!(!RUN_USAGE.contains("lease") && !VALIDATE_USAGE.contains("lease"));
     }
 
     #[test]

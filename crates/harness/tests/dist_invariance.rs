@@ -28,7 +28,7 @@ fn mini() -> Scale {
 #[test]
 fn artifacts_are_worker_process_invariant() {
     // The distributed coordinator shards the same grids across
-    // worker *processes*, claiming cells through store leases and merging
+    // worker *processes*, one cell per TCP round trip, and merges the
     // results in index order. The contract is the same as for threads:
     // any worker count × any jobs split must reproduce the
     // single-process rendering byte for byte. The reference deliberately

@@ -15,10 +15,6 @@
 //!   `sync_data`'d before it counts, so a killed grid rerun on the same
 //!   store recomputes only the cells it lacks. [`read_journal`] lists a
 //!   journal file's valid entries.
-//! * [`LeaseBoard`] — per-cell lease files with deadlines, the claim /
-//!   renew / release primitive the distributed grid runner uses to shard
-//!   cells across worker processes (a dead worker's lease lapses and its
-//!   cell is stolen).
 //! * [`Ledger`] — an append-only, schema-versioned run ledger: one
 //!   [`RunRecord`] per harness invocation (config hash, durations, store
 //!   hit ratio, convergence summary), read back by `mps-harness runs`
@@ -34,7 +30,6 @@
 mod codec;
 mod error;
 mod journal;
-mod lease;
 mod ledger;
 #[allow(clippy::module_inception)]
 mod store;
@@ -42,6 +37,5 @@ mod store;
 pub use codec::{fnv1a64, payload_checksum, Dec, Enc, Fnv1a64};
 pub use error::{Error, Result};
 pub use journal::{read_journal, CellJournal, JournalEntry};
-pub use lease::{Claim, Lease, LeaseBoard, LEASE_SCHEMA};
 pub use ledger::{Ledger, RunRecord, LEDGER_SCHEMA};
 pub use store::{ArtifactKey, Store, StoreStats, KERNEL_REV, MIN_SCHEMA, SCHEMA};

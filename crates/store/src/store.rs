@@ -537,7 +537,7 @@ fn parse_record<'a>(bytes: &'a [u8], path: &str) -> Result<(&'a [u8], Option<u32
 
 /// Extracts an unsigned integer field from a flat one-line JSON object.
 /// Only handles the store's own headers — not a general JSON parser.
-pub(crate) fn json_u32_field(json: &str, name: &str) -> Option<u32> {
+fn json_u32_field(json: &str, name: &str) -> Option<u32> {
     let needle = format!("\"{name}\":");
     let at = json.find(&needle)? + needle.len();
     let rest = &json[at..];
@@ -545,16 +545,6 @@ pub(crate) fn json_u32_field(json: &str, name: &str) -> Option<u32> {
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// Extracts a string field from a flat one-line JSON object (no escapes —
-/// the store never writes any).
-pub(crate) fn json_str_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let needle = format!("\"{name}\":\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = &json[at..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
 }
 
 #[cfg(test)]
@@ -808,7 +798,6 @@ mod tests {
         let h = "{\"schema\":2,\"kind\":\"x\",\"key\":\"abc\",\"rev\":31}";
         assert_eq!(json_u32_field(h, "schema"), Some(2));
         assert_eq!(json_u32_field(h, "rev"), Some(31));
-        assert_eq!(json_str_field(h, "key"), Some("abc"));
         assert_eq!(json_u32_field(h, "absent"), None);
     }
 }
